@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qgini.errors import BudgetTooSmall
 from qgini.gini import gini_cap, gini_index, gini_report
 from qgini.lorenz import comonotonic, lorenz_curve
 from qgini.qsystem import (
@@ -118,14 +119,13 @@ def _check_gini_range(system, samples, rng):
 
 
 def _check_dual_form(system, samples, rng):
-    """Lorenz-sum form of the index matches the sorted weighted form."""
+    """The weighted-sort index matches its definition, 1 - 2/(d+1) * sum of the Lorenz values."""
     d = system.d
-    w = np.arange(d, 0, -1, dtype=np.float64)
     worst = 0.0
     for _ in range(samples):
         p = ProbabilityDistribution(rng.dirichlet(np.ones(d)))
-        weighted = 1.0 - (2.0 / (d + 1.0)) * float(w @ np.sort(p.probs))
-        worst = max(worst, abs(gini_index(p) - max(weighted, 0.0)))
+        definition = 1.0 - (2.0 / (d + 1.0)) * float(lorenz_curve(p).values.sum())
+        worst = max(worst, abs(gini_index(p) - max(definition, 0.0)))
     return worst <= EQ_TOL, f"max disagreement between the two forms {worst:.2e}"
 
 
@@ -247,9 +247,11 @@ _CHECKS = (
 def run_property_checks(d: int, samples: int = 200, seed: int = 42) -> list[CheckResult]:
     """Run every property check on seeded samples at dimension d."""
     system = QuantumSystem(d)
+    if samples < 1:
+        raise BudgetTooSmall(f"samples must be at least 1, got {samples}")
     results = []
     for index, (name, func) in enumerate(_CHECKS):
         rng = np.random.default_rng(split_seed(seed, index))
-        passed, detail = func(system, max(int(samples), 1), rng)
+        passed, detail = func(system, samples, rng)
         results.append(CheckResult(name=name, passed=bool(passed), detail=detail))
     return results

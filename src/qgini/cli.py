@@ -19,12 +19,11 @@ import csv
 import io
 import os
 import sys
-from dataclasses import dataclass, field
 
 from qgini import __version__
 from qgini.checks import run_property_checks
 from qgini.errors import ValidationError
-from qgini.gini import gini_report
+from qgini.gini import GiniReport, gini_index, gini_report
 from qgini.lorenz import lorenz_curve
 from qgini.qsystem import DensityMatrix, check_dimension, new_system, pure_density
 from qgini.serialize import float17, to_json
@@ -40,59 +39,6 @@ SWEEP_COLUMNS = (
     "g_sup_estimate",
     "eta_estimate",
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: the command plus every knob it may use."""
-
-    command: str
-    dim: object = None          # int for most commands, list of ints for sweep
-    input_path: str | None = None
-    output_format: str = "json"
-    restarts: int = 32
-    iterations: int = 2000
-    seed: int = 42
-    samples: int = 200
-
-
-@dataclass
-class ReportRecord:
-    """Everything the report commands emit for one state.
-
-    The estimator block stays None unless the record came from `estimate`.
-    Numeric fields must be finite; serialization renders floats with 17
-    significant digits.
-    """
-
-    dim: int
-    state_label: str
-    g_x: float
-    g_p: float
-    g_xp: float
-    lorenz_x: list = field(default_factory=list)
-    lorenz_p: list = field(default_factory=list)
-    permutation_x: list = field(default_factory=list)
-    permutation_p: list = field(default_factory=list)
-    gini_cap: float = 0.0
-    g_lower: float = 0.0
-    g_strict_upper: float = 0.0
-    eta_upper: float = 0.0
-    g_sup_estimate: float | None = None
-    eta_estimate: float | None = None
-    restarts: int | None = None
-    iterations: int | None = None
-    seed: int | None = None
-    converged: bool | None = None
-
-    def as_document(self) -> dict:
-        """Field-ordered dict with the unused estimator block dropped."""
-        doc = {}
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if value is not None:
-                doc[name] = value
-        return doc
 
 
 def _dims_list(text: str) -> list:
@@ -144,49 +90,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        dim=getattr(args, "dims", None) if args.command == "sweep" else getattr(args, "dim", None),
-        input_path=getattr(args, "input", None),
-        output_format=getattr(args, "format", "json"),
-        restarts=getattr(args, "restarts", 32),
-        iterations=getattr(args, "iters", 2000),
-        seed=getattr(args, "seed", 42),
-        samples=getattr(args, "samples", 200),
-    )
-
-
 # ---- report assembly ---------------------------------------------------------
 
 
-def _build_record(system, rho: DensityMatrix, label: str, estimate=None) -> ReportRecord:
-    rep = gini_report(system, rho)
-    curve_x = lorenz_curve(system.position_probs(rho))
-    curve_p = lorenz_curve(system.momentum_probs(rho))
+def _build_record(system, rho: DensityMatrix, label: str, estimate=None) -> dict:
+    """Everything the report commands emit for one state, in output order.
+
+    The estimator block is present only when `estimate` is given.
+    """
+    px, pp = system.position_probs(rho), system.momentum_probs(rho)
+    rep = GiniReport(system.d, gini_index(px), gini_index(pp))
+    curve_x, curve_p = lorenz_curve(px), lorenz_curve(pp)
     bound_set = bounds(system.d)
-    record = ReportRecord(
-        dim=system.d,
-        state_label=label,
-        g_x=rep.g_x,
-        g_p=rep.g_p,
-        g_xp=rep.g_xp,
-        lorenz_x=[float(v) for v in curve_x.values],
-        lorenz_p=[float(v) for v in curve_p.values],
-        permutation_x=[int(i) for i in curve_x.permutation.order],
-        permutation_p=[int(i) for i in curve_p.permutation.order],
-        gini_cap=bound_set.gini_cap,
-        g_lower=bound_set.g_lower,
-        g_strict_upper=bound_set.g_strict_upper,
-        eta_upper=bound_set.eta_upper,
-    )
+    record = {
+        "dim": system.d,
+        "state_label": label,
+        "g_x": rep.g_x,
+        "g_p": rep.g_p,
+        "g_xp": rep.g_xp,
+        "lorenz_x": curve_x.values.tolist(),
+        "lorenz_p": curve_p.values.tolist(),
+        "permutation_x": curve_x.permutation.order.tolist(),
+        "permutation_p": curve_p.permutation.order.tolist(),
+        "gini_cap": bound_set.gini_cap,
+        "g_lower": bound_set.g_lower,
+        "g_strict_upper": bound_set.g_strict_upper,
+        "eta_upper": bound_set.eta_upper,
+    }
     if estimate is not None:
-        record.g_sup_estimate = estimate.g_sup_estimate
-        record.eta_estimate = estimate.eta_estimate
-        record.restarts = estimate.restarts
-        record.iterations = estimate.iterations
-        record.seed = estimate.seed
-        record.converged = estimate.converged
+        record.update(
+            g_sup_estimate=estimate.g_sup_estimate,
+            eta_estimate=estimate.eta_estimate,
+            restarts=estimate.restarts,
+            iterations=estimate.iterations,
+            seed=estimate.seed,
+            converged=estimate.converged,
+        )
     return record
 
 
@@ -219,40 +158,34 @@ def _emit(rows, fmt: str) -> None:
 # ---- command handlers --------------------------------------------------------
 
 
-def _cmd_probe(config: RunConfig) -> int:
-    state = load_state_file(config.input_path)
+def _cmd_probe(args: argparse.Namespace) -> int:
+    state = load_state_file(args.input)
     system = new_system(state.dim)
     rho = state if isinstance(state, DensityMatrix) else pure_density(state)
-    record = _build_record(system, rho, os.path.basename(config.input_path))
-    _emit(record.as_document(), config.output_format)
+    _emit(_build_record(system, rho, os.path.basename(args.input)), args.format)
     return 0
 
 
-def _cmd_example(config: RunConfig) -> int:
-    system = new_system(config.dim)
+def _cmd_example(args: argparse.Namespace) -> int:
+    system = new_system(args.dim)
     rho = pure_density(example_state(system))
-    _emit(_build_record(system, rho, "example").as_document(), config.output_format)
+    _emit(_build_record(system, rho, "example"), args.format)
     return 0
 
 
-def _cmd_estimate(config: RunConfig) -> int:
-    system = new_system(config.dim)
-    estimate = estimate_sup_gini(
-        system, restarts=config.restarts, iterations=config.iterations, seed=config.seed
-    )
+def _cmd_estimate(args: argparse.Namespace) -> int:
+    system = new_system(args.dim)
+    estimate = estimate_sup_gini(system, restarts=args.restarts, iterations=args.iters, seed=args.seed)
     rho = pure_density(estimate.best_state)
-    record = _build_record(system, rho, "estimate_best", estimate=estimate)
-    _emit(record.as_document(), config.output_format)
+    _emit(_build_record(system, rho, "estimate_best", estimate=estimate), args.format)
     return 0
 
 
-def _sweep_row(dim: int, config: RunConfig) -> dict:
+def _sweep_row(dim: int, args: argparse.Namespace) -> dict:
     system = new_system(dim)
     bound_set = bounds(dim)
     example_xp = gini_report(system, pure_density(example_state(system))).g_xp
-    estimate = estimate_sup_gini(
-        system, restarts=config.restarts, iterations=config.iterations, seed=config.seed
-    )
+    estimate = estimate_sup_gini(system, restarts=args.restarts, iterations=args.iters, seed=args.seed)
     return {
         "dim": dim,
         "gini_cap": bound_set.gini_cap,
@@ -264,28 +197,28 @@ def _sweep_row(dim: int, config: RunConfig) -> dict:
     }
 
 
-def _cmd_sweep(config: RunConfig) -> int:
-    if not config.dim:
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    if not args.dims:
         raise ValidationError("dimension list is empty")
-    for dim in config.dim:
+    for dim in args.dims:
         check_dimension(dim)
     rows = []
-    for dim in config.dim:
+    for dim in args.dims:
         print(f"sweep: dimension {dim}", file=sys.stderr)
-        rows.append(_sweep_row(dim, config))
-    _emit(rows, config.output_format)
+        rows.append(_sweep_row(dim, args))
+    _emit(rows, args.format)
     return 0
 
 
-def _cmd_check(config: RunConfig) -> int:
-    results = run_property_checks(config.dim, samples=config.samples, seed=config.seed)
+def _cmd_check(args: argparse.Namespace) -> int:
+    results = run_property_checks(args.dim, samples=args.samples, seed=args.seed)
     for res in results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} {res.name}: {res.detail}", file=sys.stderr)
     document = {
-        "dim": config.dim,
-        "samples": config.samples,
-        "seed": config.seed,
+        "dim": args.dim,
+        "samples": args.samples,
+        "seed": args.seed,
         "all_passed": all(r.passed for r in results),
         "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
     }
@@ -313,9 +246,8 @@ def run(argv) -> int:
     except SystemExit as exc:
         code = exc.code
         return 0 if code in (0, None) else int(code)
-    config = _config_from_args(args)
     try:
-        return _HANDLERS[config.command](config)
+        return _HANDLERS[args.command](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -48,7 +48,7 @@ class DegenerateFiducial(ValidationError):
 
 
 class BudgetTooSmall(ValidationError):
-    """An optimizer budget (restarts or iterations) is below one."""
+    """A search or check budget (restarts, iterations or samples) is below one."""
 
 
 class InvalidStateFile(ValidationError):

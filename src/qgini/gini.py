@@ -7,8 +7,10 @@ momentum indices of a density matrix are reported together because their sum
 is the quantity whose supremum defines the uncertainty coefficient.
 """
 
+import numpy as np
+
 from qgini.errors import ValidationError
-from qgini.lorenz import BOUND_SLACK, lorenz_curve
+from qgini.lorenz import BOUND_SLACK
 from qgini.qsystem import DensityMatrix, ProbabilityDistribution, QuantumSystem
 
 
@@ -17,24 +19,34 @@ def gini_cap(d: int) -> float:
     return (d - 1.0) / (d + 1.0)
 
 
+def gini_weights(d: int) -> tuple[np.ndarray, float]:
+    """Weights and scale of the index: g = 1 - scale * (weights @ ascending p).
+
+    The k-th smallest probability enters the Lorenz values L(k), ..., L(d-1),
+    so with weights (d, d-1, ..., 1) the weighted sort equals the sum of the
+    Lorenz values, and scale = 2/(d+1). A sum of n indices at one dimension
+    is n - scale * (sum of their weighted sorts).
+    """
+    return np.arange(d, 0, -1, dtype=np.float64), 2.0 / (d + 1.0)
+
+
 def gini_index(p: ProbabilityDistribution) -> float:
-    """Gini index 1 - 2/(d+1) * sum of the Lorenz values.
+    """Gini index 1 - 2/(d+1) * sum of the Lorenz values, as a weighted sort.
 
     Round-off can put the flat distribution a few ulp below zero, so the
     result is clamped at 0; the cap (d-1)/(d+1) is a theorem, not enforced.
     """
-    curve = lorenz_curve(p)
-    g = 1.0 - (2.0 / (p.dim + 1.0)) * float(curve.values.sum())
+    weights, scale = gini_weights(p.dim)
+    g = 1.0 - scale * float(weights @ np.sort(p.probs))
     return max(g, 0.0)
 
 
 class GiniReport:
     """Position and momentum Gini indices of one state, and their sum.
 
-    g_xp and the normalization (d+1)/2 are derived in the constructor, so a
-    report cannot carry an inconsistent sum. Both indices must lie in
-    [0, (d-1)/(d+1)] up to round-off slack and g_xp strictly below twice the
-    cap.
+    g_xp is derived in the constructor, so a report cannot carry an
+    inconsistent sum. Both indices must lie in [0, (d-1)/(d+1)] up to
+    round-off slack and g_xp strictly below twice the cap.
     """
 
     def __init__(self, dim: int, g_x: float, g_p: float):
@@ -49,7 +61,6 @@ class GiniReport:
         self.g_x = float(g_x)
         self.g_p = float(g_p)
         self.g_xp = float(g_xp)
-        self.normalization = (dim + 1.0) / 2.0
 
     def __repr__(self):
         return f"GiniReport(dim={self.dim}, g_x={self.g_x:.6f}, g_p={self.g_p:.6f})"

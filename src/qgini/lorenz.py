@@ -9,7 +9,7 @@ distribution hugs zero until the last step, the uniform one climbs along
 import numpy as np
 
 from qgini.errors import DimensionMismatch, NotNormalized, ValidationError
-from qgini.qsystem import ProbabilityDistribution
+from qgini.qsystem import ProbabilityDistribution, _trusted
 
 BOUND_SLACK = 1e-12   # admissible excess over the (l+1)/d ceiling
 TOTAL_TOL = 1e-10     # |last Lorenz value - 1|
@@ -41,15 +41,15 @@ class LorenzCurve:
         v = np.array(values, dtype=np.float64).ravel()
         if v.size != permutation.dim:
             raise DimensionMismatch(f"curve has {v.size} values for dimension {permutation.dim}")
-        if v.size and v[0] < 0.0:
+        if v.size and not v[0] >= 0.0:
             raise ValidationError(f"Lorenz values must be nonnegative, got {v[0]:.3e}")
         if np.any(np.diff(v) < 0.0):
             raise ValidationError("Lorenz values must be nondecreasing")
         excess = float(np.max(v - np.arange(1, v.size + 1) / v.size))
-        if excess > BOUND_SLACK:
+        if not excess <= BOUND_SLACK:
             raise ValidationError(f"Lorenz value exceeds the uniform line by {excess:.3e}")
         dev = abs(float(v[-1]) - 1.0)
-        if dev > TOTAL_TOL:
+        if not dev <= TOTAL_TOL:
             raise NotNormalized(f"final Lorenz value deviates from 1 by {dev:.3e}")
         v.setflags(write=False)
         self.dim = int(v.size)
@@ -62,13 +62,13 @@ class LorenzCurve:
 
 def ordering_permutation(p: ProbabilityDistribution) -> OrderingPermutation:
     """Stable ascending argsort of the outcome probabilities."""
-    return OrderingPermutation(p.dim, np.argsort(p.probs, kind="stable"))
+    return _trusted(OrderingPermutation, dim=p.dim, order=np.argsort(p.probs, kind="stable"))
 
 
 def lorenz_curve(p: ProbabilityDistribution) -> LorenzCurve:
     """Partial sums of the probabilities in ascending order."""
     perm = ordering_permutation(p)
-    return LorenzCurve(perm, np.cumsum(p.probs[perm.order]))
+    return _trusted(LorenzCurve, dim=p.dim, permutation=perm, values=np.cumsum(p.probs[perm.order]))
 
 
 def comonotonic(pa: ProbabilityDistribution, pb: ProbabilityDistribution) -> bool:

@@ -49,6 +49,24 @@ def check_dimension(d: int) -> None:
         raise DimensionTooSmall(f"dimension must be at least 3, got {d}")
 
 
+def _trusted(cls, **fields):
+    """An instance of `cls` holding `fields`, without running its checks.
+
+    Validation happens once, at the boundary: the public constructors, state
+    files and the CLI. Results that satisfy a class's invariants by
+    construction (the Fourier and displacement matrices, projectors of
+    validated states, mixtures, conjugations, sort orders and partial sums)
+    are wrapped here instead. Arrays are frozen as the constructors freeze
+    them.
+    """
+    obj = cls.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        setattr(obj, name, value)
+    return obj
+
+
 # ---- value types -----------------------------------------------------------
 
 
@@ -64,7 +82,7 @@ class StateVector:
         if amp.size == 0:
             raise ValidationError("state vector has no amplitudes")
         dev = abs(float(np.sum(amp.real**2 + amp.imag**2)) - 1.0)
-        if dev > NORM_TOL:
+        if not dev <= NORM_TOL:
             raise NotNormalized(f"amplitude moduli squared sum deviates from 1 by {dev:.3e}")
         amp.setflags(write=False)
         self.dim = int(amp.size)
@@ -91,7 +109,7 @@ class UnitaryMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"unitary must be square, got shape {m.shape}")
         dev = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
-        if dev > UNITARY_TOL:
+        if not dev <= UNITARY_TOL:
             raise ValidationError(f"matrix is not unitary: max |U U^dag - 1| = {dev:.3e}")
         m.setflags(write=False)
         self.dim = int(m.shape[0])
@@ -99,7 +117,7 @@ class UnitaryMatrix:
 
     def dagger(self) -> "UnitaryMatrix":
         """Conjugate transpose, itself unitary."""
-        return UnitaryMatrix(self.entries.conj().T)
+        return _trusted(UnitaryMatrix, dim=self.dim, entries=self.entries.conj().T)
 
     def __repr__(self):
         return f"UnitaryMatrix(dim={self.dim})"
@@ -110,8 +128,7 @@ class DensityMatrix:
 
     Hermiticity and trace are checked entrywise within HERMITIAN_TOL and
     TRACE_TOL; positivity means the smallest eigenvalue is at least
-    -EIGEN_TOL (round-off from conjugation or mixing is tolerated, genuine
-    negativity is not).
+    -EIGEN_TOL (round-off is tolerated, genuine negativity is not).
     """
 
     def __init__(self, entries):
@@ -119,13 +136,13 @@ class DensityMatrix:
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {m.shape}")
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > HERMITIAN_TOL:
+        if not herm_dev <= HERMITIAN_TOL:
             raise NotHermitian(f"matrix is not Hermitian: max |M - M^dag| = {herm_dev:.3e}")
         trace_dev = abs(complex(np.trace(m)) - 1.0)
-        if trace_dev > TRACE_TOL:
+        if not trace_dev <= TRACE_TOL:
             raise TraceNotOne(f"trace deviates from 1 by {trace_dev:.3e}")
         smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < -EIGEN_TOL:
+        if not smallest >= -EIGEN_TOL:
             raise NotPositive(f"matrix is not positive semidefinite: smallest eigenvalue {smallest:.3e}")
         m.setflags(write=False)
         self.dim = int(m.shape[0])
@@ -148,11 +165,11 @@ class ProbabilityDistribution:
         if p.size == 0:
             raise ValidationError("distribution has no outcomes")
         smallest = float(p.min())
-        if smallest < -PROB_CLIP:
+        if not smallest >= -PROB_CLIP:
             raise NotPositive(f"probability {smallest:.3e} is negative beyond round-off")
         p[p < 0.0] = 0.0
         dev = abs(float(p.sum()) - 1.0)
-        if dev > NORM_TOL:
+        if not dev <= NORM_TOL:
             raise NotNormalized(f"probabilities sum deviates from 1 by {dev:.3e}")
         p.setflags(write=False)
         self.dim = int(p.size)
@@ -191,7 +208,8 @@ class QuantumSystem:
         omega_pow.setflags(write=False)
         self._omega_pow = omega_pow
         self.omega = complex(omega_pow[1])
-        self.fourier = UnitaryMatrix(omega_pow[np.outer(ks, ks) % self.d] / np.sqrt(self.d))
+        fourier = omega_pow[np.outer(ks, ks) % self.d] / np.sqrt(self.d)
+        self.fourier = _trusted(UnitaryMatrix, dim=self.d, entries=fourier)
         fdag = np.ascontiguousarray(self.fourier.entries.conj().T)
         fdag.setflags(write=False)
         self.fourier_dag = fdag
@@ -236,7 +254,7 @@ class QuantumSystem:
         expo = (a * rows - self.half_inverse * a * b) % d
         m = np.zeros((d, d), dtype=np.complex128)
         m[rows, cols] = self._omega_pow[expo]
-        return UnitaryMatrix(m)
+        return _trusted(UnitaryMatrix, dim=d, entries=m)
 
     # -- coherent states --
 
@@ -282,7 +300,8 @@ class QuantumSystem:
 
     def maximally_mixed(self) -> DensityMatrix:
         """Identity over d: flat in both bases, the zero of both Gini indices."""
-        return DensityMatrix(np.eye(self.d) / self.d)
+        entries = np.array(np.eye(self.d) / self.d, dtype=np.complex128)
+        return _trusted(DensityMatrix, dim=self.d, entries=entries)
 
     def _check_dim(self, other) -> None:
         if other.dim != self.d:
@@ -300,7 +319,7 @@ def new_system(d: int) -> QuantumSystem:
 def pure_density(state) -> DensityMatrix:
     """Rank-one projector |psi><psi| of a normalized state."""
     st = state if isinstance(state, StateVector) else StateVector(state)
-    return DensityMatrix(np.outer(st.amplitudes, st.amplitudes.conj()))
+    return _trusted(DensityMatrix, dim=st.dim, entries=np.outer(st.amplitudes, st.amplitudes.conj()))
 
 
 def validate_density(entries) -> DensityMatrix:
@@ -315,11 +334,11 @@ def mix(rho: DensityMatrix, sigma: DensityMatrix, lambda1: float) -> DensityMatr
         raise WeightOutOfRange(f"mixing weight must lie in [0, 1], got {lambda1!r}")
     if rho.dim != sigma.dim:
         raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return DensityMatrix(lam * rho.entries + (1.0 - lam) * sigma.entries)
+    return _trusted(DensityMatrix, dim=rho.dim, entries=lam * rho.entries + (1.0 - lam) * sigma.entries)
 
 
 def conjugate(rho: DensityMatrix, u: UnitaryMatrix) -> DensityMatrix:
-    """U^dag rho U, revalidated as a density matrix."""
+    """U^dag rho U, a density matrix again since U is unitary."""
     if rho.dim != u.dim:
         raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {u.dim}")
-    return DensityMatrix(u.entries.conj().T @ rho.entries @ u.entries)
+    return _trusted(DensityMatrix, dim=rho.dim, entries=u.entries.conj().T @ rho.entries @ u.entries)

@@ -6,7 +6,7 @@ reproduces the exact same states on every platform numpy supports.
 
 import numpy as np
 
-from qgini.qsystem import DensityMatrix, StateVector, check_dimension
+from qgini.qsystem import DensityMatrix, StateVector, _trusted, check_dimension
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -55,4 +55,4 @@ def random_density_matrix(d: int, rng, components: int | None = None) -> Density
     for w in weights:
         amp = random_state_vector(d, gen).amplitudes
         entries += w * np.outer(amp, amp.conj())
-    return DensityMatrix(entries)
+    return _trusted(DensityMatrix, dim=d, entries=entries)

@@ -7,10 +7,12 @@ A state file holds one of:
 
 Numbers are written with 17 significant digits, so a save/load cycle
 reproduces every IEEE double exactly. Loading validates the document shape
-(:class:`InvalidStateFile`) and then the physics invariants through the
-ordinary :class:`StateVector` / density-matrix validation.
+and rejects non-finite numbers (:class:`InvalidStateFile`), then checks the
+physics invariants through the ordinary :class:`StateVector` /
+density-matrix validation.
 """
 
+import cmath
 import json
 import os
 
@@ -46,11 +48,15 @@ def dumps_state(state) -> str:
     return to_json(doc) + "\n"
 
 
+def _reject_constant(name: str):
+    raise InvalidStateFile(f"state file holds the non-finite number {name}")
+
+
 def loads_state(text: str):
     """Parse state-file text into a StateVector or DensityMatrix."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidStateFile(f"state file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidStateFile("state file must hold a JSON object")
@@ -78,14 +84,26 @@ def _complex_list(items, dim: int, what: str) -> np.ndarray:
         raise InvalidStateFile(f"{what} must be a list of {dim} [re, im] pairs")
     out = np.empty(dim, dtype=np.complex128)
     for i, pair in enumerate(items):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-        ):
-            raise InvalidStateFile(f"{what}[{i}] must be a [re, im] pair of numbers")
-        out[i] = complex(pair[0], pair[1])
+        z = _finite_pair(pair)
+        if z is None:
+            raise InvalidStateFile(f"{what}[{i}] must be a [re, im] pair of finite numbers")
+        out[i] = z
     return out
+
+
+def _finite_pair(pair) -> complex | None:
+    """The complex number a [re, im] pair of finite numbers stands for, else None."""
+    if (
+        not isinstance(pair, list)
+        or len(pair) != 2
+        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
+    ):
+        return None
+    try:
+        z = complex(pair[0], pair[1])
+    except OverflowError:  # an integer too large for a double
+        return None
+    return z if cmath.isfinite(z) else None
 
 
 def save_state_file(path, state) -> None:

@@ -12,7 +12,7 @@ search over pure states.
 import numpy as np
 
 from qgini.errors import BudgetTooSmall, ValidationError
-from qgini.gini import gini_cap
+from qgini.gini import gini_cap, gini_weights
 from qgini.qsystem import QuantumSystem, StateVector, check_dimension
 from qgini.sampling import split_seed
 
@@ -119,14 +119,12 @@ def _combined_gini_objective(system: QuantumSystem):
     """Fast combined-index evaluator over interleaved real parameter vectors.
 
     The 2d reals are (Re a_0, Im a_0, Re a_1, ...) of a unit-norm amplitude
-    vector; callers keep candidates on the unit sphere. Uses the weighted form
-    of the index, weights d..1 against ascending-sorted probabilities, which
-    agrees with the Lorenz-sum pipeline to machine precision but skips all
-    object construction.
+    vector; callers keep candidates on the unit sphere. Evaluates the sum of
+    both indices in the weighted-sort form of :func:`qgini.gini.gini_weights`,
+    with the weights built once, and skips all object construction.
     """
     fdag = system.fourier_dag
-    w = np.arange(system.d, 0, -1, dtype=np.float64)
-    scale = 2.0 / (system.d + 1.0)
+    w, scale = gini_weights(system.d)
 
     def objective(x: np.ndarray) -> float:
         psi = x.view(np.complex128)

@@ -5,6 +5,7 @@ test also asserts, so the suite fails loudly without -s too.
 """
 
 import io
+import itertools
 import json
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -295,7 +296,10 @@ def test_criterion_10_dual_form_cross_check():
             # weighted-form oracle: sum_k (d-k) p_(k) over the ascending sort
             acc = sum(wk * pk for wk, pk in zip(w, sorted(p)))
             weighted = 1.0 - (2.0 / (d + 1.0)) * acc
+            # definition oracle: 1 - 2/(d+1) * sum of the Lorenz values
+            definition = 1.0 - (2.0 / (d + 1.0)) * sum(itertools.accumulate(sorted(p)))
             got = gini_index(ProbabilityDistribution(p))
             worst = max(worst, abs(got - max(weighted, 0.0)))
+            worst = max(worst, abs(got - max(definition, 0.0)))
     ok = worst <= 1e-12
     verdict(10, "Lorenz-sum vs weighted-form agreement, 1000 per d in {3,5,7}", ok, f"max gap {worst:.2e}")

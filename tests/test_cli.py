@@ -70,6 +70,29 @@ def test_bad_budget_is_validation_error(capsys):
     assert code == 1 and "restarts" in err
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"dim": 3, "kind": "pure", "amplitudes": [[NaN, 0.0], [0.6, 0.0], [0.8, 0.0]]}',
+        '{"dim": 3, "kind": "density", "entries": [[[NaN, 0], [0, 0], [0, 0]], '
+        '[[0, 0], [0.5, 0], [0, 0]], [[0, 0], [0, 0], [0.5, 0]]]}',
+    ],
+)
+def test_non_finite_state_file_is_validation_error(capsys, tmp_path, text):
+    path = tmp_path / "nan.json"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "probe", "--input", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "NaN" in err
+
+
+def test_bad_sample_count_is_validation_error(capsys):
+    code, out, err = run_cli(capsys, "check", "--dim", "3", "--samples", "-5")
+    assert code == 1 and out == ""
+    assert err == "error: samples must be at least 1, got -5\n"
+
+
 # ---- probe and example ----
 
 
@@ -83,7 +106,7 @@ def test_example_record(capsys):
     assert len(doc["lorenz_x"]) == 3 and len(doc["permutation_p"]) == 3
     assert abs(doc["g_lower"] + doc["eta_upper"] - doc["g_strict_upper"]) < 1e-12
     # 17 significant digits survive in the raw text
-    assert "0.68301270189221974" in out
+    assert "0.68301270189221963" in out
 
 
 def test_probe_maximally_mixed(capsys, tmp_path):
@@ -105,6 +128,20 @@ def test_probe_round_trip_matches_library(capsys, tmp_path):
     doc = json.loads(out)
     want = gini_report(new_system(7), pure_density(st)).g_xp
     assert abs(doc["g_xp"] - want) <= 1e-12
+
+
+def test_probe_accepts_a_state_at_the_norm_tolerance(capsys, tmp_path):
+    # amplitude moduli squared sum to 1 + 5e-11, inside NORM_TOL: what the
+    # file boundary accepts must report, with no stricter check downstream
+    path = tmp_path / "heavy.json"
+    path.write_text(
+        '{"dim": 3, "kind": "pure", "amplitudes": '
+        "[[0.600000000015, 0.0], [0.480000000012, 0.0], [0.640000000016, 0.0]]}"
+    )
+    code, out, err = run_cli(capsys, "probe", "--input", str(path))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert abs(doc["lorenz_x"][-1] - (1.0 + 5e-11)) < 1e-15
 
 
 def test_probe_even_dimension_file(capsys, tmp_path):

@@ -82,7 +82,6 @@ def test_extremizers(d):
 def test_report_fields(sys3):
     rep = gini_report(sys3, sys3.maximally_mixed())
     assert rep.dim == 3
-    assert rep.normalization == 2.0
     assert rep.g_xp == rep.g_x + rep.g_p
 
 

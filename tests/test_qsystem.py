@@ -3,12 +3,15 @@ import pytest
 
 from qgini import (
     DegenerateFiducial,
+    DensityMatrix,
     DimensionMismatch,
     DimensionTooSmall,
     EvenDimension,
+    LorenzCurve,
     NotHermitian,
     NotNormalized,
     NotPositive,
+    OrderingPermutation,
     ProbabilityDistribution,
     StateVector,
     TraceNotOne,
@@ -16,6 +19,7 @@ from qgini import (
     ValidationError,
     WeightOutOfRange,
     conjugate,
+    lorenz_curve,
     mix,
     new_system,
     pure_density,
@@ -23,6 +27,7 @@ from qgini import (
     random_state_vector,
     validate_density,
 )
+from qgini import cli
 
 from conftest import reference_fourier
 
@@ -339,3 +344,66 @@ def test_maximally_mixed_is_flat_everywhere(sys7):
     rho = sys7.maximally_mixed()
     assert np.max(np.abs(sys7.position_probs(rho).probs - 1.0 / 7.0)) < 1e-15
     assert np.max(np.abs(sys7.momentum_probs(rho).probs - 1.0 / 7.0)) < 1e-12
+
+
+# ---- validation at the boundary ----
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: StateVector([x, 0.0, 0.0]),
+        lambda x: validate_density(np.diag([x, 0.5, 0.5])),
+        lambda x: UnitaryMatrix(np.diag([x, 1.0, 1.0])),
+        lambda x: ProbabilityDistribution([x, 0.5, 0.5]),
+    ],
+    ids=["StateVector", "DensityMatrix", "UnitaryMatrix", "ProbabilityDistribution"],
+)
+def test_constructors_reject_non_finite_values(build, bad):
+    with pytest.raises(ValidationError):
+        build(bad)
+
+
+@pytest.mark.parametrize("d", [3, 5, 11, 41])
+def test_trusted_results_pass_the_public_validators(d):
+    # internal results skip the constructors' checks because they hold by
+    # construction; re-running the public validators on them proves it
+    system = new_system(d)
+    rng = np.random.default_rng(500 + d)
+    rho, sigma = random_density_matrix(d, rng), random_density_matrix(d, rng)
+    a, b = (int(v) for v in rng.integers(0, d, size=2))
+    unitaries = [system.fourier, system.displacement(a, b), system.displacement(a, b).dagger()]
+    densities = [
+        system.maximally_mixed(),
+        pure_density(random_state_vector(d, rng)),
+        rho,
+        mix(rho, sigma, float(rng.uniform())),
+        conjugate(rho, system.displacement(a, b)),
+        conjugate(rho, system.fourier),
+    ]
+    for u in unitaries:
+        assert not u.entries.flags.writeable
+        UnitaryMatrix(u.entries)
+    for r in densities:
+        assert not r.entries.flags.writeable
+        validate_density(r.entries)
+    for r in densities:
+        for p in (system.position_probs(r), system.momentum_probs(r)):
+            curve = lorenz_curve(p)
+            assert not curve.values.flags.writeable and not curve.permutation.order.flags.writeable
+            LorenzCurve(OrderingPermutation(d, curve.permutation.order), curve.values)
+
+
+def test_internal_ops_skip_the_dense_revalidation(monkeypatch, capsys):
+    # eigvalsh (positivity) and U U^dag (unitarity) run only at the boundary,
+    # never on the way from a dimension to a report or an estimate
+    def refuse(*args, **kwargs):
+        raise AssertionError("validation ran on an internal result")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    for cls in (UnitaryMatrix, DensityMatrix, OrderingPermutation, LorenzCurve):
+        monkeypatch.setattr(cls, "__init__", refuse)
+    assert cli.run(["example", "--dim", "5"]) == 0
+    assert cli.run(["estimate", "--dim", "5", "--restarts", "2", "--iters", "50"]) == 0
+    capsys.readouterr()

@@ -2,12 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgini import (
     DensityMatrix,
     InvalidStateFile,
     NotNormalized,
     StateVector,
+    ValidationError,
     load_state_file,
     random_density_matrix,
     random_state_vector,
@@ -62,6 +65,11 @@ def test_dumps_rejects_other_types():
         '{"dim": 3, "kind": "pure", "amplitudes": [[1.0, "x"], [0, 0], [0, 0]]}',
         '{"dim": 2, "kind": "density", "entries": [[1, 0], [0, 0]]}',
         '{"dim": 2, "kind": "density", "entries": "nope"}',
+        '{"dim": 1, "kind": "pure", "amplitudes": [[NaN, 0.0]]}',
+        '{"dim": 1, "kind": "pure", "amplitudes": [[1.0, -Infinity]]}',
+        '{"dim": 1, "kind": "pure", "amplitudes": [[1e999, 0.0]]}',
+        pytest.param('{"dim": 1, "kind": "pure", "amplitudes": [[1' + "0" * 400 + ', 0]]}', id="huge-int"),
+        pytest.param("[" * 100000, id="deep-nesting"),
     ],
 )
 def test_malformed_documents_rejected(text):
@@ -84,3 +92,44 @@ def test_loaded_even_dimension_is_caught_downstream(tmp_path):
     st = loads_state(text)
     with pytest.raises(EvenDimension):
         new_system(st.dim)
+
+
+# ---- fuzzing the file boundary ----
+
+_numbers = st.one_of(st.floats(), st.floats(-1.0, 1.0), st.integers(min_value=-(10**400), max_value=10**400))
+_junk = st.one_of(_numbers, st.booleans(), st.text(max_size=2), st.none(), st.lists(_numbers, max_size=3))
+
+
+@st.composite
+def _state_documents(draw):
+    """State-file text: valid states, then maybe one number or field replaced, or the text cut."""
+    n = draw(st.integers(1, 4))
+    weights = draw(st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n))
+    total = sum(weights)
+    if draw(st.booleans()):
+        cells = [[float(np.sqrt(w / total)), 0.0] for w in weights]
+        doc = {"dim": n, "kind": "pure", "amplitudes": cells}
+    else:
+        rows = [[[w / total if r == c else 0.0, 0.0] for c in range(n)] for r, w in enumerate(weights)]
+        doc = {"dim": n, "kind": "density", "entries": rows}
+        cells = [cell for row in rows for cell in row]
+    if draw(st.booleans()):
+        draw(st.sampled_from(cells))[draw(st.integers(0, 1))] = draw(_junk)
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(["dim", "kind", "amplitudes", "entries"]))] = draw(_junk)
+    text = json.dumps(doc)
+    if draw(st.integers(0, 9)) == 0:
+        text = text[: draw(st.integers(0, len(text)))]
+    return text
+
+
+@settings(max_examples=400, deadline=None)
+@given(_state_documents())
+def test_loads_state_returns_a_state_or_raises_validation_error(text):
+    try:
+        state = loads_state(text)
+    except ValidationError:
+        return
+    assert isinstance(state, (StateVector, DensityMatrix))
+    values = state.amplitudes if isinstance(state, StateVector) else state.entries
+    assert np.all(np.isfinite(values))
