@@ -12,9 +12,11 @@ from qgini.errors import (
     BudgetTooSmall,
     DegenerateFiducial,
     DimensionMismatch,
+    DimensionTooLarge,
     DimensionTooSmall,
     EvenDimension,
     InvalidStateFile,
+    NotFinite,
     NotHermitian,
     NotNormalized,
     NotPositive,
@@ -61,12 +63,14 @@ __all__ = [
     "DegenerateFiducial",
     "DensityMatrix",
     "DimensionMismatch",
+    "DimensionTooLarge",
     "DimensionTooSmall",
     "EtaEstimate",
     "EvenDimension",
     "GiniReport",
     "InvalidStateFile",
     "LorenzCurve",
+    "NotFinite",
     "NotHermitian",
     "NotNormalized",
     "NotPositive",

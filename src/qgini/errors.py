@@ -19,12 +19,20 @@ class DimensionTooSmall(ValidationError):
     """The Hilbert-space dimension must be at least 3."""
 
 
+class DimensionTooLarge(ValidationError):
+    """The Hilbert-space dimension exceeds the supported ceiling MAX_DIM."""
+
+
 class DimensionMismatch(ValidationError):
     """Two objects that must share a dimension do not."""
 
 
 class NotNormalized(ValidationError):
     """Amplitudes or probabilities do not sum to one within tolerance."""
+
+
+class NotFinite(ValidationError):
+    """An amplitude or matrix entry is NaN or infinite."""
 
 
 class NotHermitian(ValidationError):

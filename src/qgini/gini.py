@@ -10,8 +10,7 @@ is the quantity whose supremum defines the uncertainty coefficient.
 import numpy as np
 
 from qgini.errors import ValidationError
-from qgini.lorenz import BOUND_SLACK
-from qgini.qsystem import DensityMatrix, ProbabilityDistribution, QuantumSystem
+from qgini.qsystem import NORM_TOL, DensityMatrix, ProbabilityDistribution, QuantumSystem
 
 
 def gini_cap(d: int) -> float:
@@ -46,11 +45,13 @@ class GiniReport:
 
     g_xp is derived in the constructor, so a report cannot carry an
     inconsistent sum. Both indices must lie in [0, (d-1)/(d+1)] up to
-    round-off slack and g_xp strictly below twice the cap.
+    NORM_TOL and g_xp strictly below twice the cap: the boundary accepts
+    distributions that sum to 1 - NORM_TOL, which lifts an index up to
+    2/(d+1) * NORM_TOL above the cap.
     """
 
     def __init__(self, dim: int, g_x: float, g_p: float):
-        cap = gini_cap(dim) + BOUND_SLACK
+        cap = gini_cap(dim) + NORM_TOL
         for name, g in (("g_x", g_x), ("g_p", g_p)):
             if not 0.0 <= g <= cap:
                 raise ValidationError(f"{name} = {g!r} outside [0, (d-1)/(d+1)]")

@@ -20,8 +20,10 @@ import numpy as np
 from qgini.errors import (
     DegenerateFiducial,
     DimensionMismatch,
+    DimensionTooLarge,
     DimensionTooSmall,
     EvenDimension,
+    NotFinite,
     NotHermitian,
     NotNormalized,
     NotPositive,
@@ -40,13 +42,27 @@ EIGEN_TOL = 1e-10       # smallest admissible eigenvalue is -EIGEN_TOL
 PROB_CLIP = 1e-12       # probabilities in [-PROB_CLIP, 0) clamp to 0
 OVERLAP_TOL = 1e-9      # fiducial overlap moduli must stay below 1 - OVERLAP_TOL
 
+# Largest supported dimension. The arena keeps F and F^dag as dense complex
+# d x d matrices (32 d^2 bytes, about 0.5 GB at 4001) and a density matrix
+# costs as much again, so larger requests are refused before any allocation
+# rather than failing inside numpy.
+MAX_DIM = 4001
+
 
 def check_dimension(d: int) -> None:
-    """Reject dimensions that are even or smaller than 3."""
+    """Reject dimensions that are even, smaller than 3 or larger than MAX_DIM."""
     if d % 2 == 0:
         raise EvenDimension(f"dimension must be odd, got {d}")
     if d < 3:
         raise DimensionTooSmall(f"dimension must be at least 3, got {d}")
+    if d > MAX_DIM:
+        raise DimensionTooLarge(f"dimension must be at most {MAX_DIM}, got {d}")
+
+
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """Reject NaN or infinite entries before any arithmetic touches them."""
+    if not np.all(np.isfinite(values)):
+        raise NotFinite(f"{what} has a NaN or infinite entry")
 
 
 def _trusted(cls, **fields):
@@ -81,7 +97,14 @@ class StateVector:
         amp = np.array(amplitudes, dtype=np.complex128).ravel()
         if amp.size == 0:
             raise ValidationError("state vector has no amplitudes")
-        dev = abs(float(np.sum(amp.real**2 + amp.imag**2)) - 1.0)
+        parts = amp.view(np.float64)
+        # no part of a unit vector exceeds 1; checking first keeps the squares
+        # finite, and a NaN propagates through the max
+        largest = float(np.max(np.abs(parts)))
+        if not largest <= 1.0 + NORM_TOL:
+            _check_finite(amp, "state vector")
+            raise NotNormalized(f"amplitude part {largest:.3e} exceeds 1, so the vector is not normalized")
+        dev = abs(float(np.dot(parts, parts)) - 1.0)
         if not dev <= NORM_TOL:
             raise NotNormalized(f"amplitude moduli squared sum deviates from 1 by {dev:.3e}")
         amp.setflags(write=False)
@@ -108,6 +131,7 @@ class UnitaryMatrix:
         m = np.array(entries, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"unitary must be square, got shape {m.shape}")
+        _check_finite(m, "unitary")
         dev = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
         if not dev <= UNITARY_TOL:
             raise ValidationError(f"matrix is not unitary: max |U U^dag - 1| = {dev:.3e}")
@@ -135,6 +159,7 @@ class DensityMatrix:
         m = np.array(entries, dtype=np.complex128)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {m.shape}")
+        _check_finite(m, "density matrix")
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
         if not herm_dev <= HERMITIAN_TOL:
             raise NotHermitian(f"matrix is not Hermitian: max |M - M^dag| = {herm_dev:.3e}")

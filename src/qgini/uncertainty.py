@@ -116,24 +116,35 @@ class EtaEstimate:
 
 
 def _combined_gini_objective(system: QuantumSystem):
-    """Fast combined-index evaluator over interleaved real parameter vectors.
+    """Fast combined-index evaluator over blocks of interleaved real vectors.
 
-    The 2d reals are (Re a_0, Im a_0, Re a_1, ...) of a unit-norm amplitude
-    vector; callers keep candidates on the unit sphere. Evaluates the sum of
-    both indices in the weighted-sort form of :func:`qgini.gini.gini_weights`,
-    with the weights built once, and skips all object construction.
+    Each row of the (m, 2d) C-contiguous float64 block holds the 2d reals
+    (Re a_0, Im a_0, Re a_1, ...) of a unit-norm amplitude vector; callers
+    keep candidates on the unit sphere. Returns the m sums of both indices in
+    the weighted-sort form of :func:`qgini.gini.gini_weights`, with the
+    weights built once and no object construction, so one call scores a
+    whole block of candidates.
+
+    Every row-wise product is a stack of per-row matrix-vector or dot
+    products (np.matmul over a leading axis), never one matrix-matrix
+    product: BLAS rounds a row of a matrix product differently depending on
+    the block's shape, while a stacked product rounds each row exactly as a
+    lone vector. A candidate therefore scores the same bits whichever block
+    it sits in, and the batched search accepts exactly the moves of a
+    one-candidate-at-a-time search.
     """
     fdag = system.fourier_dag
     w, scale = gini_weights(system.d)
 
-    def objective(x: np.ndarray) -> float:
-        psi = x.view(np.complex128)
+    def objective(block: np.ndarray) -> np.ndarray:
+        psi = block.view(np.complex128)
         px = psi.real**2 + psi.imag**2
-        phi = fdag @ psi
+        phi = np.matmul(fdag, psi[:, :, None])[:, :, 0]
         pp = phi.real**2 + phi.imag**2
-        px.sort()
-        pp.sort()
-        return 2.0 - scale * (w @ px + w @ pp)
+        px.sort(axis=1)
+        pp.sort(axis=1)
+        weighted = np.matmul(px[:, None, :], w) + np.matmul(pp[:, None, :], w)
+        return 2.0 - scale * weighted[:, 0]
 
     return objective
 
@@ -141,29 +152,43 @@ def _combined_gini_objective(system: QuantumSystem):
 def _pattern_search(objective, x0, max_sweeps, step=INITIAL_STEP, min_step=MIN_STEP, record=False):
     """Greedy coordinate pattern search on the unit sphere.
 
-    One sweep probes +step and -step along every coordinate, renormalizing
-    each candidate back to the sphere; accepted moves take effect immediately.
-    A sweep without any accepted move halves the step. Stops when the step
+    One sweep probes the candidates (coordinate 0, +step), (0, -step),
+    (1, +step), ... in that order, renormalizing each back to the sphere,
+    and accepts the first that improves on the best value; the sweep then
+    resumes at the next coordinate. All candidates still ahead in the sweep
+    are built from the current point as one block and scored by one
+    objective call, so each accepted move costs one block evaluation. A
+    sweep without any accepted move halves the step. Stops when the step
     drops below min_step (converged) or the sweep budget is spent. The best
     value is nondecreasing across sweeps by construction.
     """
     x = np.array(x0, dtype=np.float64)
     x /= np.linalg.norm(x)
-    best = objective(x)
+    best = objective(x[None, :])[0]
     history = [best] if record else None
     converged = False
+    n = x.size
+    rows = np.arange(2 * n)
+    coords = rows // 2
+    signs = np.tile([1.0, -1.0], n)
     for _ in range(max_sweeps):
         improved = False
-        for i in range(x.size):
-            for sign in (1.0, -1.0):
-                cand = x.copy()
-                cand[i] += sign * step
-                cand /= np.linalg.norm(cand)
-                val = objective(cand)
-                if val > best:
-                    x, best = cand, val
-                    improved = True
-                    break
+        start = 0
+        while start < 2 * n:
+            m = 2 * n - start
+            block = np.repeat(x[None, :], m, axis=0)
+            block[rows[:m], coords[start:]] += signs[start:] * step
+            # per-row dot products, rounded as np.linalg.norm rounds one vector
+            block /= np.sqrt(np.matmul(block[:, None, :], block[:, :, None]))[:, 0]
+            vals = objective(block)
+            better = vals > best
+            j = int(better.argmax())
+            if not better[j]:
+                break
+            x, best = block[j].copy(), vals[j]
+            improved = True
+            # start is even, so row j probes coordinate start // 2 + j // 2
+            start += 2 * (j // 2 + 1)
         if record:
             history.append(best)
         if not improved:

@@ -87,6 +87,12 @@ def test_non_finite_state_file_is_validation_error(capsys, tmp_path, text):
     assert "NaN" in err
 
 
+def test_oversize_dimension_is_validation_error(capsys):
+    code, out, err = run_cli(capsys, "example", "--dim", "200001")
+    assert code == 1 and out == ""
+    assert err == "error: dimension must be at most 4001, got 200001\n"
+
+
 def test_bad_sample_count_is_validation_error(capsys):
     code, out, err = run_cli(capsys, "check", "--dim", "3", "--samples", "-5")
     assert code == 1 and out == ""
@@ -142,6 +148,17 @@ def test_probe_accepts_a_state_at_the_norm_tolerance(capsys, tmp_path):
     assert code == 0, err
     doc = json.loads(out)
     assert abs(doc["lorenz_x"][-1] - (1.0 + 5e-11)) < 1e-15
+
+
+def test_probe_accepts_a_light_state_at_the_norm_tolerance(capsys, tmp_path):
+    # moduli squared sum to 1 - 6e-11, inside NORM_TOL: g_x lands 3e-11 above
+    # the cap, which the report's range guard must allow
+    path = tmp_path / "light.json"
+    path.write_text('{"dim": 3, "kind": "pure", "amplitudes": [[0.99999999997, 0.0], [0.0, 0.0], [0.0, 0.0]]}')
+    code, out, err = run_cli(capsys, "probe", "--input", str(path))
+    assert code == 0, err
+    doc = json.loads(out)
+    assert 0.5 < doc["g_x"] <= 0.5 + 1e-10
 
 
 def test_probe_even_dimension_file(capsys, tmp_path):

@@ -5,9 +5,11 @@ from qgini import (
     DegenerateFiducial,
     DensityMatrix,
     DimensionMismatch,
+    DimensionTooLarge,
     DimensionTooSmall,
     EvenDimension,
     LorenzCurve,
+    NotFinite,
     NotHermitian,
     NotNormalized,
     NotPositive,
@@ -28,6 +30,7 @@ from qgini import (
     validate_density,
 )
 from qgini import cli
+from qgini.qsystem import MAX_DIM
 
 from conftest import reference_fourier
 
@@ -53,6 +56,13 @@ def test_even_dimension_rejected(bad):
 @pytest.mark.parametrize("bad", [1, -3])
 def test_small_dimension_rejected(bad):
     with pytest.raises(DimensionTooSmall):
+        new_system(bad)
+
+
+@pytest.mark.parametrize("bad", [MAX_DIM + 2, 200001, 10**18 + 1])
+def test_large_dimension_rejected_before_allocation(bad):
+    # refused by check_dimension, before the dense Fourier matrix is built
+    with pytest.raises(DimensionTooLarge, match=f"at most {MAX_DIM}"):
         new_system(bad)
 
 
@@ -363,6 +373,29 @@ def test_maximally_mixed_is_flat_everywhere(sys7):
 def test_constructors_reject_non_finite_values(build, bad):
     with pytest.raises(ValidationError):
         build(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda x: StateVector([x, 0.0, 0.0]),
+        lambda x: DensityMatrix(np.diag([x, 0.5, 0.5])),
+        lambda x: UnitaryMatrix(np.diag([x, 1.0, 1.0])),
+    ],
+    ids=["StateVector", "DensityMatrix", "UnitaryMatrix"],
+)
+def test_non_finite_entries_are_named_before_any_arithmetic(build, bad):
+    # RuntimeWarnings are errors in this suite, so a NaN or inf reaching
+    # numpy arithmetic first would fail here too
+    with pytest.raises(NotFinite, match="NaN or infinite"):
+        build(bad)
+
+
+@pytest.mark.parametrize("huge", [1e200, -1e308, complex(0.0, 1e300)])
+def test_huge_finite_amplitudes_rejected_without_overflow(huge):
+    with pytest.raises(NotNormalized, match="exceeds 1"):
+        StateVector([huge, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("d", [3, 5, 11, 41])

@@ -6,8 +6,10 @@ import pytest
 from qgini import (
     BoundSet,
     BudgetTooSmall,
+    DimensionTooLarge,
     DimensionTooSmall,
     EvenDimension,
+    StateVector,
     ValidationError,
     bounds,
     estimate_sup_gini,
@@ -18,8 +20,11 @@ from qgini import (
     lorenz_curve,
     new_system,
     pure_density,
+    split_seed,
 )
-from qgini.uncertainty import _combined_gini_objective, _pattern_search
+from qgini.gini import gini_weights
+from qgini.qsystem import MAX_DIM
+from qgini.uncertainty import INITIAL_STEP, MIN_STEP, _combined_gini_objective, _pattern_search
 
 
 def reference_combined_gini(probs_x, probs_p) -> float:
@@ -134,6 +139,9 @@ def test_bounds_validation():
         bounds(1)
     with pytest.raises(EvenDimension):
         example_gini_closed_form(6)
+    assert bounds(MAX_DIM).dim == MAX_DIM
+    with pytest.raises(DimensionTooLarge):
+        bounds(MAX_DIM + 2)
 
 
 # ---- the estimator ----
@@ -198,16 +206,77 @@ def test_pattern_search_history_is_monotone(sys5):
 
 
 def test_objective_matches_report_pipeline(sys5):
+    # one call scores a block of rows; each row must match the report pipeline
     objective = _combined_gini_objective(sys5)
     rng = np.random.default_rng(19)
-    for _ in range(25):
-        z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        z /= np.linalg.norm(z)
-        x = np.ascontiguousarray(z).view(np.float64)
-        from qgini import StateVector
+    z = rng.standard_normal((25, 5)) + 1j * rng.standard_normal((25, 5))
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    values = objective(np.ascontiguousarray(z).view(np.float64))
+    assert values.shape == (25,)
+    for row, value in zip(z, values):
+        rep = gini_report(sys5, pure_density(StateVector(row)))
+        assert abs(value - rep.g_xp) <= 1e-10
 
-        rep = gini_report(sys5, pure_density(StateVector(z)))
-        assert abs(objective(x.copy()) - rep.g_xp) <= 1e-10
+
+def sequential_pattern_search(system, x0, max_sweeps, step=INITIAL_STEP, min_step=MIN_STEP):
+    """Reference: the per-candidate loop the batched search replaced.
+
+    Builds, renormalizes and scores one candidate at a time with a per-vector
+    objective, in the order (0, +step), (0, -step), (1, +step), ..., and
+    accepts the first improvement at each coordinate.
+    """
+    fdag = system.fourier_dag
+    w, scale = gini_weights(system.d)
+
+    def objective(x):
+        psi = x.view(np.complex128)
+        px = psi.real**2 + psi.imag**2
+        phi = fdag @ psi
+        pp = phi.real**2 + phi.imag**2
+        px.sort()
+        pp.sort()
+        return 2.0 - scale * (w @ px + w @ pp)
+
+    x = np.array(x0, dtype=np.float64)
+    x /= np.linalg.norm(x)
+    best = objective(x)
+    history = [best]
+    converged = False
+    for _ in range(max_sweeps):
+        improved = False
+        for i in range(x.size):
+            for sign in (1.0, -1.0):
+                cand = x.copy()
+                cand[i] += sign * step
+                cand /= np.linalg.norm(cand)
+                val = objective(cand)
+                if val > best:
+                    x, best = cand, val
+                    improved = True
+                    break
+        history.append(best)
+        if not improved:
+            step *= 0.5
+            if step < min_step:
+                converged = True
+                break
+    return x, best, converged, history
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11])
+def test_batched_search_matches_the_sequential_loop(d):
+    system = new_system(d)
+    objective = _combined_gini_objective(system)
+    starts = [np.ascontiguousarray(example_state(system).amplitudes).view(np.float64)]
+    starts += [np.random.default_rng(split_seed(29, r)).standard_normal(2 * d) for r in range(1, 4)]
+    for x0 in starts:
+        for sweeps in (2000, 7):
+            x, best, converged, history = _pattern_search(objective, x0, sweeps, record=True)
+            ref_x, ref_best, ref_converged, ref_history = sequential_pattern_search(system, x0, sweeps)
+            assert abs(best - ref_best) <= 1e-12
+            assert converged == ref_converged
+            assert len(history) == len(ref_history)
+            assert np.max(np.abs(x - ref_x)) <= 1e-12
 
 
 def test_eta_estimate_validation():
