@@ -9,6 +9,7 @@ dimension.
 """
 
 from qgini.errors import (
+    BudgetTooLarge,
     BudgetTooSmall,
     DegenerateFiducial,
     DimensionMismatch,
@@ -59,6 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BoundSet",
+    "BudgetTooLarge",
     "BudgetTooSmall",
     "DegenerateFiducial",
     "DensityMatrix",

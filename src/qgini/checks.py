@@ -10,15 +10,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qgini.errors import BudgetTooSmall
 from qgini.gini import gini_cap, gini_index, gini_report
 from qgini.lorenz import comonotonic, lorenz_curve
 from qgini.qsystem import (
     DensityMatrix,
     ProbabilityDistribution,
     QuantumSystem,
+    check_budget,
     conjugate,
     mix,
+    momentum_amplitudes,
     pure_density,
 )
 from qgini.sampling import random_density_matrix, random_state_vector, split_seed
@@ -26,6 +27,10 @@ from qgini.sampling import random_density_matrix, random_state_vector, split_see
 EQ_TOL = 1e-12        # algebraic identities evaluated in floats
 INEQ_SLACK = 1e-12    # slack granted to inequalities
 CONJ_TOL = 1e-10      # identities that pass through basis rotations
+
+# Largest sample count per suite, far above the default of 200; a larger
+# request is refused before any work.
+MAX_SAMPLES = 100_000
 
 
 @dataclass
@@ -204,7 +209,7 @@ def _check_coherent_equality(system, samples, rng):
     """Every coherent state of one fiducial shares the same g_x, g_p and g_xp."""
     d = system.d
     fid = random_state_vector(d, rng)
-    probe = np.abs(fid.amplitudes), np.abs(system.fourier_dag @ fid.amplitudes)
+    probe = np.abs(fid.amplitudes), np.abs(momentum_amplitudes(fid))
     if max(float(probe[0].max()), float(probe[1].max())) >= 1.0 - 1e-6:
         fid = system.default_fiducial()
     ref = gini_report(system, pure_density(system.coherent_state(fid, 0, 0)))
@@ -247,8 +252,7 @@ _CHECKS = (
 def run_property_checks(d: int, samples: int = 200, seed: int = 42) -> list[CheckResult]:
     """Run every property check on seeded samples at dimension d."""
     system = QuantumSystem(d)
-    if samples < 1:
-        raise BudgetTooSmall(f"samples must be at least 1, got {samples}")
+    check_budget("samples", samples, MAX_SAMPLES)
     results = []
     for index, (name, func) in enumerate(_CHECKS):
         rng = np.random.default_rng(split_seed(seed, index))

@@ -25,10 +25,10 @@ from qgini.checks import run_property_checks
 from qgini.errors import ValidationError
 from qgini.gini import GiniReport, gini_index, gini_report
 from qgini.lorenz import lorenz_curve
-from qgini.qsystem import DensityMatrix, check_dimension, new_system, pure_density
+from qgini.qsystem import check_dimension, new_system
 from qgini.serialize import float17, to_json
 from qgini.statefile import load_state_file
-from qgini.uncertainty import bounds, estimate_sup_gini, example_state
+from qgini.uncertainty import bounds, check_search_budget, estimate_sup_gini, example_state
 
 SWEEP_COLUMNS = (
     "dim",
@@ -93,12 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
 # ---- report assembly ---------------------------------------------------------
 
 
-def _build_record(system, rho: DensityMatrix, label: str, estimate=None) -> dict:
+def _build_record(system, state, label: str, estimate=None) -> dict:
     """Everything the report commands emit for one state, in output order.
 
-    The estimator block is present only when `estimate` is given.
+    `state` is a StateVector or a DensityMatrix. The estimator block is
+    present only when `estimate` is given.
     """
-    px, pp = system.position_probs(rho), system.momentum_probs(rho)
+    px, pp = system.position_probs(state), system.momentum_probs(state)
     rep = GiniReport(system.d, gini_index(px), gini_index(pp))
     curve_x, curve_p = lorenz_curve(px), lorenz_curve(pp)
     bound_set = bounds(system.d)
@@ -161,30 +162,27 @@ def _emit(rows, fmt: str) -> None:
 def _cmd_probe(args: argparse.Namespace) -> int:
     state = load_state_file(args.input)
     system = new_system(state.dim)
-    rho = state if isinstance(state, DensityMatrix) else pure_density(state)
-    _emit(_build_record(system, rho, os.path.basename(args.input)), args.format)
+    _emit(_build_record(system, state, os.path.basename(args.input)), args.format)
     return 0
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
     system = new_system(args.dim)
-    rho = pure_density(example_state(system))
-    _emit(_build_record(system, rho, "example"), args.format)
+    _emit(_build_record(system, example_state(system), "example"), args.format)
     return 0
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     system = new_system(args.dim)
     estimate = estimate_sup_gini(system, restarts=args.restarts, iterations=args.iters, seed=args.seed)
-    rho = pure_density(estimate.best_state)
-    _emit(_build_record(system, rho, "estimate_best", estimate=estimate), args.format)
+    _emit(_build_record(system, estimate.best_state, "estimate_best", estimate=estimate), args.format)
     return 0
 
 
 def _sweep_row(dim: int, args: argparse.Namespace) -> dict:
     system = new_system(dim)
     bound_set = bounds(dim)
-    example_xp = gini_report(system, pure_density(example_state(system))).g_xp
+    example_xp = gini_report(system, example_state(system)).g_xp
     estimate = estimate_sup_gini(system, restarts=args.restarts, iterations=args.iters, seed=args.seed)
     return {
         "dim": dim,
@@ -202,6 +200,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("dimension list is empty")
     for dim in args.dims:
         check_dimension(dim)
+    check_search_budget(args.restarts, args.iters)
     rows = []
     for dim in args.dims:
         print(f"sweep: dimension {dim}", file=sys.stderr)

@@ -59,5 +59,9 @@ class BudgetTooSmall(ValidationError):
     """A search or check budget (restarts, iterations or samples) is below one."""
 
 
+class BudgetTooLarge(ValidationError):
+    """A search or check budget exceeds its documented ceiling."""
+
+
 class InvalidStateFile(ValidationError):
     """A state file is malformed or structurally inconsistent."""

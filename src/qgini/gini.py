@@ -3,14 +3,14 @@
 The index is the normalized area between a distribution's Lorenz values and
 the uniform ones: 0 for the flat distribution, and at most (d-1)/(d+1),
 attained exactly when all probability sits on one outcome. The position and
-momentum indices of a density matrix are reported together because their sum
+momentum indices of a state are reported together because their sum
 is the quantity whose supremum defines the uncertainty coefficient.
 """
 
 import numpy as np
 
 from qgini.errors import ValidationError
-from qgini.qsystem import NORM_TOL, DensityMatrix, ProbabilityDistribution, QuantumSystem
+from qgini.qsystem import NORM_TOL, ProbabilityDistribution, QuantumSystem
 
 
 def gini_cap(d: int) -> float:
@@ -67,8 +67,8 @@ class GiniReport:
         return f"GiniReport(dim={self.dim}, g_x={self.g_x:.6f}, g_p={self.g_p:.6f})"
 
 
-def gini_report(system: QuantumSystem, rho: DensityMatrix) -> GiniReport:
-    """Evaluate both measurement Gini indices of a density matrix."""
-    g_x = gini_index(system.position_probs(rho))
-    g_p = gini_index(system.momentum_probs(rho))
+def gini_report(system: QuantumSystem, state) -> GiniReport:
+    """Evaluate both measurement Gini indices of a StateVector or DensityMatrix."""
+    g_x = gini_index(system.position_probs(state))
+    g_p = gini_index(system.momentum_probs(state))
     return GiniReport(system.d, g_x, g_p)

@@ -15,9 +15,13 @@ of 2 in Z_d, which is (d + 1) / 2.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from qgini.errors import (
+    BudgetTooLarge,
+    BudgetTooSmall,
     DegenerateFiducial,
     DimensionMismatch,
     DimensionTooLarge,
@@ -42,11 +46,17 @@ EIGEN_TOL = 1e-10       # smallest admissible eigenvalue is -EIGEN_TOL
 PROB_CLIP = 1e-12       # probabilities in [-PROB_CLIP, 0) clamp to 0
 OVERLAP_TOL = 1e-9      # fiducial overlap moduli must stay below 1 - OVERLAP_TOL
 
-# Largest supported dimension. The arena keeps F and F^dag as dense complex
-# d x d matrices (32 d^2 bytes, about 0.5 GB at 4001) and a density matrix
-# costs as much again, so larger requests are refused before any allocation
-# rather than failing inside numpy.
+# Largest supported dimension. F and F^dag are dense complex d x d matrices
+# (32 d^2 bytes together, about 0.5 GB at 4001), and a density matrix costs
+# as much again. They are built only for the search, the property checks and
+# density-matrix distributions; a pure state's distributions need O(d)
+# memory. Larger requests are refused before any allocation rather than
+# failing inside numpy.
 MAX_DIM = 4001
+
+# Below this norm the squared moduli leave the normal float range and lose
+# precision, so a vector scaled by it need not come out normalized.
+_NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
 def check_dimension(d: int) -> None:
@@ -57,6 +67,14 @@ def check_dimension(d: int) -> None:
         raise DimensionTooSmall(f"dimension must be at least 3, got {d}")
     if d > MAX_DIM:
         raise DimensionTooLarge(f"dimension must be at most {MAX_DIM}, got {d}")
+
+
+def check_budget(name: str, value: int, ceiling: int) -> None:
+    """Reject a budget count below 1 or above `ceiling`."""
+    if value < 1:
+        raise BudgetTooSmall(f"{name} must be at least 1, got {value}")
+    if value > ceiling:
+        raise BudgetTooLarge(f"{name} must be at most {ceiling}, got {value}")
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
@@ -113,12 +131,24 @@ class StateVector:
 
     @classmethod
     def normalized(cls, values) -> "StateVector":
-        """Scale `values` to unit norm and wrap them."""
+        """Scale `values` to unit norm and wrap them.
+
+        A finite, nonzero norm makes the quotient a unit vector, so it is
+        wrapped without the constructor's checks; a norm so small that its
+        square underflowed is checked by the constructor.
+        """
         v = np.asarray(values, dtype=np.complex128).ravel()
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
-            raise NotNormalized("cannot normalize the zero vector")
-        return cls(v / nrm)
+        with np.errstate(over="ignore"):
+            nrm = float(np.linalg.norm(v))
+        if not 0.0 < nrm < np.inf:
+            _check_finite(v, "state vector")
+            if nrm == 0.0:
+                raise NotNormalized("cannot normalize the zero vector")
+            raise NotNormalized("the norm of the vector overflows")
+        unit = v / nrm
+        if nrm < _NORM_FLOOR:
+            return cls(unit)
+        return _trusted(cls, dim=int(unit.size), amplitudes=unit)
 
     def __repr__(self):
         return f"StateVector(dim={self.dim})"
@@ -220,8 +250,13 @@ class QuantumSystem:
         Inverse of 2 in Z_d, equal to (d + 1) / 2.
     fourier : UnitaryMatrix
         F[r, s] = omega**(r*s) / sqrt(d); maps position to momentum basis.
+        Built on first access and kept.
     fourier_dag : numpy.ndarray
-        Cached conjugate transpose of `fourier` (read-only view for hot paths).
+        Conjugate transpose of `fourier` as a read-only C-contiguous array for
+        hot paths; built on first access and kept.
+
+    Distributions of a pure state never touch either matrix: F^dag psi is
+    the orthonormal discrete Fourier transform of psi.
     """
 
     def __init__(self, d: int):
@@ -233,11 +268,18 @@ class QuantumSystem:
         omega_pow.setflags(write=False)
         self._omega_pow = omega_pow
         self.omega = complex(omega_pow[1])
-        fourier = omega_pow[np.outer(ks, ks) % self.d] / np.sqrt(self.d)
-        self.fourier = _trusted(UnitaryMatrix, dim=self.d, entries=fourier)
+
+    @functools.cached_property
+    def fourier(self) -> UnitaryMatrix:
+        ks = np.arange(self.d)
+        entries = self._omega_pow[np.outer(ks, ks) % self.d] / np.sqrt(self.d)
+        return _trusted(UnitaryMatrix, dim=self.d, entries=entries)
+
+    @functools.cached_property
+    def fourier_dag(self) -> np.ndarray:
         fdag = np.ascontiguousarray(self.fourier.entries.conj().T)
         fdag.setflags(write=False)
-        self.fourier_dag = fdag
+        return fdag
 
     def __repr__(self):
         return f"QuantumSystem(d={self.d})"
@@ -252,7 +294,8 @@ class QuantumSystem:
 
     def momentum_state(self, r: int) -> StateVector:
         """Fourier image of the r-th position state, i.e. column r of F."""
-        return StateVector(self.fourier.entries[:, r % self.d])
+        column = self._omega_pow[np.arange(self.d) * (r % self.d) % self.d] / np.sqrt(self.d)
+        return StateVector(column)
 
     # -- operators --
 
@@ -301,26 +344,43 @@ class QuantumSystem:
         f = fiducial if isinstance(fiducial, StateVector) else StateVector(fiducial)
         if f.dim != self.d:
             raise DimensionMismatch(f"dimension mismatch: system is {self.d}, fiducial is {f.dim}")
-        pos = float(np.max(np.abs(f.amplitudes)))
-        mom = float(np.max(np.abs(self.fourier_dag @ f.amplitudes)))
-        if pos >= 1.0 - OVERLAP_TOL or mom >= 1.0 - OVERLAP_TOL:
-            raise DegenerateFiducial(
-                f"fiducial coincides with a basis state: max position overlap {pos:.9f}, "
-                f"max momentum overlap {mom:.9f}"
-            )
+        moduli = np.abs(f.amplitudes)
+        pos = float(moduli.max())
+        limit = 1.0 - OVERLAP_TOL
+        # every momentum overlap is at most sum |f| / sqrt(d), so the
+        # transform runs only when that bound or the position overlap reaches
+        # the limit (a state spread over many positions clears it at once)
+        if pos >= limit or float(moduli.sum()) >= limit * np.sqrt(self.d):
+            mom = float(np.max(np.abs(momentum_amplitudes(f))))
+            if pos >= limit or mom >= limit:
+                raise DegenerateFiducial(
+                    f"fiducial coincides with a basis state: max position overlap {pos:.9f}, "
+                    f"max momentum overlap {mom:.9f}"
+                )
         return StateVector.normalized(self.displacement(alpha, beta).entries @ f.amplitudes)
 
     # -- measurement distributions --
 
-    def position_probs(self, rho: DensityMatrix) -> ProbabilityDistribution:
-        """Position outcome distribution: the diagonal of rho."""
-        self._check_dim(rho)
-        return ProbabilityDistribution(np.diagonal(rho.entries).real)
+    def position_probs(self, state) -> ProbabilityDistribution:
+        """Position outcome distribution of a StateVector or DensityMatrix.
 
-    def momentum_probs(self, rho: DensityMatrix) -> ProbabilityDistribution:
-        """Momentum outcome distribution: the diagonal of F^dag rho F."""
-        self._check_dim(rho)
-        rotated = self.fourier_dag @ rho.entries @ self.fourier.entries
+        |psi|^2 for a state vector, the diagonal of rho for a density matrix.
+        """
+        self._check_dim(state)
+        if isinstance(state, StateVector):
+            return ProbabilityDistribution(_moduli_squared(state.amplitudes))
+        return ProbabilityDistribution(np.diagonal(state.entries).real)
+
+    def momentum_probs(self, state) -> ProbabilityDistribution:
+        """Momentum outcome distribution of a StateVector or DensityMatrix.
+
+        |F^dag psi|^2 for a state vector, by FFT in O(d log d) without
+        building F; the diagonal of F^dag rho F for a density matrix.
+        """
+        self._check_dim(state)
+        if isinstance(state, StateVector):
+            return ProbabilityDistribution(_moduli_squared(momentum_amplitudes(state)))
+        rotated = self.fourier_dag @ state.entries @ self.fourier.entries
         return ProbabilityDistribution(np.diagonal(rotated).real)
 
     def maximally_mixed(self) -> DensityMatrix:
@@ -331,6 +391,19 @@ class QuantumSystem:
     def _check_dim(self, other) -> None:
         if other.dim != self.d:
             raise DimensionMismatch(f"dimension mismatch: system is {self.d}, operand is {other.dim}")
+
+
+def momentum_amplitudes(state: StateVector) -> np.ndarray:
+    """Momentum-basis amplitudes F^dag psi of a state, by FFT.
+
+    (F^dag psi)[r] = sum_s omega**(-r*s) psi[s] / sqrt(d), which is numpy's
+    forward transform with orthonormal scaling.
+    """
+    return np.fft.fft(state.amplitudes, norm="ortho")
+
+
+def _moduli_squared(amplitudes: np.ndarray) -> np.ndarray:
+    return amplitudes.real**2 + amplitudes.imag**2
 
 
 def new_system(d: int) -> QuantumSystem:

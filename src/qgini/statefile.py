@@ -12,7 +12,7 @@ physics invariants through the ordinary :class:`StateVector` /
 density-matrix validation.
 """
 
-import cmath
+import itertools
 import json
 import os
 
@@ -82,28 +82,30 @@ def loads_state(text: str):
 def _complex_list(items, dim: int, what: str) -> np.ndarray:
     if not isinstance(items, list) or len(items) != dim:
         raise InvalidStateFile(f"{what} must be a list of {dim} [re, im] pairs")
-    out = np.empty(dim, dtype=np.complex128)
-    for i, pair in enumerate(items):
-        z = _finite_pair(pair)
-        if z is None:
-            raise InvalidStateFile(f"{what}[{i}] must be a [re, im] pair of finite numbers")
-        out[i] = z
-    return out
+    parts = _finite_parts(items)
+    if parts is None:
+        # the first pair that fails the same check on its own
+        i = next(i for i, pair in enumerate(items) if _finite_parts([pair]) is None)
+        raise InvalidStateFile(f"{what}[{i}] must be a [re, im] pair of finite numbers")
+    return parts.view(np.complex128).ravel()
 
 
-def _finite_pair(pair) -> complex | None:
-    """The complex number a [re, im] pair of finite numbers stands for, else None."""
-    if (
-        not isinstance(pair, list)
-        or len(pair) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in pair)
-    ):
+def _finite_parts(items: list) -> np.ndarray | None:
+    """The (n, 2) float array of n [re, im] pairs of finite numbers, else None.
+
+    Checks the whole list at once. JSON numbers are exactly int or float, so
+    the type test rejects bools.
+    """
+    if not all(type(pair) is list and len(pair) == 2 for pair in items):
+        return None
+    flat = list(itertools.chain.from_iterable(items))
+    if not set(map(type, flat)) <= {int, float}:
         return None
     try:
-        z = complex(pair[0], pair[1])
+        parts = np.array(flat, dtype=np.float64).reshape(len(items), 2)
     except OverflowError:  # an integer too large for a double
         return None
-    return z if cmath.isfinite(z) else None
+    return parts if np.isfinite(parts).all() else None
 
 
 def save_state_file(path, state) -> None:

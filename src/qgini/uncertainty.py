@@ -11,14 +11,26 @@ search over pure states.
 
 import numpy as np
 
-from qgini.errors import BudgetTooSmall, ValidationError
+from qgini.errors import ValidationError
 from qgini.gini import gini_cap, gini_weights
-from qgini.qsystem import QuantumSystem, StateVector, check_dimension
+from qgini.qsystem import QuantumSystem, StateVector, check_budget, check_dimension
 from qgini.sampling import split_seed
 
 INITIAL_STEP = 0.3
 MIN_STEP = 1e-7
 BRACKET_SLACK = 1e-9
+
+# Budget ceilings, far above the defaults (32 restarts, 2000 sweeps): a
+# larger request is refused before any work rather than left to run for
+# days. The search usually converges long before the sweep ceiling.
+MAX_RESTARTS = 10_000
+MAX_ITERATIONS = 1_000_000
+
+
+def check_search_budget(restarts: int, iterations: int) -> None:
+    """Reject restart and sweep counts outside [1, MAX_RESTARTS] and [1, MAX_ITERATIONS]."""
+    check_budget("restarts", restarts, MAX_RESTARTS)
+    check_budget("iterations", iterations, MAX_ITERATIONS)
 
 
 def example_state(system: QuantumSystem) -> StateVector:
@@ -231,10 +243,7 @@ def estimate_sup_gini(
     would be scheduled. The reported value is the maximum over restarts, ties
     resolved toward the lowest restart index.
     """
-    if restarts < 1:
-        raise BudgetTooSmall(f"restarts must be at least 1, got {restarts}")
-    if iterations < 1:
-        raise BudgetTooSmall(f"iterations must be at least 1, got {iterations}")
+    check_search_budget(restarts, iterations)
     d = system.d
     objective = _combined_gini_objective(system)
     bound_set = BoundSet(d)

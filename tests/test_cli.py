@@ -1,19 +1,27 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qgini import (
+    QuantumSystem,
+    checks,
+    cli,
+    estimate_sup_gini,
     gini_report,
     new_system,
     pure_density,
     random_state_vector,
     save_state_file,
+    uncertainty,
     validate_density,
 )
+from qgini.checks import MAX_SAMPLES
 from qgini.cli import SWEEP_COLUMNS, run
+from qgini.uncertainty import MAX_ITERATIONS, MAX_RESTARTS
 
 
 def run_cli(capsys, *argv):
@@ -99,6 +107,28 @@ def test_bad_sample_count_is_validation_error(capsys):
     assert err == "error: samples must be at least 1, got -5\n"
 
 
+@pytest.mark.parametrize(
+    "argv, name, ceiling",
+    [
+        (["estimate", "--dim", "5", "--restarts"], "restarts", MAX_RESTARTS),
+        (["estimate", "--dim", "5", "--iters"], "iterations", MAX_ITERATIONS),
+        (["sweep", "--dims", "3,5", "--restarts"], "restarts", MAX_RESTARTS),
+        (["sweep", "--dims", "3,5", "--iters"], "iterations", MAX_ITERATIONS),
+        (["check", "--dim", "5", "--samples"], "samples", MAX_SAMPLES),
+    ],
+)
+def test_oversize_budget_is_refused_before_any_work(monkeypatch, capsys, argv, name, ceiling):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the budget check")
+
+    monkeypatch.setattr(uncertainty, "_combined_gini_objective", refuse)
+    monkeypatch.setattr(cli, "_sweep_row", refuse)
+    monkeypatch.setattr(checks, "_CHECKS", (("refuse", refuse),))
+    code, out, err = run_cli(capsys, *argv, str(ceiling + 1))
+    assert code == 1 and out == ""
+    assert err == f"error: {name} must be at most {ceiling}, got {ceiling + 1}\n"
+
+
 # ---- probe and example ----
 
 
@@ -112,7 +142,42 @@ def test_example_record(capsys):
     assert len(doc["lorenz_x"]) == 3 and len(doc["permutation_p"]) == 3
     assert abs(doc["g_lower"] + doc["eta_upper"] - doc["g_strict_upper"]) < 1e-12
     # 17 significant digits survive in the raw text
-    assert "0.68301270189221963" in out
+    assert "0.68301270189221941" in out
+
+
+def test_pure_reports_never_build_the_fourier_matrix(monkeypatch, capsys, tmp_path):
+    # a pure state's momentum distribution is an FFT; only the search needs F
+    searching = []
+    build = QuantumSystem.fourier.func
+
+    def fourier(self):
+        if not searching:
+            raise AssertionError("a pure-state report built the Fourier matrix")
+        return build(self)
+
+    def search(*args, **kwargs):
+        searching.append(True)
+        try:
+            return estimate_sup_gini(*args, **kwargs)
+        finally:
+            searching.pop()
+
+    path = tmp_path / "pure.json"
+    save_state_file(path, random_state_vector(41, 5))
+    monkeypatch.setattr(QuantumSystem, "fourier", property(fourier))
+    monkeypatch.setattr(cli, "estimate_sup_gini", search)
+    tracemalloc.start()
+    try:
+        assert run(["example", "--dim", "4001"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one dense d x d complex matrix would take 16 d^2 bytes
+    assert peak < 4001 * 4001
+    assert run(["probe", "--input", str(path)]) == 0
+    assert run(["estimate", "--dim", "5", "--restarts", "1"]) == 0
+    assert run(["sweep", "--dims", "3,5", "--restarts", "1", "--iters", "50"]) == 0
+    capsys.readouterr()
 
 
 def test_probe_maximally_mixed(capsys, tmp_path):

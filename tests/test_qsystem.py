@@ -21,6 +21,8 @@ from qgini import (
     ValidationError,
     WeightOutOfRange,
     conjugate,
+    example_state,
+    gini_report,
     lorenz_curve,
     mix,
     new_system,
@@ -30,7 +32,7 @@ from qgini import (
     validate_density,
 )
 from qgini import cli
-from qgini.qsystem import MAX_DIM
+from qgini.qsystem import MAX_DIM, momentum_amplitudes
 
 from conftest import reference_fourier
 
@@ -172,6 +174,28 @@ def test_coherent_rejects_basis_fiducials(sys3):
         sys3.coherent_state(sys3.momentum_state(2), 1, 1)
 
 
+@pytest.mark.parametrize("d", [3, 5, 41])
+def test_coherent_guard_matches_the_exact_overlaps(d):
+    # the guard skips the transform when sum |f| / sqrt(d) clears the limit;
+    # its verdict must equal the one from the exact overlaps
+    system = new_system(d)
+    rng = np.random.default_rng(900 + d)
+    limit = 1.0 - 1e-9
+    fiducials = [np.exp(2j * np.pi * rng.uniform(size=d)) / np.sqrt(d)]  # flat moduli, bound exactly 1
+    for base in (system.position_state(1), system.momentum_state(d - 1)):
+        for t in (1e-6, 3e-5, 4.4e-5, 4.5e-5, 6e-5, 1e-3):
+            noise = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            fiducials.append(np.cos(t) * base.amplitudes + np.sin(t) * noise / np.linalg.norm(noise))
+    for values in fiducials:
+        f = StateVector.normalized(values)
+        exact = max(np.max(np.abs(f.amplitudes)), np.max(np.abs(system.fourier_dag @ f.amplitudes)))
+        if exact >= limit:
+            with pytest.raises(DegenerateFiducial):
+                system.coherent_state(f, 1, 1)
+        else:
+            system.coherent_state(f, 1, 1)
+
+
 def test_coherent_dimension_mismatch(sys3):
     with pytest.raises(DimensionMismatch):
         sys3.coherent_state(new_system(5).default_fiducial(), 0, 0)
@@ -210,6 +234,34 @@ def test_state_vector_norm_enforced():
         StateVector.normalized([0.0, 0.0, 0.0])
     st = StateVector.normalized([3.0, 4.0])
     assert abs(np.linalg.norm(st.amplitudes) - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "values, error",
+    [
+        ([np.nan, 1.0], NotFinite),
+        ([np.inf, 1.0], NotFinite),
+        ([-np.inf, 0.0], NotFinite),
+        ([complex(0.0, np.nan), 1.0], NotFinite),
+        ([1e200, 1e200], NotNormalized),  # finite entries, but the norm overflows
+        ([0.0, 0.0, 0.0], NotNormalized),
+        ([1e-160, 1e-160], NotNormalized),  # the squares underflow, so the quotient is not a unit vector
+    ],
+    ids=["nan", "inf", "-inf", "complex-nan", "overflow", "zero", "underflow"],
+)
+def test_normalized_rejects_vectors_it_cannot_scale(values, error):
+    # RuntimeWarnings are errors in this suite, so this also proves none is raised
+    with pytest.raises(error):
+        StateVector.normalized(values)
+
+
+def test_normalized_results_pass_the_public_validator():
+    rng = np.random.default_rng(31)
+    for values in ([3.0, 4.0], [1e-150, 2e-150], [1e150, -1e150j], rng.standard_normal(41) + 1j * rng.standard_normal(41)):
+        st = StateVector.normalized(values)
+        assert not st.amplitudes.flags.writeable
+        assert st.dim == len(values)
+        StateVector(st.amplitudes)
 
 
 def test_unitary_validation():
@@ -303,6 +355,58 @@ def test_position_projector_is_momentum_flat(sys3):
     rho = pure_density(sys3.position_state(0))
     pp = sys3.momentum_probs(rho)
     assert np.max(np.abs(pp.probs - 1.0 / 3.0)) < 1e-12
+
+
+def _pure_states(system, rng):
+    d = system.d
+    fid = system.default_fiducial()
+    yield "example", example_state(system)
+    for k in range(3):
+        yield f"haar {k}", random_state_vector(d, rng)
+    for a, b in ((0, 0), (1, d - 1), (d // 2, 2)):
+        yield f"coherent {a},{b}", system.coherent_state(fid, a, b)
+    for r in (0, d // 2, d - 1):
+        yield f"position {r}", system.position_state(r)
+        yield f"momentum {r}", system.momentum_state(r)
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 101])
+def test_state_path_matches_density_path(d):
+    # distributions of a state (|psi|^2 and an FFT) against the dense
+    # diagonals of its projector, F^dag rho F included
+    system = new_system(d)
+    rng = np.random.default_rng(700 + d)
+    for label, state in _pure_states(system, rng):
+        rho = pure_density(state)
+        phi = momentum_amplitudes(state)
+        assert np.max(np.abs(phi - system.fourier_dag @ state.amplitudes)) <= 1e-12, label
+        for pick in (system.position_probs, system.momentum_probs):
+            fast, dense = pick(state), pick(rho)
+            assert np.max(np.abs(fast.probs - dense.probs)) <= 1e-12, label
+            curve_fast, curve_dense = lorenz_curve(fast), lorenz_curve(dense)
+            assert np.max(np.abs(curve_fast.values - curve_dense.values)) <= 1e-12, label
+            # sort orders may differ only among tied probabilities
+            gaps = np.diff(np.sort(dense.probs)) > 1e-12
+            distinct = np.concatenate(([True], gaps)) & np.concatenate((gaps, [True]))
+            order_fast, order_dense = curve_fast.permutation.order, curve_dense.permutation.order
+            assert np.array_equal(order_fast[distinct], order_dense[distinct]), label
+        rep_fast, rep_dense = gini_report(system, state), gini_report(system, rho)
+        for attr in ("g_x", "g_p", "g_xp"):
+            assert abs(getattr(rep_fast, attr) - getattr(rep_dense, attr)) <= 1e-12, (label, attr)
+
+
+def test_fourier_is_built_on_first_use_and_kept():
+    system = new_system(7)
+    state = random_state_vector(7, 3)
+    system.position_probs(state)
+    system.momentum_probs(state)
+    system.coherent_state(system.default_fiducial(), 1, 2)
+    system.momentum_state(3)
+    assert "fourier" not in vars(system) and "fourier_dag" not in vars(system)
+    fdag = system.fourier_dag
+    assert system.fourier_dag is fdag and system.fourier.entries is system.fourier.entries
+    assert fdag.flags.c_contiguous and not fdag.flags.writeable
+    assert np.array_equal(fdag, system.fourier.entries.conj().T)
 
 
 def test_probability_clamping():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,20 @@ def test_dumps_rejects_other_types():
 )
 def test_malformed_documents_rejected(text):
     with pytest.raises(InvalidStateFile):
+        loads_state(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dim": 3, "kind": "pure", "amplitudes": [[1, 0], [0, 0], [0, true]]}', "amplitudes[2]"),
+        ('{"dim": 3, "kind": "pure", "amplitudes": [[1, 0], [1' + "0" * 400 + ', 0], [0]]}', "amplitudes[1]"),
+        ('{"dim": 2, "kind": "density", "entries": [[[0.5, 0], [0, 0]], [[0, 0], [1e999, 0]]]}', "entries row[1]"),
+        ('{"dim": 2, "kind": "density", "entries": [[[0.5, 0], [0, 0, 0]], [[0, 0], [0.5, 0]]]}', "entries row[1]"),
+    ],
+)
+def test_bad_pair_is_named_by_its_index(text, message):
+    with pytest.raises(InvalidStateFile, match=rf"^{re.escape(message)} must be a \[re, im\] pair of finite numbers$"):
         loads_state(text)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from qgini import (
     BoundSet,
+    BudgetTooLarge,
     BudgetTooSmall,
     DimensionTooLarge,
     DimensionTooSmall,
@@ -24,7 +25,15 @@ from qgini import (
 )
 from qgini.gini import gini_weights
 from qgini.qsystem import MAX_DIM
-from qgini.uncertainty import INITIAL_STEP, MIN_STEP, _combined_gini_objective, _pattern_search
+from qgini.uncertainty import (
+    INITIAL_STEP,
+    MAX_ITERATIONS,
+    MAX_RESTARTS,
+    MIN_STEP,
+    _combined_gini_objective,
+    _pattern_search,
+    check_search_budget,
+)
 
 
 def reference_combined_gini(probs_x, probs_p) -> float:
@@ -152,6 +161,14 @@ def test_budget_validation(sys3):
         estimate_sup_gini(sys3, restarts=0)
     with pytest.raises(BudgetTooSmall):
         estimate_sup_gini(sys3, iterations=0)
+
+
+def test_budget_ceilings(sys3):
+    check_search_budget(MAX_RESTARTS, MAX_ITERATIONS)
+    with pytest.raises(BudgetTooLarge, match="restarts must be at most"):
+        estimate_sup_gini(sys3, restarts=MAX_RESTARTS + 1)
+    with pytest.raises(BudgetTooLarge, match="iterations must be at most"):
+        estimate_sup_gini(sys3, iterations=MAX_ITERATIONS + 1)
 
 
 def test_estimate_is_deterministic(sys3):
