@@ -20,7 +20,6 @@ from qgini.qsystem import (
     conjugate,
     mix,
     momentum_amplitudes,
-    pure_density,
 )
 from qgini.sampling import random_density_matrix, random_state_vector, split_seed
 
@@ -40,10 +39,6 @@ class CheckResult:
     detail: str
 
 
-def _both_probs(system, rho):
-    return system.position_probs(rho), system.momentum_probs(rho)
-
-
 def _check_lorenz_bound(system, samples, rng):
     """L(l) never exceeds (l+1)/d, the uniform distribution's line."""
     d = system.d
@@ -51,7 +46,7 @@ def _check_lorenz_bound(system, samples, rng):
     worst = -np.inf
     for _ in range(samples):
         rho = random_density_matrix(d, rng)
-        for p in _both_probs(system, rho):
+        for p in (system.position_probs(rho), system.momentum_probs(rho)):
             worst = max(worst, float(np.max(lorenz_curve(p).values - line)))
     return worst <= INEQ_SLACK, f"max excess over the uniform line {worst:.2e}"
 
@@ -98,13 +93,13 @@ def _check_comonotonic_additive(system, samples, rng):
 
 
 def _check_basis_extremes(system, samples, rng):
-    """Basis projectors sit at the extremes: flat-zero Lorenz tail, index at cap."""
+    """Basis states sit at the extremes: flat-zero Lorenz tail, index at cap."""
     d = system.d
     cap = gini_cap(d)
     worst = 0.0
     for r in range(d):
         for state in (system.position_state(r), system.momentum_state(r)):
-            rep = gini_report(system, pure_density(state))
+            rep = gini_report(system, state)
             worst = max(worst, abs(rep.g_x + rep.g_p - cap))
     flat = gini_report(system, system.maximally_mixed())
     worst = max(worst, flat.g_x, flat.g_p)
@@ -212,10 +207,10 @@ def _check_coherent_equality(system, samples, rng):
     probe = np.abs(fid.amplitudes), np.abs(momentum_amplitudes(fid))
     if max(float(probe[0].max()), float(probe[1].max())) >= 1.0 - 1e-6:
         fid = system.default_fiducial()
-    ref = gini_report(system, pure_density(system.coherent_state(fid, 0, 0)))
+    ref = gini_report(system, system.coherent_state(fid, 0, 0))
     worst = 0.0
     for a, b in _invariance_pairs(system, rng):
-        rep = gini_report(system, pure_density(system.coherent_state(fid, a, b)))
+        rep = gini_report(system, system.coherent_state(fid, a, b))
         worst = max(worst, abs(rep.g_x - ref.g_x), abs(rep.g_p - ref.g_p), abs(rep.g_xp - ref.g_xp))
     return worst <= CONJ_TOL, f"max spread across the coherent family {worst:.2e}"
 
@@ -226,9 +221,9 @@ def _check_resolution_of_identity(system, samples, rng):
     fid = system.default_fiducial()
     total = np.zeros((d, d), dtype=np.complex128)
     for a in range(d):
-        for b in range(d):
-            amp = system.coherent_state(fid, a, b).amplitudes
-            total += np.outer(amp, amp.conj())
+        # one block of d coherent rows per alpha keeps the memory at O(d^2)
+        amps = np.array([system.coherent_state(fid, a, b).amplitudes for b in range(d)])
+        total += amps.T @ amps.conj()
     residual = float(np.max(np.abs(total / d - np.eye(d))))
     return residual <= CONJ_TOL, f"max residual of the averaged projectors {residual:.2e}"
 

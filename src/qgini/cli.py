@@ -247,10 +247,7 @@ def run(argv) -> int:
         return 0 if code in (0, None) else int(code)
     try:
         return _HANDLERS[args.command](args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -30,12 +30,20 @@ def _as_generator(rng) -> np.random.Generator:
     return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
 
+def _haar_rows(d: int, gen: np.random.Generator, k: int) -> np.ndarray:
+    """k Haar-distributed unit vectors as rows: complex standard normal, normalized.
+
+    One draw of k (2, d) blocks consumes the generator as k draws of one block.
+    """
+    parts = gen.standard_normal((k, 2, d))
+    amps = parts[:, 0] + 1j * parts[:, 1]
+    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
 def random_state_vector(d: int, rng) -> StateVector:
     """Draw a Haar-distributed pure state: complex standard normal, normalized."""
     check_dimension(d)
-    gen = _as_generator(rng)
-    parts = gen.standard_normal((2, d))
-    return StateVector.normalized(parts[0] + 1j * parts[1])
+    return _trusted(StateVector, dim=d, amplitudes=_haar_rows(d, _as_generator(rng), 1)[0])
 
 
 def random_density_matrix(d: int, rng, components: int | None = None) -> DensityMatrix:
@@ -51,8 +59,5 @@ def random_density_matrix(d: int, rng, components: int | None = None) -> Density
     if k < 1:
         raise ValueError(f"need at least one component, got {components!r}")
     weights = gen.dirichlet(np.ones(k))
-    entries = np.zeros((d, d), dtype=np.complex128)
-    for w in weights:
-        amp = random_state_vector(d, gen).amplitudes
-        entries += w * np.outer(amp, amp.conj())
-    return _trusted(DensityMatrix, dim=d, entries=entries)
+    amps = _haar_rows(d, gen, k)
+    return _trusted(DensityMatrix, dim=d, entries=(amps.T * weights) @ amps.conj())

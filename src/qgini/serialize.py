@@ -23,14 +23,14 @@ def float17(value) -> str:
     return format(x, ".17g")
 
 
-def to_json(document, indent: int = 2) -> str:
+def to_json(document) -> str:
     """Serialize a dict/list/scalar tree to JSON text, floats via float17.
 
     Lists whose items are all scalars are kept on one line; everything else
-    is indented by `indent` spaces per level.
+    is indented by two spaces per level.
     """
     pieces: list[str] = []
-    _emit(document, pieces, indent, 0)
+    _emit(document, pieces, 0)
     return "".join(pieces)
 
 
@@ -49,13 +49,13 @@ def _scalar(node) -> str | None:
     return None
 
 
-def _emit(node, out: list, indent: int, level: int) -> None:
+def _emit(node, out: list, level: int) -> None:
     text = _scalar(node)
     if text is not None:
         out.append(text)
         return
-    pad = " " * (indent * (level + 1))
-    close_pad = " " * (indent * level)
+    pad = "  " * (level + 1)
+    close_pad = "  " * level
     if isinstance(node, dict):
         if not node:
             out.append("{}")
@@ -64,7 +64,7 @@ def _emit(node, out: list, indent: int, level: int) -> None:
         last = len(node) - 1
         for i, (key, value) in enumerate(node.items()):
             out.append(pad + json.dumps(str(key)) + ": ")
-            _emit(value, out, indent, level + 1)
+            _emit(value, out, level + 1)
             out.append(",\n" if i < last else "\n")
         out.append(close_pad + "}")
     elif isinstance(node, (list, tuple, np.ndarray)):
@@ -80,7 +80,7 @@ def _emit(node, out: list, indent: int, level: int) -> None:
         last = len(items) - 1
         for i, item in enumerate(items):
             out.append(pad)
-            _emit(item, out, indent, level + 1)
+            _emit(item, out, level + 1)
             out.append(",\n" if i < last else "\n")
         out.append(close_pad + "]")
     else:

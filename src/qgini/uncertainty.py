@@ -161,7 +161,7 @@ def _combined_gini_objective(system: QuantumSystem):
     return objective
 
 
-def _pattern_search(objective, x0, max_sweeps, step=INITIAL_STEP, min_step=MIN_STEP, record=False):
+def _pattern_search(objective, x0, max_sweeps, record=False):
     """Greedy coordinate pattern search on the unit sphere.
 
     One sweep probes the candidates (coordinate 0, +step), (0, -step),
@@ -170,12 +170,14 @@ def _pattern_search(objective, x0, max_sweeps, step=INITIAL_STEP, min_step=MIN_S
     resumes at the next coordinate. All candidates still ahead in the sweep
     are built from the current point as one block and scored by one
     objective call, so each accepted move costs one block evaluation. A
-    sweep without any accepted move halves the step. Stops when the step
-    drops below min_step (converged) or the sweep budget is spent. The best
-    value is nondecreasing across sweeps by construction.
+    sweep without any accepted move halves the step, which starts at
+    INITIAL_STEP. Stops when the step drops below MIN_STEP (converged) or
+    the sweep budget is spent. The best value is nondecreasing across
+    sweeps by construction.
     """
     x = np.array(x0, dtype=np.float64)
     x /= np.linalg.norm(x)
+    step = INITIAL_STEP
     best = objective(x[None, :])[0]
     history = [best] if record else None
     converged = False
@@ -205,7 +207,7 @@ def _pattern_search(objective, x0, max_sweeps, step=INITIAL_STEP, min_step=MIN_S
             history.append(best)
         if not improved:
             step *= 0.5
-            if step < min_step:
+            if step < MIN_STEP:
                 converged = True
                 break
     return x, best, converged, history

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -26,3 +28,12 @@ def reference_fourier(d: int) -> np.ndarray:
         for s in range(d):
             f[r, s] = np.exp(2j * np.pi * r * s / d) / np.sqrt(d)
     return f
+
+
+def huge_density_document(upper, lower, diagonal=(0.5, 0.5, 0.0)):
+    """A 3 x 3 density document with `upper` at (0, 1), `lower` at (1, 0) and the given diagonal."""
+    rows = [[[0.0, 0.0] for _ in range(3)] for _ in range(3)]
+    rows[0][1][0], rows[1][0][0] = upper, lower
+    for i, value in enumerate(diagonal):
+        rows[i][i][0] = value
+    return json.dumps({"dim": 3, "kind": "density", "entries": rows})

@@ -1,6 +1,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -22,6 +25,8 @@ from qgini import (
 from qgini.checks import MAX_SAMPLES
 from qgini.cli import SWEEP_COLUMNS, run
 from qgini.uncertainty import MAX_ITERATIONS, MAX_RESTARTS
+
+from conftest import huge_density_document
 
 
 def run_cli(capsys, *argv):
@@ -93,6 +98,23 @@ def test_non_finite_state_file_is_validation_error(capsys, tmp_path, text):
     assert code == 1 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "NaN" in err
+
+
+def test_overflowing_density_file_gets_one_error_line(tmp_path):
+    # a fresh interpreter with default warning filters, so a numpy overflow
+    # warning would reach stderr as it does for a user
+    import qgini
+
+    path = tmp_path / "huge.json"
+    path.write_text(huge_density_document(1e308, -1e308))
+    src = os.path.dirname(os.path.dirname(qgini.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qgini.cli", "probe", "--input", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: matrix is not Hermitian: max |M - M^dag| = inf\n"
 
 
 def test_oversize_dimension_is_validation_error(capsys):

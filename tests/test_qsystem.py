@@ -224,6 +224,44 @@ def test_coherent_resolution_of_identity(d):
         assert np.max(np.abs(total / d - np.eye(d))) <= 1e-10
 
 
+def _dense_displacement(d, a, b):
+    # the dense recipe: D[(s + b) % d, s] = omega**((a*(s + b) - half*a*b) % d)
+    half = (d + 1) // 2
+    cols = np.arange(d)
+    rows = (cols + b) % d
+    m = np.zeros((d, d), dtype=np.complex128)
+    m[rows, cols] = np.exp(2j * np.pi * np.arange(d) / d)[(a * rows - half * a * b) % d]
+    return m
+
+
+def _displacement_pairs(d, rng):
+    if d <= 7:
+        return [(a, b) for a in range(d) for b in range(d)]
+    return [(int(a), int(b)) for a, b in rng.integers(0, d, size=(100, 2))]
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 41])
+def test_coherent_state_matches_the_dense_displacement(d):
+    system = new_system(d)
+    rng = np.random.default_rng(1300 + d)
+    for fid in (system.default_fiducial(), random_state_vector(d, rng)):
+        for a, b in _displacement_pairs(d, rng):
+            dense = _dense_displacement(d, a, b)
+            assert np.array_equal(system.displacement(a, b).entries, dense)
+            want = StateVector.normalized(dense @ fid.amplitudes).amplitudes
+            assert np.max(np.abs(system.coherent_state(fid, a, b).amplitudes - want)) <= 1e-15
+
+
+def test_coherent_state_builds_no_dense_displacement(monkeypatch, sys5):
+    def refuse(*args, **kwargs):
+        raise AssertionError("coherent_state built the dense displacement")
+
+    monkeypatch.setattr(type(sys5), "displacement", refuse)
+    fid = sys5.default_fiducial()
+    want = StateVector.normalized(_dense_displacement(5, 2, 3) @ fid.amplitudes).amplitudes
+    assert np.max(np.abs(sys5.coherent_state(fid, 2, 3).amplitudes - want)) <= 1e-15
+
+
 # ---- state vectors and density matrices ----
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgini import random_density_matrix, random_state_vector, split_seed
+from qgini import StateVector, random_density_matrix, random_state_vector, split_seed
 from qgini.errors import EvenDimension
 
 
@@ -51,3 +51,35 @@ def test_split_seed_properties():
     # the published splitmix64 test vector: first output from state 0
     assert split_seed(0, 0) == 0xE220A8397B1DCDAF
     assert isinstance(split_seed(2**63, 5), int)
+
+
+def _looped_state(d, gen):
+    # the one-vector recipe: one (2, d) block, real and imaginary parts, normalized
+    parts = gen.standard_normal((2, d))
+    return StateVector.normalized(parts[0] + 1j * parts[1]).amplitudes
+
+
+def _looped_density(d, seed, components=None):
+    # the per-component recipe: weights, then one state and one outer product per component
+    gen = np.random.default_rng(seed)
+    k = int(gen.integers(1, d + 1)) if components is None else components
+    entries = np.zeros((d, d), dtype=np.complex128)
+    for w in gen.dirichlet(np.ones(k)):
+        amp = _looped_state(d, gen)
+        entries += w * np.outer(amp, amp.conj())
+    return entries
+
+
+@pytest.mark.parametrize("d", [3, 5, 11, 41])
+def test_state_sampling_matches_the_one_vector_recipe(d):
+    for seed in range(20):
+        got = random_state_vector(d, seed).amplitudes
+        assert np.max(np.abs(got - _looped_state(d, np.random.default_rng(seed)))) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [3, 5, 11, 41])
+def test_density_sampling_matches_the_per_component_recipe(d):
+    for seed in range(20):
+        for components in (None, 1):
+            got = random_density_matrix(d, seed, components=components).entries
+            assert np.max(np.abs(got - _looped_density(d, seed, components))) <= 1e-14

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from qgini import (
     DensityMatrix,
     InvalidStateFile,
+    NotHermitian,
     NotNormalized,
+    NotPositive,
     StateVector,
+    TraceNotOne,
     ValidationError,
     load_state_file,
     random_density_matrix,
@@ -18,6 +21,8 @@ from qgini import (
     save_state_file,
 )
 from qgini.statefile import dumps_state, loads_state
+
+from conftest import huge_density_document
 
 
 def test_pure_round_trip_is_bit_exact(tmp_path):
@@ -96,6 +101,21 @@ def test_physics_validation_still_applies():
     # structurally fine, but not normalized
     text = '{"dim": 3, "kind": "pure", "amplitudes": [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}'
     with pytest.raises(NotNormalized):
+        loads_state(text)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        (huge_density_document(1e308, -1e308), NotHermitian),  # M - M^dag overflows
+        (huge_density_document(1e308, 1e308), NotPositive),  # Hermitian, eigenvalue -1e308
+        (huge_density_document(0.0, 0.0, (1.7e308, 1.7e308, 0.0)), TraceNotOne),  # the trace overflows
+    ],
+    ids=["antisymmetric", "symmetric", "trace"],
+)
+def test_huge_finite_density_entries_rejected_without_overflow(text, error):
+    # RuntimeWarnings are errors in this suite, so an overflow warning fails here
+    with pytest.raises(error):
         loads_state(text)
 
 
