@@ -46,11 +46,11 @@ EIGEN_TOL = 1e-10       # smallest admissible eigenvalue is -EIGEN_TOL
 PROB_CLIP = 1e-12       # probabilities in [-PROB_CLIP, 0) clamp to 0
 OVERLAP_TOL = 1e-9      # fiducial overlap moduli must stay below 1 - OVERLAP_TOL
 
-# Largest supported dimension. F and F^dag are dense complex d x d matrices
-# (32 d^2 bytes together, about 0.5 GB at 4001), and a density matrix costs
-# as much again. They are built only for the search, the property checks and
-# density-matrix distributions; a pure state's distributions need O(d)
-# memory. Larger requests are refused before any allocation rather than
+# Largest supported dimension. F is a dense complex d x d matrix (16 d^2
+# bytes, about 0.26 GB at 4001); a density matrix, and the temporaries of the
+# search and of density-matrix distributions, cost as much again. F is built
+# only for those and the property checks; a pure state's distributions need
+# O(d) memory. Larger requests are refused before any allocation rather than
 # failing inside numpy.
 MAX_DIM = 4001
 
@@ -89,9 +89,9 @@ def _trusted(cls, **fields):
     Validation happens once, at the boundary: the public constructors, state
     files and the CLI. Results that satisfy a class's invariants by
     construction (the Fourier and displacement matrices, projectors of
-    validated states, mixtures, conjugations, sort orders and partial sums)
-    are wrapped here instead. Arrays are frozen as the constructors freeze
-    them.
+    validated states, mixtures, conjugations, measurement distributions,
+    sort orders and partial sums) are wrapped here instead. Arrays are
+    frozen as the constructors freeze them.
     """
     obj = cls.__new__(cls)
     for name, value in fields.items():
@@ -212,9 +212,9 @@ class DensityMatrix:
 class ProbabilityDistribution:
     """Outcome probabilities of one measurement.
 
-    Entries in [-PROB_CLIP, 0) are round-off from conjugations and clamp to
-    exactly 0 on construction; anything more negative raises. The clamped
-    entries must sum to 1 within NORM_TOL.
+    Outside input is checked: entries in [-PROB_CLIP, 0) clamp to exactly 0,
+    anything more negative raises, and the sum must be 1 within NORM_TOL.
+    QuantumSystem's distributions of validated states skip these checks.
     """
 
     def __init__(self, probs):
@@ -252,13 +252,11 @@ class QuantumSystem:
         Inverse of 2 in Z_d, equal to (d + 1) / 2.
     fourier : UnitaryMatrix
         F[r, s] = omega**(r*s) / sqrt(d); maps position to momentum basis.
-        Built on first access and kept.
-    fourier_dag : numpy.ndarray
-        Conjugate transpose of `fourier` as a read-only C-contiguous array for
-        hot paths; built on first access and kept.
+        Built on first access and kept. F is exactly symmetric, so its
+        adjoint F^dag is the C-contiguous `fourier.entries.conj()`.
 
-    Distributions of a pure state never touch either matrix: F^dag psi is
-    the orthonormal discrete Fourier transform of psi.
+    Distributions of a pure state never touch F: F^dag psi is the
+    orthonormal discrete Fourier transform of psi.
     """
 
     def __init__(self, d: int):
@@ -276,12 +274,6 @@ class QuantumSystem:
         ks = np.arange(self.d)
         entries = self._omega_pow[np.outer(ks, ks) % self.d] / np.sqrt(self.d)
         return _trusted(UnitaryMatrix, dim=self.d, entries=entries)
-
-    @functools.cached_property
-    def fourier_dag(self) -> np.ndarray:
-        fdag = np.ascontiguousarray(self.fourier.entries.conj().T)
-        fdag.setflags(write=False)
-        return fdag
 
     def __repr__(self):
         return f"QuantumSystem(d={self.d})"
@@ -368,20 +360,25 @@ class QuantumSystem:
         """
         self._check_dim(state)
         if isinstance(state, StateVector):
-            return ProbabilityDistribution(_moduli_squared(state.amplitudes))
-        return ProbabilityDistribution(np.diagonal(state.entries).real)
+            p = _moduli_squared(state.amplitudes)
+        else:
+            p = _clamped(np.diagonal(state.entries).real)
+        return _trusted(ProbabilityDistribution, dim=self.d, probs=p)
 
     def momentum_probs(self, state) -> ProbabilityDistribution:
         """Momentum outcome distribution of a StateVector or DensityMatrix.
 
         |F^dag psi|^2 for a state vector, by FFT in O(d log d) without
-        building F; the diagonal of F^dag rho F for a density matrix.
+        building F; for a density matrix the diagonal of F^dag rho F, taken
+        as the column sums of conj(F) * (rho F) with one d x d product.
         """
         self._check_dim(state)
         if isinstance(state, StateVector):
-            return ProbabilityDistribution(_moduli_squared(momentum_amplitudes(state)))
-        rotated = self.fourier_dag @ state.entries @ self.fourier.entries
-        return ProbabilityDistribution(np.diagonal(rotated).real)
+            p = _moduli_squared(momentum_amplitudes(state))
+        else:
+            f = self.fourier.entries
+            p = _clamped((f.conj() * (state.entries @ f)).sum(axis=0).real)
+        return _trusted(ProbabilityDistribution, dim=self.d, probs=p)
 
     def maximally_mixed(self) -> DensityMatrix:
         """Identity over d: flat in both bases, the zero of both Gini indices."""
@@ -404,6 +401,11 @@ def momentum_amplitudes(state: StateVector) -> np.ndarray:
 
 def _moduli_squared(amplitudes: np.ndarray) -> np.ndarray:
     return amplitudes.real**2 + amplitudes.imag**2
+
+
+def _clamped(p: np.ndarray) -> np.ndarray:
+    """A fresh copy of p with negative round-off set to 0 (density eigenvalues reach -EIGEN_TOL)."""
+    return np.where(p < 0.0, 0.0, p)
 
 
 def new_system(d: int) -> QuantumSystem:

@@ -46,18 +46,15 @@ def random_state_vector(d: int, rng) -> StateVector:
     return _trusted(StateVector, dim=d, amplitudes=_haar_rows(d, _as_generator(rng), 1)[0])
 
 
-def random_density_matrix(d: int, rng, components: int | None = None) -> DensityMatrix:
+def random_density_matrix(d: int, rng) -> DensityMatrix:
     """Draw a random mixed state as a convex combination of pure projectors.
 
-    The number of components defaults to a uniform draw from 1..d; weights
-    come from the flat Dirichlet distribution on the simplex. components=1
-    gives a pure state in density form.
+    The number of components is a uniform draw from 1..d; weights come from
+    the flat Dirichlet distribution on the simplex.
     """
     check_dimension(d)
     gen = _as_generator(rng)
-    k = int(gen.integers(1, d + 1)) if components is None else int(components)
-    if k < 1:
-        raise ValueError(f"need at least one component, got {components!r}")
+    k = int(gen.integers(1, d + 1))
     weights = gen.dirichlet(np.ones(k))
     amps = _haar_rows(d, gen, k)
     return _trusted(DensityMatrix, dim=d, entries=(amps.T * weights) @ amps.conj())

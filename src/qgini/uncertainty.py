@@ -145,7 +145,7 @@ def _combined_gini_objective(system: QuantumSystem):
     it sits in, and the batched search accepts exactly the moves of a
     one-candidate-at-a-time search.
     """
-    fdag = system.fourier_dag
+    fdag = system.fourier.entries.conj()  # F is symmetric, so this is F^dag
     w, scale = gini_weights(system.d)
 
     def objective(block: np.ndarray) -> np.ndarray:

@@ -237,6 +237,23 @@ def test_probe_accepts_a_state_at_the_norm_tolerance(capsys, tmp_path):
     assert abs(doc["lorenz_x"][-1] - (1.0 + 5e-11)) < 1e-15
 
 
+def test_probe_accepts_a_density_at_the_eigenvalue_tolerance(capsys, tmp_path):
+    # a diagonal entry of -5e-11 is inside EIGEN_TOL, so the file boundary
+    # accepts the matrix; its distributions must report it, not re-check it
+    # against the stricter clamp for outside probabilities
+    path = tmp_path / "edge.json"
+    path.write_text(
+        '{"dim": 3, "kind": "density", "entries": ['
+        "[[0.50000000005, 0.0], [0.0, 0.0], [0.0, 0.0]], "
+        "[[0.0, 0.0], [0.5, 0.0], [0.0, 0.0]], "
+        "[[0.0, 0.0], [0.0, 0.0], [-0.00000000005, 0.0]]]}"
+    )
+    code, out, err = run_cli(capsys, "probe", "--input", str(path))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert abs(doc["g_x"] - 0.249999999975) < 1e-15
+
+
 def test_probe_accepts_a_light_state_at_the_norm_tolerance(capsys, tmp_path):
     # moduli squared sum to 1 - 6e-11, inside NORM_TOL: g_x lands 3e-11 above
     # the cap, which the report's range guard must allow

@@ -188,7 +188,7 @@ def test_coherent_guard_matches_the_exact_overlaps(d):
             fiducials.append(np.cos(t) * base.amplitudes + np.sin(t) * noise / np.linalg.norm(noise))
     for values in fiducials:
         f = StateVector.normalized(values)
-        exact = max(np.max(np.abs(f.amplitudes)), np.max(np.abs(system.fourier_dag @ f.amplitudes)))
+        exact = max(np.max(np.abs(f.amplitudes)), np.max(np.abs(system.fourier.entries.conj() @ f.amplitudes)))
         if exact >= limit:
             with pytest.raises(DegenerateFiducial):
                 system.coherent_state(f, 1, 1)
@@ -204,7 +204,7 @@ def test_coherent_dimension_mismatch(sys3):
 def test_default_fiducial_is_admissible(sys5):
     fid = sys5.default_fiducial()
     assert np.max(np.abs(fid.amplitudes)) < 1.0 - 1e-9
-    assert np.max(np.abs(sys5.fourier_dag @ fid.amplitudes)) < 1.0 - 1e-9
+    assert np.max(np.abs(sys5.fourier.entries.conj() @ fid.amplitudes)) < 1.0 - 1e-9
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -373,13 +373,15 @@ def test_position_probs_are_diagonal(sys3):
     assert abs(px.probs.sum() - 1.0) <= 1e-10
 
 
-def test_momentum_probs_match_reference_rotation(sys5):
-    # reference route: conjugate by an independently built Fourier matrix
-    rho = random_density_matrix(5, 12)
-    f = reference_fourier(5)
-    want = np.diagonal(f.conj().T @ rho.entries @ f).real
-    got = sys5.momentum_probs(rho).probs
-    assert np.max(np.abs(got - want)) < 1e-12
+def test_momentum_probs_match_reference_rotation():
+    # reference route: the full rotation F^dag rho F by an independently
+    # built Fourier matrix, against the diagonal-only product
+    for d in (3, 5, 101, 201):
+        rho = random_density_matrix(d, 12)
+        f = reference_fourier(d)
+        want = np.diagonal(f.conj().T @ rho.entries @ f).real
+        got = new_system(d).momentum_probs(rho).probs
+        assert np.max(np.abs(got - want)) < 1e-12, d
 
 
 def test_momentum_projector_probs(sys3):
@@ -417,7 +419,7 @@ def test_state_path_matches_density_path(d):
     for label, state in _pure_states(system, rng):
         rho = pure_density(state)
         phi = momentum_amplitudes(state)
-        assert np.max(np.abs(phi - system.fourier_dag @ state.amplitudes)) <= 1e-12, label
+        assert np.max(np.abs(phi - system.fourier.entries.conj() @ state.amplitudes)) <= 1e-12, label
         for pick in (system.position_probs, system.momentum_probs):
             fast, dense = pick(state), pick(rho)
             assert np.max(np.abs(fast.probs - dense.probs)) <= 1e-12, label
@@ -440,11 +442,11 @@ def test_fourier_is_built_on_first_use_and_kept():
     system.momentum_probs(state)
     system.coherent_state(system.default_fiducial(), 1, 2)
     system.momentum_state(3)
-    assert "fourier" not in vars(system) and "fourier_dag" not in vars(system)
-    fdag = system.fourier_dag
-    assert system.fourier_dag is fdag and system.fourier.entries is system.fourier.entries
-    assert fdag.flags.c_contiguous and not fdag.flags.writeable
-    assert np.array_equal(fdag, system.fourier.entries.conj().T)
+    assert "fourier" not in vars(system)
+    f = system.fourier.entries
+    assert system.fourier.entries is f
+    # the search takes F^dag as f.conj(), which needs F to be exactly symmetric
+    assert np.array_equal(f, f.T)
 
 
 def test_probability_clamping():
@@ -565,20 +567,27 @@ def test_trusted_results_pass_the_public_validators(d):
         validate_density(r.entries)
     for r in densities:
         for p in (system.position_probs(r), system.momentum_probs(r)):
+            assert not p.probs.flags.writeable and p.probs.min() >= 0.0
+            ProbabilityDistribution(p.probs)
             curve = lorenz_curve(p)
             assert not curve.values.flags.writeable and not curve.permutation.order.flags.writeable
             LorenzCurve(OrderingPermutation(d, curve.permutation.order), curve.values)
 
 
 def test_internal_ops_skip_the_dense_revalidation(monkeypatch, capsys):
-    # eigvalsh (positivity) and U U^dag (unitarity) run only at the boundary,
-    # never on the way from a dimension to a report or an estimate
+    # eigvalsh (positivity), U U^dag (unitarity) and the distribution checks
+    # run only at the boundary, never on the way from a dimension or a
+    # sampled state to a report, an estimate or a distribution
     def refuse(*args, **kwargs):
         raise AssertionError("validation ran on an internal result")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    for cls in (UnitaryMatrix, DensityMatrix, OrderingPermutation, LorenzCurve):
+    for cls in (UnitaryMatrix, DensityMatrix, ProbabilityDistribution, OrderingPermutation, LorenzCurve):
         monkeypatch.setattr(cls, "__init__", refuse)
     assert cli.run(["example", "--dim", "5"]) == 0
     assert cli.run(["estimate", "--dim", "5", "--restarts", "2", "--iters", "50"]) == 0
     capsys.readouterr()
+    system = new_system(5)
+    rho = random_density_matrix(5, 13)
+    for p in (system.position_probs(rho), system.momentum_probs(rho)):
+        assert abs(p.probs.sum() - 1.0) <= 1e-10

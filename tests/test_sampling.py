@@ -28,16 +28,6 @@ def test_generator_passthrough_advances():
     assert not np.array_equal(a.amplitudes, b.amplitudes)
 
 
-def test_pure_component_count():
-    rho = random_density_matrix(5, 1, components=1)
-    # rank one: a single eigenvalue at 1
-    eigs = np.linalg.eigvalsh(rho.entries)
-    assert abs(eigs[-1] - 1.0) <= 1e-10
-    assert np.max(np.abs(eigs[:-1])) <= 1e-10
-    with pytest.raises(ValueError):
-        random_density_matrix(5, 1, components=0)
-
-
 def test_sampling_checks_dimension():
     with pytest.raises(EvenDimension):
         random_state_vector(4, 0)
@@ -59,10 +49,10 @@ def _looped_state(d, gen):
     return StateVector.normalized(parts[0] + 1j * parts[1]).amplitudes
 
 
-def _looped_density(d, seed, components=None):
+def _looped_density(d, seed):
     # the per-component recipe: weights, then one state and one outer product per component
     gen = np.random.default_rng(seed)
-    k = int(gen.integers(1, d + 1)) if components is None else components
+    k = int(gen.integers(1, d + 1))
     entries = np.zeros((d, d), dtype=np.complex128)
     for w in gen.dirichlet(np.ones(k)):
         amp = _looped_state(d, gen)
@@ -80,6 +70,5 @@ def test_state_sampling_matches_the_one_vector_recipe(d):
 @pytest.mark.parametrize("d", [3, 5, 11, 41])
 def test_density_sampling_matches_the_per_component_recipe(d):
     for seed in range(20):
-        for components in (None, 1):
-            got = random_density_matrix(d, seed, components=components).entries
-            assert np.max(np.abs(got - _looped_density(d, seed, components))) <= 1e-14
+        got = random_density_matrix(d, seed).entries
+        assert np.max(np.abs(got - _looped_density(d, seed))) <= 1e-14

@@ -242,7 +242,7 @@ def sequential_pattern_search(system, x0, max_sweeps, step=INITIAL_STEP, min_ste
     objective, in the order (0, +step), (0, -step), (1, +step), ..., and
     accepts the first improvement at each coordinate.
     """
-    fdag = system.fourier_dag
+    fdag = system.fourier.entries.conj()
     w, scale = gini_weights(system.d)
 
     def objective(x):
