@@ -88,10 +88,10 @@ def _trusted(cls, **fields):
 
     Validation happens once, at the boundary: the public constructors, state
     files and the CLI. Results that satisfy a class's invariants by
-    construction (the Fourier and displacement matrices, projectors of
-    validated states, mixtures, conjugations, measurement distributions,
-    sort orders and partial sums) are wrapped here instead. Arrays are
-    frozen as the constructors freeze them.
+    construction (the Fourier and displacement matrices, basis and coherent
+    states, projectors of validated states, mixtures, conjugations,
+    measurement distributions, sort orders and partial sums) are wrapped
+    here instead. Arrays are frozen as the constructors freeze them.
     """
     obj = cls.__new__(cls)
     for name, value in fields.items():
@@ -284,12 +284,12 @@ class QuantumSystem:
         """Computational basis vector with a single 1 at index r mod d."""
         amp = np.zeros(self.d, dtype=np.complex128)
         amp[r % self.d] = 1.0
-        return StateVector(amp)
+        return _trusted(StateVector, dim=self.d, amplitudes=amp)
 
     def momentum_state(self, r: int) -> StateVector:
         """Fourier image of the r-th position state, i.e. column r of F."""
         column = self._omega_pow[np.arange(self.d) * (r % self.d) % self.d] / np.sqrt(self.d)
-        return StateVector(column)
+        return _trusted(StateVector, dim=self.d, amplitudes=column)
 
     # -- operators --
 
@@ -313,8 +313,9 @@ class QuantumSystem:
         reduced mod d before the table lookup.
         """
         a, b = alpha % self.d, beta % self.d
-        phases = self._omega_pow[(a * np.arange(self.d) - self.half_inverse * a * b) % self.d]
-        return (phases * np.roll(x, b, axis=0).T).T
+        ks = np.arange(self.d)
+        phases = self._omega_pow[(a * ks - self.half_inverse * a * b) % self.d]
+        return (phases * x[(ks - b) % self.d].T).T
 
     # -- coherent states --
 
@@ -327,7 +328,7 @@ class QuantumSystem:
         return StateVector.normalized(np.arange(1, self.d + 1, dtype=np.float64))
 
     def coherent_state(self, fiducial, alpha: int, beta: int) -> StateVector:
-        """Displaced fiducial D(alpha, beta)|f>, renormalized.
+        """Displaced fiducial D(alpha, beta)|f>, with the fiducial's norm.
 
         The fiducial must not coincide with any position or momentum basis
         state, otherwise the displaced family collapses onto a basis; both
@@ -349,7 +350,7 @@ class QuantumSystem:
                     f"fiducial coincides with a basis state: max position overlap {pos:.9f}, "
                     f"max momentum overlap {mom:.9f}"
                 )
-        return StateVector.normalized(self._displaced(f.amplitudes, alpha, beta))
+        return _trusted(StateVector, dim=self.d, amplitudes=self._displaced(f.amplitudes, alpha, beta))
 
     # -- measurement distributions --
 

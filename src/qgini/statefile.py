@@ -116,5 +116,8 @@ def save_state_file(path, state) -> None:
 
 def load_state_file(path):
     """Read a state file and return the validated StateVector or DensityMatrix."""
-    with open(os.fspath(path), "r", encoding="utf-8") as fh:
-        return loads_state(fh.read())
+    try:
+        with open(os.fspath(path), "r", encoding="utf-8") as fh:
+            return loads_state(fh.read())
+    except UnicodeDecodeError as exc:
+        raise InvalidStateFile(f"state file is not UTF-8 text: {exc}") from exc

@@ -161,7 +161,7 @@ def _combined_gini_objective(system: QuantumSystem):
     return objective
 
 
-def _pattern_search(objective, x0, max_sweeps, record=False):
+def _pattern_search(objective, x0, max_sweeps):
     """Greedy coordinate pattern search on the unit sphere.
 
     One sweep probes the candidates (coordinate 0, +step), (0, -step),
@@ -172,20 +172,20 @@ def _pattern_search(objective, x0, max_sweeps, record=False):
     objective call, so each accepted move costs one block evaluation. A
     sweep without any accepted move halves the step, which starts at
     INITIAL_STEP. Stops when the step drops below MIN_STEP (converged) or
-    the sweep budget is spent. The best value is nondecreasing across
-    sweeps by construction.
+    the sweep budget is spent. Returns the point, its value, whether it
+    converged and the number of sweeps run.
     """
     x = np.array(x0, dtype=np.float64)
     x /= np.linalg.norm(x)
     step = INITIAL_STEP
     best = objective(x[None, :])[0]
-    history = [best] if record else None
     converged = False
     n = x.size
     rows = np.arange(2 * n)
     coords = rows // 2
     signs = np.tile([1.0, -1.0], n)
-    for _ in range(max_sweeps):
+    sweeps = 0
+    for sweeps in range(1, max_sweeps + 1):
         improved = False
         start = 0
         while start < 2 * n:
@@ -203,14 +203,12 @@ def _pattern_search(objective, x0, max_sweeps, record=False):
             improved = True
             # start is even, so row j probes coordinate start // 2 + j // 2
             start += 2 * (j // 2 + 1)
-        if record:
-            history.append(best)
         if not improved:
             step *= 0.5
             if step < MIN_STEP:
                 converged = True
                 break
-    return x, best, converged, history
+    return x, best, converged, sweeps
 
 
 def _gauge_fixed(x: np.ndarray) -> StateVector:

@@ -100,21 +100,39 @@ def test_non_finite_state_file_is_validation_error(capsys, tmp_path, text):
     assert "NaN" in err
 
 
-def test_overflowing_density_file_gets_one_error_line(tmp_path):
-    # a fresh interpreter with default warning filters, so a numpy overflow
-    # warning would reach stderr as it does for a user
+def probe_in_fresh_interpreter(path):
+    # a fresh interpreter with default warning filters, so a numpy warning or
+    # a traceback reaches stderr as it does for a user
     import qgini
 
-    path = tmp_path / "huge.json"
-    path.write_text(huge_density_document(1e308, -1e308))
     src = os.path.dirname(os.path.dirname(qgini.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "qgini.cli", "probe", "--input", str(path)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_overflowing_density_file_gets_one_error_line(tmp_path):
+    path = tmp_path / "huge.json"
+    path.write_text(huge_density_document(1e308, -1e308))
+    proc = probe_in_fresh_interpreter(path)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == "error: matrix is not Hermitian: max |M - M^dag| = inf\n"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe\x00garbage", b'{"dim": 3, "kind": "pure", "amplitudes": "caf\xe9"}'],
+    ids=["binary", "latin-1"],
+)
+def test_file_that_is_not_utf8_gets_one_error_line(tmp_path, raw):
+    path = tmp_path / "state.json"
+    path.write_bytes(raw)
+    proc = probe_in_fresh_interpreter(path)
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: state file is not UTF-8 text")
 
 
 def test_oversize_dimension_is_validation_error(capsys):

@@ -572,6 +572,19 @@ def test_trusted_results_pass_the_public_validators(d):
             curve = lorenz_curve(p)
             assert not curve.values.flags.writeable and not curve.permutation.order.flags.writeable
             LorenzCurve(OrderingPermutation(d, curve.permutation.order), curve.values)
+    states = [system.position_state(a), system.momentum_state(b)]
+    states += [system.coherent_state(fid, a, b) for fid in (system.default_fiducial(), random_state_vector(d, rng))]
+    for st in states:
+        assert not st.amplitudes.flags.writeable
+        StateVector(st.amplitudes)
+    # a raw fiducial inside NORM_TOL: its displaced states keep its norm
+    raw = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    raw *= np.sqrt(1.0 + 5e-11) / np.linalg.norm(raw)
+    for a in range(d):
+        for b in range(d):
+            amp = system.coherent_state(raw, a, b).amplitudes
+            StateVector(amp)
+            assert abs(np.vdot(amp, amp).real - (1.0 + 5e-11)) <= 1e-15
 
 
 def test_internal_ops_skip_the_dense_revalidation(monkeypatch, capsys):
@@ -591,3 +604,15 @@ def test_internal_ops_skip_the_dense_revalidation(monkeypatch, capsys):
     rho = random_density_matrix(5, 13)
     for p in (system.position_probs(rho), system.momentum_probs(rho)):
         assert abs(p.probs.sum() - 1.0) <= 1e-10
+    # the phase-space layer checks only its fiducial: displaced states and
+    # basis states are built without the state-vector constructor
+    fiducials = [system.default_fiducial(), random_state_vector(5, 17)]
+    monkeypatch.setattr(StateVector, "__init__", refuse)
+    monkeypatch.setattr(StateVector, "normalized", refuse)
+    for fid in fiducials:
+        for a, b in [(0, 0), (1, 0), (0, 3), (2, 4), (4, 1), (-1, 7)]:
+            expected = system.displacement(a, b).entries @ fid.amplitudes
+            assert np.max(np.abs(system.coherent_state(fid, a, b).amplitudes - expected)) <= 1e-15
+    for r in range(5):
+        assert system.position_state(r).amplitudes[r] == 1.0
+        assert system.momentum_state(r).dim == 5

@@ -119,6 +119,18 @@ def test_huge_finite_density_entries_rejected_without_overflow(text, error):
         loads_state(text)
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [b"\xff\xfe\x00garbage", b'{"dim": 3, "kind": "pure\xe9", "amplitudes": []}'],
+    ids=["binary", "latin-1"],
+)
+def test_file_that_is_not_utf8_is_invalid_state_file(tmp_path, raw):
+    path = tmp_path / "state.json"
+    path.write_bytes(raw)
+    with pytest.raises(InvalidStateFile, match="^state file is not UTF-8 text"):
+        load_state_file(path)
+
+
 def test_loaded_even_dimension_is_caught_downstream(tmp_path):
     # the file itself is structurally valid; new_system rejects the dimension
     from qgini import EvenDimension, new_system

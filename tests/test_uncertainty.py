@@ -216,10 +216,10 @@ def test_pattern_search_history_is_monotone(sys5):
     objective = _combined_gini_objective(sys5)
     rng = np.random.default_rng(13)
     x0 = rng.standard_normal(10)
-    _, best, _, history = _pattern_search(objective, x0, 300, record=True)
-    hist = np.asarray(history)
+    # a run capped at k sweeps is a prefix of a longer run, so its best value
+    # is the history of the uncapped run at sweep k
+    hist = [_pattern_search(objective, x0, k)[1] for k in (1, 2, 3, 5, 10, 30, 100, 300)]
     assert np.all(np.diff(hist) >= 0.0)
-    assert hist[-1] == best
 
 
 def test_objective_matches_report_pipeline(sys5):
@@ -288,11 +288,11 @@ def test_batched_search_matches_the_sequential_loop(d):
     starts += [np.random.default_rng(split_seed(29, r)).standard_normal(2 * d) for r in range(1, 4)]
     for x0 in starts:
         for sweeps in (2000, 7):
-            x, best, converged, history = _pattern_search(objective, x0, sweeps, record=True)
+            x, best, converged, ran = _pattern_search(objective, x0, sweeps)
             ref_x, ref_best, ref_converged, ref_history = sequential_pattern_search(system, x0, sweeps)
             assert abs(best - ref_best) <= 1e-12
             assert converged == ref_converged
-            assert len(history) == len(ref_history)
+            assert ran == len(ref_history) - 1
             assert np.max(np.abs(x - ref_x)) <= 1e-12
 
 
