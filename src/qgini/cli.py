@@ -137,7 +137,7 @@ def _csv_cell(value) -> str:
         return str(value)
     if isinstance(value, float):
         return float17(value)
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         return ";".join(_csv_cell(item) for item in value)
     return str(value)
 

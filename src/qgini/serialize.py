@@ -1,5 +1,10 @@
 """Number and document formatting shared by state files and the CLI.
 
+A document is a tree of plain Python values: dict, list, str, int, float,
+bool and None (numpy float64 is a float subclass and counts as a float).
+Any other type raises TypeError, so callers convert arrays with
+``tolist()`` before they build a document.
+
 Floats are rendered with 17 significant digits: that is enough for
 ``float(text)`` to recover the exact IEEE double, so every export/import
 cycle is bit-faithful. ``json.dumps`` offers no hook for significant-digit
@@ -9,8 +14,6 @@ emitter below. Parsing stays with :func:`json.loads`.
 
 import json
 import math
-
-import numpy as np
 
 from qgini.errors import ValidationError
 
@@ -24,38 +27,36 @@ def float17(value) -> str:
 
 
 def to_json(document) -> str:
-    """Serialize a dict/list/scalar tree to JSON text, floats via float17.
+    """Serialize a tree of dict, list, str, int, float, bool and None to JSON text.
 
-    Lists whose items are all scalars are kept on one line; everything else
-    is indented by two spaces per level.
+    Floats go through float17. Lists with no dict or list among their items
+    are kept on one line; everything else is indented by two spaces per
+    level. Any other type, numpy arrays, numpy integers and tuples included,
+    raises TypeError.
     """
     pieces: list[str] = []
     _emit(document, pieces, 0)
     return "".join(pieces)
 
 
-def _scalar(node) -> str | None:
-    # bool is an int subclass, so it must be tested first
-    if isinstance(node, (bool, np.bool_)):
-        return "true" if node else "false"
-    if isinstance(node, (int, np.integer)):
-        return str(int(node))
-    if isinstance(node, (float, np.floating)):
+def _scalar(node) -> str:
+    # floats are most of every document, so they are tested first; bool is an
+    # int subclass, so it must be tested before int
+    if isinstance(node, float):
         return float17(node)
+    if isinstance(node, bool):
+        return "true" if node else "false"
+    if isinstance(node, int):
+        return str(int(node))
     if isinstance(node, str):
         return json.dumps(node)
     if node is None:
         return "null"
-    return None
+    raise TypeError(f"cannot serialize object of type {type(node).__name__}")
 
 
 def _emit(node, out: list, level: int) -> None:
-    text = _scalar(node)
-    if text is not None:
-        out.append(text)
-        return
     pad = "  " * (level + 1)
-    close_pad = "  " * level
     if isinstance(node, dict):
         if not node:
             out.append("{}")
@@ -66,22 +67,17 @@ def _emit(node, out: list, level: int) -> None:
             out.append(pad + json.dumps(str(key)) + ": ")
             _emit(value, out, level + 1)
             out.append(",\n" if i < last else "\n")
-        out.append(close_pad + "}")
-    elif isinstance(node, (list, tuple, np.ndarray)):
-        items = list(node)
-        if not items:
-            out.append("[]")
-            return
-        flat = [_scalar(item) for item in items]
-        if all(t is not None for t in flat):
-            out.append("[" + ", ".join(flat) + "]")
+        out.append("  " * level + "}")
+    elif isinstance(node, list):
+        if not any(isinstance(item, (dict, list)) for item in node):
+            out.append("[" + ", ".join(map(_scalar, node)) + "]")
             return
         out.append("[\n")
-        last = len(items) - 1
-        for i, item in enumerate(items):
+        last = len(node) - 1
+        for i, item in enumerate(node):
             out.append(pad)
             _emit(item, out, level + 1)
             out.append(",\n" if i < last else "\n")
-        out.append(close_pad + "]")
+        out.append("  " * level + "]")
     else:
-        raise TypeError(f"cannot serialize object of type {type(node).__name__}")
+        out.append(_scalar(node))

@@ -25,26 +25,17 @@ from qgini.serialize import to_json
 _KINDS = ("pure", "density")
 
 
-def _pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
 def dumps_state(state) -> str:
     """Serialize a StateVector or DensityMatrix to JSON text."""
     if isinstance(state, StateVector):
-        doc = {
-            "dim": state.dim,
-            "kind": "pure",
-            "amplitudes": [_pair(z) for z in state.amplitudes],
-        }
+        kind, field, values = "pure", "amplitudes", state.amplitudes
     elif isinstance(state, DensityMatrix):
-        doc = {
-            "dim": state.dim,
-            "kind": "density",
-            "entries": [[_pair(z) for z in row] for row in state.entries],
-        }
+        kind, field, values = "density", "entries", state.entries
     else:
         raise TypeError(f"cannot serialize {type(state).__name__} as a state file")
+    # [re, im] float pairs in the array's own nesting
+    pairs = np.stack((values.real, values.imag), axis=-1).tolist()
+    doc = {"dim": state.dim, "kind": kind, field: pairs}
     return to_json(doc) + "\n"
 
 
@@ -56,7 +47,9 @@ def loads_state(text: str):
     """Parse state-file text into a StateVector or DensityMatrix."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except InvalidStateFile:  # a NaN or Infinity literal, already named
+        raise
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an integer past the digit limit
         raise InvalidStateFile(f"state file is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise InvalidStateFile("state file must hold a JSON object")
@@ -75,7 +68,7 @@ def loads_state(text: str):
     rows = doc.get("entries")
     if not isinstance(rows, list) or len(rows) != dim:
         raise InvalidStateFile(f"entries must be a list of {dim} rows")
-    entries = np.array([_complex_list(row, dim, "entries row") for row in rows])
+    entries = np.array([_complex_list(row, dim, f"entries[{r}]") for r, row in enumerate(rows)])
     return validate_density(entries)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -59,3 +60,52 @@ def test_to_json_uses_17_digits_inside_documents():
 def test_to_json_rejects_unknown_types():
     with pytest.raises(TypeError):
         to_json({"x": {1, 2}})
+
+
+def test_to_json_golden_bytes():
+    doc = {
+        "outer": {"inner": {"n": 1}, "empty": {}},
+        "flat": [1, -0.5, "s", True, None],
+        "grid": [[0.1, 2], [], [False]],
+        "mixed": [3, {"k": []}],
+        "np": np.float64(1.0) / 3.0,
+        "none": None,
+        "text": 'quote " slash \\ tab \t é',
+    }
+    expected = (
+        '{\n'
+        '  "outer": {\n'
+        '    "inner": {\n'
+        '      "n": 1\n'
+        '    },\n'
+        '    "empty": {}\n'
+        '  },\n'
+        '  "flat": [1, -0.5, "s", true, null],\n'
+        '  "grid": [\n'
+        '    [0.10000000000000001, 2],\n'
+        '    [],\n'
+        '    [false]\n'
+        '  ],\n'
+        '  "mixed": [\n'
+        '    3,\n'
+        '    {\n'
+        '      "k": []\n'
+        '    }\n'
+        '  ],\n'
+        '  "np": 0.33333333333333331,\n'
+        '  "none": null,\n'
+        '  "text": "quote \\" slash \\\\ tab \\t \\u00e9"\n'
+        '}'
+    )
+    assert to_json(doc) == expected
+
+
+@pytest.mark.parametrize(
+    "value",
+    [np.int64(3), np.bool_(True), np.float32(0.5), np.array([1.0, 2.0]), (1.0, 2.0)],
+    ids=["int64", "bool_", "float32", "ndarray", "tuple"],
+)
+def test_to_json_accepts_only_plain_python_values(value):
+    for document in (value, [value], {"x": value}, [[value]]):
+        with pytest.raises(TypeError):
+            to_json(document)

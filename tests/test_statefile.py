@@ -76,6 +76,8 @@ def test_dumps_rejects_other_types():
         '{"dim": 1, "kind": "pure", "amplitudes": [[1e999, 0.0]]}',
         pytest.param('{"dim": 1, "kind": "pure", "amplitudes": [[1' + "0" * 400 + ', 0]]}', id="huge-int"),
         pytest.param("[" * 100000, id="deep-nesting"),
+        pytest.param('{"dim": 1' + "0" * 5000 + ', "kind": "pure", "amplitudes": []}', id="dim-past-digit-limit"),
+        pytest.param('{"dim": 1, "kind": "pure", "amplitudes": [[1' + "0" * 5000 + ', 0]]}', id="amplitude-past-digit-limit"),
     ],
 )
 def test_malformed_documents_rejected(text):
@@ -83,17 +85,28 @@ def test_malformed_documents_rejected(text):
         loads_state(text)
 
 
+_PAIR = " must be a [re, im] pair of finite numbers"
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
-        ('{"dim": 3, "kind": "pure", "amplitudes": [[1, 0], [0, 0], [0, true]]}', "amplitudes[2]"),
-        ('{"dim": 3, "kind": "pure", "amplitudes": [[1, 0], [1' + "0" * 400 + ', 0], [0]]}', "amplitudes[1]"),
-        ('{"dim": 2, "kind": "density", "entries": [[[0.5, 0], [0, 0]], [[0, 0], [1e999, 0]]]}', "entries row[1]"),
-        ('{"dim": 2, "kind": "density", "entries": [[[0.5, 0], [0, 0, 0]], [[0, 0], [0.5, 0]]]}', "entries row[1]"),
+        ('{"dim": 3, "kind": "pure", "amplitudes": [[1, 0], [0, 0], [0, true]]}', "amplitudes[2]" + _PAIR),
+        ('{"dim": 3, "kind": "pure", "amplitudes": [[1, 0], [1' + "0" * 400 + ', 0], [0]]}', "amplitudes[1]" + _PAIR),
+        ('{"dim": 2, "kind": "density", "entries": [[[0.5, 0], [0, 0]], [[0, 0], [1e999, 0]]]}', "entries[1][1]" + _PAIR),
+        ('{"dim": 2, "kind": "density", "entries": [[[0.5, 0], [0, 0, 0]], [[0, 0], [0.5, 0]]]}', "entries[0][1]" + _PAIR),
+        (
+            '{"dim": 3, "kind": "density", "entries": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [["x", 0], [0, 0], [0, 0]]]}',
+            "entries[2][0]" + _PAIR,
+        ),
+        (
+            '{"dim": 3, "kind": "density", "entries": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0]]]}',
+            "entries[2] must be a list of 3 [re, im] pairs",
+        ),
     ],
 )
 def test_bad_pair_is_named_by_its_index(text, message):
-    with pytest.raises(InvalidStateFile, match=rf"^{re.escape(message)} must be a \[re, im\] pair of finite numbers$"):
+    with pytest.raises(InvalidStateFile, match=rf"^{re.escape(message)}$"):
         loads_state(text)
 
 
