@@ -26,7 +26,7 @@ from qgini.errors import ValidationError
 from qgini.gini import GiniReport, gini_index, gini_report
 from qgini.lorenz import lorenz_curve
 from qgini.qsystem import check_dimension, new_system
-from qgini.serialize import float17, to_json
+from qgini.serialize import scalar_text, to_json
 from qgini.statefile import load_state_file
 from qgini.uncertainty import bounds, check_search_budget, estimate_sup_gini, example_state
 
@@ -131,15 +131,12 @@ def _build_record(system, state, label: str, estimate=None) -> dict:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return float17(value)
+    """A string as it is, a flat list joined by ';', any other plain scalar as in JSON."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, list):
-        return ";".join(_csv_cell(item) for item in value)
-    return str(value)
+        return ";".join(map(scalar_text, value))
+    return scalar_text(value)
 
 
 def _emit(rows, fmt: str) -> None:

@@ -89,9 +89,9 @@ def _trusted(cls, **fields):
     Validation happens once, at the boundary: the public constructors, state
     files and the CLI. Results that satisfy a class's invariants by
     construction (the Fourier and displacement matrices, basis and coherent
-    states, projectors of validated states, mixtures, conjugations,
-    measurement distributions, sort orders and partial sums) are wrapped
-    here instead. Arrays are frozen as the constructors freeze them.
+    states, projectors of validated states, mixtures, conjugations and
+    measurement distributions) are wrapped here instead. Arrays are frozen
+    as the constructors freeze them.
     """
     obj = cls.__new__(cls)
     for name, value in fields.items():
@@ -221,6 +221,7 @@ class ProbabilityDistribution:
         p = np.array(probs, dtype=np.float64).ravel()
         if p.size == 0:
             raise ValidationError("distribution has no outcomes")
+        _check_finite(p, "distribution")
         smallest = float(p.min())
         if not smallest >= -PROB_CLIP:
             raise NotPositive(f"probability {smallest:.3e} is negative beyond round-off")

@@ -39,7 +39,8 @@ def to_json(document) -> str:
     return "".join(pieces)
 
 
-def _scalar(node) -> str:
+def scalar_text(node) -> str:
+    """JSON text of one float, bool, int, str or None; TypeError for anything else."""
     # floats are most of every document, so they are tested first; bool is an
     # int subclass, so it must be tested before int
     if isinstance(node, float):
@@ -70,7 +71,7 @@ def _emit(node, out: list, level: int) -> None:
         out.append("  " * level + "}")
     elif isinstance(node, list):
         if not any(isinstance(item, (dict, list)) for item in node):
-            out.append("[" + ", ".join(map(_scalar, node)) + "]")
+            out.append("[" + ", ".join(map(scalar_text, node)) + "]")
             return
         out.append("[\n")
         last = len(node) - 1
@@ -80,4 +81,4 @@ def _emit(node, out: list, level: int) -> None:
             out.append(",\n" if i < last else "\n")
         out.append("  " * level + "]")
     else:
-        out.append(_scalar(node))
+        out.append(scalar_text(node))

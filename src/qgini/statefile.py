@@ -15,6 +15,7 @@ density-matrix validation.
 import itertools
 import json
 import os
+import sys
 
 import numpy as np
 
@@ -49,8 +50,12 @@ def loads_state(text: str):
         doc = json.loads(text, parse_constant=_reject_constant)
     except InvalidStateFile:  # a NaN or Infinity literal, already named
         raise
-    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an integer past the digit limit
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InvalidStateFile(f"state file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # valid JSON, but an integer literal Python will not convert
+        raise InvalidStateFile(
+            f"state file holds an integer past Python's limit of {sys.get_int_max_str_digits()} digits"
+        ) from exc
     if not isinstance(doc, dict):
         raise InvalidStateFile("state file must hold a JSON object")
     try:

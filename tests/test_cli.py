@@ -24,7 +24,7 @@ from qgini import (
     validate_density,
 )
 from qgini.checks import MAX_SAMPLES
-from qgini.cli import SWEEP_COLUMNS, run
+from qgini.cli import SWEEP_COLUMNS, _csv_cell, run
 from qgini.uncertainty import MAX_ITERATIONS, MAX_RESTARTS
 
 from conftest import huge_density_document
@@ -121,11 +121,14 @@ def test_overflowing_density_file_gets_one_error_line(tmp_path):
     assert proc.stderr == "error: matrix is not Hermitian: max |M - M^dag| = inf\n"
 
 
+_PAST_DIGIT_LIMIT = "error: state file holds an integer past Python's limit of "
+
+
 @pytest.mark.parametrize(
     "text, first_words",
     [
-        ('{"dim": 1' + "0" * 5000 + ', "kind": "pure", "amplitudes": []}', "error: state file"),
-        ('{"dim": 1, "kind": "pure", "amplitudes": [[1' + "0" * 5000 + ', 0]]}', "error: state file"),
+        ('{"dim": 1' + "0" * 5000 + ', "kind": "pure", "amplitudes": []}', _PAST_DIGIT_LIMIT),
+        ('{"dim": 1, "kind": "pure", "amplitudes": [[1' + "0" * 5000 + ', 0]]}', _PAST_DIGIT_LIMIT),
         (
             '{"dim": 3, "kind": "density", "entries": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0]]]}',
             "error: entries[2] must be a list of 3",
@@ -459,3 +462,11 @@ def test_every_document_is_written(capsys, tmp_path, monkeypatch, argv):
         assert rows and all(None not in row and "" not in row.values() for row in rows)
     else:
         assert isinstance(json.loads(out), (dict, list))
+
+
+@pytest.mark.parametrize(
+    "value", [np.array([0.25, 0.75]), (0.25, 0.75), [[0.25], [0.75]]], ids=["array", "tuple", "nested-list"]
+)
+def test_csv_cell_refuses_what_the_json_writer_refuses(value):
+    with pytest.raises(TypeError):
+        _csv_cell(value)

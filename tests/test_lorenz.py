@@ -8,7 +8,6 @@ from qgini import (
     LorenzCurve,
     OrderingPermutation,
     ProbabilityDistribution,
-    ValidationError,
     comonotonic,
     lorenz_curve,
     ordering_permutation,
@@ -48,11 +47,24 @@ def test_ordering_matches_stable_reference():
         assert got == want
 
 
-def test_ordering_permutation_validation():
-    with pytest.raises(ValidationError):
-        OrderingPermutation(3, [0, 0, 2])
-    with pytest.raises(ValidationError):
-        OrderingPermutation(3, [0, 1])
+@pytest.mark.parametrize(
+    "p",
+    [[0.5, 0.2, 0.3], [0.2, 0.2, 0.6], [0.3, 0.1, 0.3, 0.3], [1.0, 0.0, 0.0], np.full(5, 0.2)],
+    ids=["distinct", "tied-low", "tied-high", "certain", "flat"],
+)
+def test_constructors_derive_from_a_distribution(p):
+    # the classes are the one construction path: same bits as the functions,
+    # read-only arrays
+    pd = dist(p)
+    perm, curve = OrderingPermutation(pd), LorenzCurve(pd)
+    assert perm.dim == curve.dim == curve.permutation.dim == pd.dim
+    order = np.argsort(pd.probs, kind="stable")
+    for got in (perm.order, curve.permutation.order, ordering_permutation(pd).order):
+        assert got.tobytes() == order.tobytes()
+    for got in (curve.values, lorenz_curve(pd).values):
+        assert got.tobytes() == np.cumsum(pd.probs[order]).tobytes()
+    for arr in (perm.order, curve.permutation.order, curve.values):
+        assert not arr.flags.writeable
 
 
 # ---- Lorenz values ----
@@ -135,24 +147,15 @@ def test_only_basis_projectors_stay_flat():
             assert values[d - 2] > 1e-9
 
 
-def test_lorenz_curve_constructor_validation():
-    perm = OrderingPermutation(3, [0, 1, 2])
-    with pytest.raises(ValidationError):
-        LorenzCurve(perm, [0.5, 0.4, 1.0])  # decreasing
-    with pytest.raises(ValidationError):
-        LorenzCurve(perm, [0.5, 0.6, 1.0])  # above the uniform line
-    with pytest.raises(ValidationError):
-        LorenzCurve(perm, [0.1, 0.2, 0.9])  # does not reach 1
-    with pytest.raises(DimensionMismatch):
-        LorenzCurve(perm, [0.1, 1.0])
-
-
 # ---- comonotonicity ----
 
 
 def test_comonotonic_examples():
     assert comonotonic(dist([0.5, 0.3, 0.2]), dist([0.4, 0.35, 0.25]))
     assert not comonotonic(dist([0.5, 0.3, 0.2]), dist([0.2, 0.3, 0.5]))
+    # pair (0, 1) is strictly discordant although the product of its
+    # differences, -1e-340, underflows to -0.0
+    assert not comonotonic(dist([1e-170, 0.0, 1 - 1e-170]), dist([0.0, 1e-170, 1 - 1e-170]))
 
 
 def test_uniform_comonotonic_with_anything():

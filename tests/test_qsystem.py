@@ -8,12 +8,10 @@ from qgini import (
     DimensionTooLarge,
     DimensionTooSmall,
     EvenDimension,
-    LorenzCurve,
     NotFinite,
     NotHermitian,
     NotNormalized,
     NotPositive,
-    OrderingPermutation,
     ProbabilityDistribution,
     StateVector,
     TraceNotOne,
@@ -526,8 +524,10 @@ def test_constructors_reject_non_finite_values(build, bad):
         lambda x: StateVector([x, 0.0, 0.0]),
         lambda x: DensityMatrix(np.diag([x, 0.5, 0.5])),
         lambda x: UnitaryMatrix(np.diag([x, 1.0, 1.0])),
+        # probabilities are real: a complex bad value enters as its imaginary part
+        lambda x: ProbabilityDistribution([x if np.isreal(x) else x.imag, 0.5, 0.5]),
     ],
-    ids=["StateVector", "DensityMatrix", "UnitaryMatrix"],
+    ids=["StateVector", "DensityMatrix", "UnitaryMatrix", "ProbabilityDistribution"],
 )
 def test_non_finite_entries_are_named_before_any_arithmetic(build, bad):
     # RuntimeWarnings are errors in this suite, so a NaN or inf reaching
@@ -571,7 +571,10 @@ def test_trusted_results_pass_the_public_validators(d):
             ProbabilityDistribution(p.probs)
             curve = lorenz_curve(p)
             assert not curve.values.flags.writeable and not curve.permutation.order.flags.writeable
-            LorenzCurve(OrderingPermutation(d, curve.permutation.order), curve.values)
+            assert np.array_equal(np.sort(curve.permutation.order), np.arange(d))
+            assert np.all(np.diff(curve.values) >= 0.0) and curve.values[0] >= 0.0
+            assert np.all(curve.values <= np.arange(1, d + 1) / d + 1e-12)
+            assert abs(curve.values[-1] - 1.0) <= 1e-10
     states = [system.position_state(a), system.momentum_state(b)]
     states += [system.coherent_state(fid, a, b) for fid in (system.default_fiducial(), random_state_vector(d, rng))]
     for st in states:
@@ -595,7 +598,7 @@ def test_internal_ops_skip_the_dense_revalidation(monkeypatch, capsys):
         raise AssertionError("validation ran on an internal result")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    for cls in (UnitaryMatrix, DensityMatrix, ProbabilityDistribution, OrderingPermutation, LorenzCurve):
+    for cls in (UnitaryMatrix, DensityMatrix, ProbabilityDistribution):
         monkeypatch.setattr(cls, "__init__", refuse)
     assert cli.run(["example", "--dim", "5"]) == 0
     assert cli.run(["estimate", "--dim", "5", "--restarts", "2", "--iters", "50"]) == 0

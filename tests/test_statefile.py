@@ -57,6 +57,12 @@ def test_dumps_rejects_other_types():
         dumps_state([1, 2, 3])
 
 
+_PAST_DIGIT_LIMIT = [
+    pytest.param('{"dim": 1' + "0" * 5000 + ', "kind": "pure", "amplitudes": []}', id="dim-past-digit-limit"),
+    pytest.param('{"dim": 1, "kind": "pure", "amplitudes": [[1' + "0" * 5000 + ', 0]]}', id="amplitude-past-digit-limit"),
+]
+
+
 @pytest.mark.parametrize(
     "text",
     [
@@ -76,12 +82,18 @@ def test_dumps_rejects_other_types():
         '{"dim": 1, "kind": "pure", "amplitudes": [[1e999, 0.0]]}',
         pytest.param('{"dim": 1, "kind": "pure", "amplitudes": [[1' + "0" * 400 + ', 0]]}', id="huge-int"),
         pytest.param("[" * 100000, id="deep-nesting"),
-        pytest.param('{"dim": 1' + "0" * 5000 + ', "kind": "pure", "amplitudes": []}', id="dim-past-digit-limit"),
-        pytest.param('{"dim": 1, "kind": "pure", "amplitudes": [[1' + "0" * 5000 + ', 0]]}', id="amplitude-past-digit-limit"),
+        *_PAST_DIGIT_LIMIT,
     ],
 )
 def test_malformed_documents_rejected(text):
     with pytest.raises(InvalidStateFile):
+        loads_state(text)
+
+
+@pytest.mark.parametrize("text", _PAST_DIGIT_LIMIT)
+def test_integer_past_the_digit_limit_is_named(text):
+    # valid JSON, so the message names Python's limit instead of calling it invalid
+    with pytest.raises(InvalidStateFile, match=r"^state file holds an integer past Python's limit of \d+ digits$"):
         loads_state(text)
 
 
