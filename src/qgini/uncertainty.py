@@ -9,6 +9,8 @@ explicit superposition state and sharpens the bracket with derivative-free
 search over pure states.
 """
 
+import bisect
+
 import numpy as np
 
 from qgini.errors import ValidationError
@@ -19,6 +21,11 @@ from qgini.sampling import split_seed
 INITIAL_STEP = 0.3
 MIN_STEP = 1e-7
 BRACKET_SLACK = 1e-9
+# candidates one search probes per round until a window finds no improvement
+PROBE_ROWS = 8
+# ceiling on the memory of one round of the lockstep search: its candidate
+# block and the objective's temporaries
+_ROUND_BYTES = 32 * 2**20
 
 # Budget ceilings, far above the defaults (32 restarts, 2000 sweeps): a
 # larger request is refused before any work rather than left to run for
@@ -161,54 +168,98 @@ def _combined_gini_objective(system: QuantumSystem):
     return objective
 
 
-def _pattern_search(objective, x0, max_sweeps):
-    """Greedy coordinate pattern search on the unit sphere.
+def _row_norms(block: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row as an (m, 1) column.
 
-    One sweep probes the candidates (coordinate 0, +step), (0, -step),
-    (1, +step), ... in that order, renormalizing each back to the sphere,
-    and accepts the first that improves on the best value; the sweep then
-    resumes at the next coordinate. All candidates still ahead in the sweep
-    are built from the current point as one block and scored by one
-    objective call, so each accepted move costs one block evaluation. A
-    sweep without any accepted move halves the step, which starts at
-    INITIAL_STEP. Stops when the step drops below MIN_STEP (converged) or
-    the sweep budget is spent. Returns the point, its value, whether it
-    converged and the number of sweeps run.
+    Per-row dot products, each rounded as np.linalg.norm rounds one vector,
+    so a row's norm does not depend on the block it sits in.
     """
-    x = np.array(x0, dtype=np.float64)
-    x /= np.linalg.norm(x)
-    step = INITIAL_STEP
-    best = objective(x[None, :])[0]
-    converged = False
-    n = x.size
-    rows = np.arange(2 * n)
-    coords = rows // 2
+    return np.sqrt(np.matmul(block[:, None, :], block[:, :, None]))[:, 0]
+
+
+def _pattern_search(objective, starts, max_sweeps):
+    """Greedy coordinate pattern search on the unit sphere, every start in lockstep.
+
+    Each start (a row of the (R, n) stack) runs its own search. One sweep
+    probes the candidates (coordinate 0, +step), (0, -step), (1, +step), ...
+    in that order, renormalizing each back to the sphere, and accepts the
+    first that improves on the best value; the sweep then resumes at the
+    next coordinate. A sweep without any accepted move halves the step,
+    which starts at INITIAL_STEP. A search stops when its step drops below
+    MIN_STEP (converged) or its sweep budget is spent.
+
+    The searches advance in rounds. Each round stacks the next candidates of
+    every live search into one block and scores it with one objective call.
+    A search probes a window of PROBE_ROWS candidates; the window doubles
+    after each window without an improvement (the point is then unchanged,
+    so the next window continues the same sweep) and resets after each
+    accepted move. One round's block and the objective's temporaries stay
+    under _ROUND_BYTES: searches that do not fit wait for the next round,
+    and a window never outgrows the ceiling, but a round always takes at
+    least one search. Because the objective scores a row the same whatever
+    block it is in, each search accepts exactly the moves it would accept
+    run alone with its whole sweep scored at once, whatever the windows and
+    the waiting. Returns one (point, value, converged, sweeps run) per start.
+    """
+    x = np.array(starts, dtype=np.float64)
+    x /= _row_norms(x)
+    best = objective(x)
+    count, n = x.shape
+    # a block row is 8n bytes; the objective's temporaries take about 3x more
+    max_rows = max(1, _ROUND_BYTES // (32 * n))
+    probe = min(PROBE_ROWS, max_rows)
+    coords = np.arange(2 * n) // 2
     signs = np.tile([1.0, -1.0], n)
-    sweeps = 0
-    for sweeps in range(1, max_sweeps + 1):
-        improved = False
-        start = 0
-        while start < 2 * n:
-            m = 2 * n - start
-            block = np.repeat(x[None, :], m, axis=0)
-            block[rows[:m], coords[start:]] += signs[start:] * step
-            # per-row dot products, rounded as np.linalg.norm rounds one vector
-            block /= np.sqrt(np.matmul(block[:, None, :], block[:, :, None]))[:, 0]
-            vals = objective(block)
-            better = vals > best
-            j = int(better.argmax())
-            if not better[j]:
+    step = np.full(count, INITIAL_STEP)
+    start = [0] * count  # next candidate of each search's current sweep
+    window = [probe] * count
+    improved = [False] * count
+    converged = [False] * count
+    sweeps = [1] * count
+    live = list(range(count))
+    while live:
+        ids, offsets, rows, total = [], [], [], 0
+        for r in live:
+            m = min(window[r], 2 * n - start[r])
+            if ids and total + m > max_rows:
                 break
-            x, best = block[j].copy(), vals[j]
-            improved = True
-            # start is even, so row j probes coordinate start // 2 + j // 2
-            start += 2 * (j // 2 + 1)
-        if not improved:
-            step *= 0.5
-            if step < MIN_STEP:
-                converged = True
-                break
-    return x, best, converged, sweeps
+            ids.append(r)
+            offsets.append(total)
+            rows.append(m)
+            total += m
+        # the search each block row belongs to, and the row's candidate index
+        owner = np.array(ids).repeat(rows)
+        cand = np.arange(total) + np.array([start[r] - o for r, o in zip(ids, offsets)]).repeat(rows)
+        block = x.take(owner, axis=0)
+        block[np.arange(total), coords.take(cand)] += signs.take(cand) * step.take(owner)
+        block /= _row_norms(block)
+        vals = objective(block)
+        better = (vals > best.take(owner)).nonzero()[0].tolist()
+        ended = []
+        for r, o, m in zip(ids, offsets, rows):
+            k = bisect.bisect_left(better, o)
+            if k < len(better) and better[k] < o + m:
+                j = better[k]
+                x[r], best[r] = block[j], vals[j]
+                start[r] = 2 * ((start[r] + j - o) // 2 + 1)  # the next coordinate
+                window[r] = probe
+                improved[r] = True
+            else:
+                start[r] += m
+                window[r] = min(2 * window[r], max_rows)
+            if start[r] == 2 * n:
+                if not improved[r]:
+                    step[r] *= 0.5
+                    converged[r] = bool(step[r] < MIN_STEP)
+                if converged[r] or sweeps[r] == max_sweeps:
+                    ended.append(r)
+                else:
+                    sweeps[r] += 1
+                    start[r] = 0
+                    improved[r] = False
+        if ended:
+            live = [r for r in live if r not in ended]
+    return [(x[r], best[r], converged[r], sweeps[r]) for r in range(count)]
 
 
 def _gauge_fixed(x: np.ndarray) -> StateVector:
@@ -233,32 +284,27 @@ def estimate_sup_gini(
     parameterized by 2d reals. Each restart performs a coordinate pattern
     search (one iteration = one full sweep of the 2d coordinates, probing
     +step and -step, halving the step after sweeps without improvement,
-    stopping below MIN_STEP).
+    stopping below MIN_STEP); all restarts run in lockstep, their candidates
+    scored together in rounds of bounded memory (see _pattern_search).
 
     Restart 0 starts from the example superposition state, which pins the
     estimate at or above the closed-form lower bound. Restart r >= 1 starts
     from a standard-normal vector drawn from numpy's default generator seeded
-    with split_seed(seed, r), so a fixed (dimension, restarts, iterations,
-    seed) tuple reproduces the result bit for bit, regardless of how restarts
-    would be scheduled. The reported value is the maximum over restarts, ties
-    resolved toward the lowest restart index.
+    with split_seed(seed, r). Each restart's result is the one it reaches run
+    alone, so a fixed (dimension, restarts, iterations, seed) tuple
+    reproduces the result bit for bit. The reported value is the maximum over
+    restarts, ties resolved toward the lowest restart index.
     """
     check_search_budget(restarts, iterations)
     d = system.d
     objective = _combined_gini_objective(system)
     bound_set = BoundSet(d)
-    best_val = -np.inf
-    best_x = None
-    best_converged = False
-    for r in range(restarts):
-        if r == 0:
-            x0 = np.ascontiguousarray(example_state(system).amplitudes).view(np.float64)
-        else:
-            rng = np.random.default_rng(split_seed(seed, r))
-            x0 = rng.standard_normal(2 * d)
-        x, val, converged, _ = _pattern_search(objective, x0, iterations)
-        if val > best_val:
-            best_val, best_x, best_converged = val, x, converged
+    starts = np.empty((restarts, 2 * d))
+    starts[0] = np.ascontiguousarray(example_state(system).amplitudes).view(np.float64)
+    for r in range(1, restarts):
+        starts[r] = np.random.default_rng(split_seed(seed, r)).standard_normal(2 * d)
+    results = _pattern_search(objective, starts, iterations)
+    best_x, best_val, best_converged, _ = max(results, key=lambda result: result[1])
     return EtaEstimate(
         dim=d,
         g_sup_estimate=float(best_val),

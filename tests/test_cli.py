@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -343,6 +344,31 @@ def test_estimate_is_deterministic_through_the_cli(capsys):
 
 
 # ---- sweep ----
+
+
+# stdout saved from the one-restart-at-a-time search; the lockstep search
+# must take exactly the same moves, so it prints the same bytes
+SAVED_OUTPUT = Path(__file__).parent / "data"
+SEARCH_BUDGET = ["--restarts", "4", "--iters", "2000", "--seed", "7"]
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["estimate", "--dim", "5", *SEARCH_BUDGET], "estimate-d5-r4-i2000-s7.json"),
+        (["estimate", "--dim", "11", *SEARCH_BUDGET], "estimate-d11-r4-i2000-s7.json"),
+        (["estimate", "--dim", "21", *SEARCH_BUDGET], "estimate-d21-r4-i2000-s7.json"),
+        (["estimate", "--dim", "7"], "estimate-d7-default.json"),
+        (
+            ["sweep", "--dims", "3,5,7", "--restarts", "4", "--iters", "500", "--seed", "7", "--format", "csv"],
+            "sweep-d3-5-7-r4-i500-s7.csv",
+        ),
+    ],
+)
+def test_search_prints_the_saved_bytes(capsys, argv, name):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (SAVED_OUTPUT / name).read_bytes()
 
 
 def test_sweep_json_rows_in_order(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from qgini import (
     new_system,
     pure_density,
     split_seed,
+    uncertainty,
 )
 from qgini.gini import gini_weights
 from qgini.qsystem import MAX_DIM
@@ -218,7 +220,7 @@ def test_pattern_search_history_is_monotone(sys5):
     x0 = rng.standard_normal(10)
     # a run capped at k sweeps is a prefix of a longer run, so its best value
     # is the history of the uncapped run at sweep k
-    hist = [_pattern_search(objective, x0, k)[1] for k in (1, 2, 3, 5, 10, 30, 100, 300)]
+    hist = [_pattern_search(objective, x0[None, :], k)[0][1] for k in (1, 2, 3, 5, 10, 30, 100, 300)]
     assert np.all(np.diff(hist) >= 0.0)
 
 
@@ -280,20 +282,102 @@ def sequential_pattern_search(system, x0, max_sweeps, step=INITIAL_STEP, min_ste
     return x, best, converged, history
 
 
+def search_starts(system, count, seed=29):
+    """The estimator's starts: the example state, then seeded normal vectors."""
+    d = system.d
+    starts = [np.ascontiguousarray(example_state(system).amplitudes).view(np.float64)]
+    starts += [np.random.default_rng(split_seed(seed, r)).standard_normal(2 * d) for r in range(1, count)]
+    return np.array(starts)
+
+
 @pytest.mark.parametrize("d", [3, 5, 7, 11])
 def test_batched_search_matches_the_sequential_loop(d):
     system = new_system(d)
     objective = _combined_gini_objective(system)
-    starts = [np.ascontiguousarray(example_state(system).amplitudes).view(np.float64)]
-    starts += [np.random.default_rng(split_seed(29, r)).standard_normal(2 * d) for r in range(1, 4)]
-    for x0 in starts:
+    for x0 in search_starts(system, 4):
         for sweeps in (2000, 7):
-            x, best, converged, ran = _pattern_search(objective, x0, sweeps)
+            [(x, best, converged, ran)] = _pattern_search(objective, x0[None, :], sweeps)
             ref_x, ref_best, ref_converged, ref_history = sequential_pattern_search(system, x0, sweeps)
             assert abs(best - ref_best) <= 1e-12
             assert converged == ref_converged
             assert ran == len(ref_history) - 1
             assert np.max(np.abs(x - ref_x)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 5, 7, 11])
+def test_lockstep_search_matches_each_start_alone(d):
+    system = new_system(d)
+    objective = _combined_gini_objective(system)
+    starts = search_starts(system, 9)
+    for sweeps in (7, 2000):
+        alone = [_pattern_search(objective, x0[None, :], sweeps)[0] for x0 in starts]
+        reference = [sequential_pattern_search(system, x0, sweeps) for x0 in starts]
+        for count in (1, 4, 9):
+            results = _pattern_search(objective, starts[:count], sweeps)
+            assert len(results) == count
+            for result, own, ref in zip(results, alone, reference):
+                x, best, converged, ran = result
+                ref_x, ref_best, ref_converged, ref_history = ref
+                assert abs(best - ref_best) <= 1e-12
+                assert np.max(np.abs(x - ref_x)) <= 1e-12
+                assert converged == ref_converged
+                assert ran == len(ref_history) - 1
+                assert np.array_equal(x, own[0]) and best == own[1]
+                assert (converged, ran) == own[2:]
+        ran = [result[3] for result in alone]
+        if sweeps == 7:
+            assert ran == [7] * 9  # every search spends the budget
+        else:
+            assert len(set(ran)) > 1  # the searches stop at different rounds
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
+    system = new_system(11)
+    fdag_bytes = system.fourier.entries.nbytes
+    objective = _combined_gini_objective(system)
+    starts = search_starts(system, 9)
+    block_rows = []
+
+    def recording(block):
+        block_rows.append(len(block))
+        return objective(block)
+
+    free = _pattern_search(recording, starts, 2000)
+    free_rows = max(block_rows[1:])  # the first call scores the starts
+    free_estimate = estimate_sup_gini(system, restarts=9, iterations=2000, seed=3)
+
+    # room for 20 rows at d = 11 (32 bytes per real); the 9 first windows take 72
+    ceiling = 20 * 32 * 22
+    monkeypatch.setattr(uncertainty, "_ROUND_BYTES", ceiling)
+    block_rows.clear()
+    capped = _pattern_search(recording, starts, 2000)
+    assert max(block_rows[1:]) <= 20 < free_rows
+    for (x, best, converged, ran), (fx, fbest, fconverged, fran) in zip(capped, free):
+        assert np.array_equal(x, fx) and best == fbest
+        assert (converged, ran) == (fconverged, fran)
+
+    def estimate():
+        return estimate_sup_gini(system, restarts=9, iterations=2000, seed=3)
+
+    capped_estimate = estimate()
+    assert capped_estimate.g_sup_estimate == free_estimate.g_sup_estimate
+    assert np.array_equal(capped_estimate.best_state.amplitudes, free_estimate.best_state.amplitudes)
+    assert capped_estimate.converged == free_estimate.converged
+
+    # what one search's full sweep takes today: the 4d x 2d block and the
+    # objective's temporaries
+    x0 = starts[1] / np.linalg.norm(starts[1])
+    full_sweep = traced_peak(lambda: objective(np.repeat(x0[None, :], 4 * 11, axis=0)))
+    assert traced_peak(estimate) <= ceiling + fdag_bytes + full_sweep
 
 
 def test_eta_estimate_validation():
