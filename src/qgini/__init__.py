@@ -42,13 +42,11 @@ from qgini.lorenz import (
     OrderingPermutation,
     comonotonic,
     lorenz_curve,
-    ordering_permutation,
 )
 from qgini.gini import GiniReport, gini_cap, gini_index, gini_report
 from qgini.uncertainty import (
     BoundSet,
     EtaEstimate,
-    bounds,
     estimate_sup_gini,
     example_gini_closed_form,
     example_state,
@@ -84,7 +82,6 @@ __all__ = [
     "UnitaryMatrix",
     "ValidationError",
     "WeightOutOfRange",
-    "bounds",
     "comonotonic",
     "conjugate",
     "estimate_sup_gini",
@@ -97,7 +94,6 @@ __all__ = [
     "lorenz_curve",
     "mix",
     "new_system",
-    "ordering_permutation",
     "pure_density",
     "random_density_matrix",
     "random_state_vector",

@@ -28,7 +28,7 @@ from qgini.lorenz import lorenz_curve
 from qgini.qsystem import check_dimension, new_system
 from qgini.serialize import scalar_text, to_json
 from qgini.statefile import load_state_file
-from qgini.uncertainty import bounds, check_search_budget, estimate_sup_gini, example_state
+from qgini.uncertainty import BoundSet, check_search_budget, estimate_sup_gini, example_state
 
 SWEEP_COLUMNS = (
     "dim",
@@ -97,12 +97,13 @@ def _build_record(system, state, label: str, estimate=None) -> dict:
     """Everything the report commands emit for one state, in output order.
 
     `state` is a StateVector or a DensityMatrix. The estimator block is
-    present only when `estimate` is given.
+    present only when `estimate` is given, and the bracket is then the one
+    the estimate was checked against.
     """
     px, pp = system.position_probs(state), system.momentum_probs(state)
     rep = GiniReport(system.d, gini_index(px), gini_index(pp))
     curve_x, curve_p = lorenz_curve(px), lorenz_curve(pp)
-    bound_set = bounds(system.d)
+    bound_set = BoundSet(system.d) if estimate is None else estimate.bounds
     record = {
         "dim": system.d,
         "state_label": label,
@@ -178,9 +179,9 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _sweep_row(dim: int, args: argparse.Namespace) -> dict:
     system = new_system(dim)
-    bound_set = bounds(dim)
     example_xp = gini_report(system, example_state(system)).g_xp
     estimate = estimate_sup_gini(system, restarts=args.restarts, iterations=args.iters, seed=args.seed)
+    bound_set = estimate.bounds
     return {
         "dim": dim,
         "gini_cap": bound_set.gini_cap,

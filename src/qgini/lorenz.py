@@ -44,11 +44,6 @@ class LorenzCurve:
         return f"LorenzCurve(dim={self.dim})"
 
 
-def ordering_permutation(p: ProbabilityDistribution) -> OrderingPermutation:
-    """Stable ascending argsort of the outcome probabilities."""
-    return OrderingPermutation(p)
-
-
 def lorenz_curve(p: ProbabilityDistribution) -> LorenzCurve:
     """Partial sums of the probabilities in ascending order."""
     return LorenzCurve(p)

@@ -218,14 +218,14 @@ class ProbabilityDistribution:
     """
 
     def __init__(self, probs):
-        p = np.array(probs, dtype=np.float64).ravel()
+        p = np.asarray(probs, dtype=np.float64).ravel()
         if p.size == 0:
             raise ValidationError("distribution has no outcomes")
         _check_finite(p, "distribution")
         smallest = float(p.min())
         if not smallest >= -PROB_CLIP:
             raise NotPositive(f"probability {smallest:.3e} is negative beyond round-off")
-        p[p < 0.0] = 0.0
+        p = _clamped(p)
         dev = abs(float(p.sum()) - 1.0)
         if not dev <= NORM_TOL:
             raise NotNormalized(f"probabilities sum deviates from 1 by {dev:.3e}")
@@ -247,14 +247,13 @@ class QuantumSystem:
     ----------
     d : int
         Hilbert-space dimension, odd and at least 3.
-    omega : complex
-        Primitive d-th root of unity exp(2*pi*i/d).
     half_inverse : int
         Inverse of 2 in Z_d, equal to (d + 1) / 2.
     fourier : UnitaryMatrix
-        F[r, s] = omega**(r*s) / sqrt(d); maps position to momentum basis.
-        Built on first access and kept. F is exactly symmetric, so its
-        adjoint F^dag is the C-contiguous `fourier.entries.conj()`.
+        F[r, s] = omega**(r*s) / sqrt(d) with omega = exp(2*pi*i/d); maps
+        position to momentum basis. Built on first access and kept. F is
+        exactly symmetric, so its adjoint F^dag is the C-contiguous
+        `fourier.entries.conj()`.
 
     Distributions of a pure state never touch F: F^dag psi is the
     orthonormal discrete Fourier transform of psi.
@@ -268,7 +267,6 @@ class QuantumSystem:
         omega_pow = np.exp(2j * np.pi * ks / self.d)
         omega_pow.setflags(write=False)
         self._omega_pow = omega_pow
-        self.omega = complex(omega_pow[1])
 
     @functools.cached_property
     def fourier(self) -> UnitaryMatrix:

@@ -15,7 +15,7 @@ import numpy as np
 
 from qgini.errors import ValidationError
 from qgini.gini import gini_cap, gini_weights
-from qgini.qsystem import QuantumSystem, StateVector, check_budget, check_dimension
+from qgini.qsystem import QuantumSystem, StateVector, _trusted, check_budget, check_dimension
 from qgini.sampling import split_seed
 
 INITIAL_STEP = 0.3
@@ -44,16 +44,17 @@ def example_state(system: QuantumSystem) -> StateVector:
     """Equal superposition of the first position and first momentum state.
 
     Amplitudes are d**(1/4) / sqrt(2*sqrt(d) + 2) * (|X;0> + |P;0>), already
-    normalized. Position and momentum distributions coincide (one enhanced
-    outcome, d-1 equal small ones), and the combined Gini index takes the
-    closed form returned by :func:`example_gini_closed_form`, the reference
-    lower bound on the supremum.
+    normalized, so they are wrapped without the constructor's checks.
+    Position and momentum distributions coincide (one enhanced outcome, d-1
+    equal small ones), and the combined Gini index takes the closed form
+    returned by :func:`example_gini_closed_form`, the reference lower bound
+    on the supremum.
     """
     d = system.d
     c = d**0.25 / np.sqrt(2.0 * np.sqrt(d) + 2.0)
     amp = np.full(d, c / np.sqrt(d), dtype=np.complex128)
     amp[0] += c
-    return StateVector(amp)
+    return _trusted(StateVector, dim=d, amplitudes=amp)
 
 
 def example_gini_closed_form(d: int) -> float:
@@ -85,11 +86,6 @@ class BoundSet:
 
     def __repr__(self):
         return f"BoundSet(dim={self.dim})"
-
-
-def bounds(d: int) -> BoundSet:
-    """Analytic bracket for the combined index and the coefficient at dimension d."""
-    return BoundSet(d)
 
 
 class EtaEstimate:

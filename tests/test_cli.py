@@ -12,6 +12,7 @@ import pytest
 
 from qgini import (
     QuantumSystem,
+    StateVector,
     checks,
     cli,
     estimate_sup_gini,
@@ -101,17 +102,30 @@ def test_non_finite_state_file_is_validation_error(capsys, tmp_path, text):
     assert err == "error: state file holds the non-finite number NaN\n"
 
 
-def probe_in_fresh_interpreter(path):
-    # a fresh interpreter with default warning filters, so a numpy warning or
-    # a traceback reaches stderr as it does for a user
+def in_fresh_interpreter(*argv):
+    # `python -m <argv>` with the package's source directory on PYTHONPATH,
+    # as an uninstalled checkout runs it
     import qgini
 
     src = os.path.dirname(os.path.dirname(qgini.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run(
-        [sys.executable, "-m", "qgini.cli", "probe", "--input", str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True, env=env, timeout=120)
+
+
+def probe_in_fresh_interpreter(path):
+    # a fresh interpreter with default warning filters, so a numpy warning or
+    # a traceback reaches stderr as it does for a user
+    return in_fresh_interpreter("qgini.cli", "probe", "--input", str(path))
+
+
+def test_python_dash_m_runs_the_command(capsys):
+    proc = in_fresh_interpreter("qgini", "example", "--dim", "3")
+    assert proc.returncode == 0 and proc.stderr == ""
+    code, out, _ = run_cli(capsys, "example", "--dim", "3")
+    assert code == 0 and proc.stdout == out
+    proc = in_fresh_interpreter("qgini", "example", "--dim", "4")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == "error: dimension must be odd, got 4\n"
 
 
 def test_overflowing_density_file_gets_one_error_line(tmp_path):
@@ -371,6 +385,49 @@ def test_search_prints_the_saved_bytes(capsys, argv, name):
     assert out.encode() == (SAVED_OUTPUT / name).read_bytes()
 
 
+# saved report stdout: however a report's state and bracket are built, the
+# values are the same arrays, so the bytes must not move. The state files
+# are save_state_file of random_state_vector(5, 7) and
+# random_density_matrix(5, 7); small dimensions keep the bytes independent
+# of the BLAS thread count.
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["example", "--dim", "11"], "example-d11.json"),
+        (["example", "--dim", "11", "--format", "csv"], "example-d11.csv"),
+        (["probe", "--input", str(SAVED_OUTPUT / "pure-d5-s7.json")], "probe-pure-d5-s7.json"),
+        (["probe", "--input", str(SAVED_OUTPUT / "density-d5-s7.json")], "probe-density-d5-s7.json"),
+    ],
+)
+def test_reports_print_the_saved_bytes(capsys, argv, name):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (SAVED_OUTPUT / name).read_bytes()
+
+
+def test_each_bracket_and_state_is_built_once(monkeypatch, capsys):
+    # an estimate record prints the bracket its EtaEstimate was checked
+    # against, and the example state is wrapped, not re-validated
+    built = {"BoundSet": 0, "StateVector": 0}
+
+    def counting(cls):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            built[cls.__name__] += 1
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", wrapper)
+
+    counting(uncertainty.BoundSet)
+    counting(StateVector)
+    assert run(["estimate", "--dim", "5", "--restarts", "2", "--iters", "50"]) == 0
+    assert run(["sweep", "--dims", "3,5", "--restarts", "2", "--iters", "50"]) == 0
+    assert run(["example", "--dim", "5"]) == 0
+    capsys.readouterr()
+    assert built == {"BoundSet": 4, "StateVector": 0}
+
+
 def test_sweep_json_rows_in_order(capsys):
     code, out, err = run_cli(
         capsys, "sweep", "--dims", "3,5", "--restarts", "2", "--iters", "100"
@@ -378,6 +435,8 @@ def test_sweep_json_rows_in_order(capsys):
     assert code == 0
     rows = json.loads(out)
     assert [row["dim"] for row in rows] == [3, 5]
+    # a JSON row holds the CSV columns, in the CSV order
+    assert all(tuple(row) == SWEEP_COLUMNS for row in rows)
     r3 = rows[0]
     assert abs(r3["gini_cap"] - 0.5) < 1e-12
     assert abs(r3["g_lower"] - 0.6830127) < 1e-7

@@ -10,7 +10,6 @@ from qgini import (
     ProbabilityDistribution,
     comonotonic,
     lorenz_curve,
-    ordering_permutation,
     pure_density,
     random_density_matrix,
     random_state_vector,
@@ -27,12 +26,12 @@ def dist(values) -> ProbabilityDistribution:
 
 
 def test_ordering_simple():
-    assert list(ordering_permutation(dist([0.5, 0.2, 0.3])).order) == [1, 2, 0]
+    assert list(OrderingPermutation(dist([0.5, 0.2, 0.3])).order) == [1, 2, 0]
 
 
 def test_ordering_breaks_ties_by_index():
-    assert list(ordering_permutation(dist([0.2, 0.2, 0.6])).order) == [0, 1, 2]
-    assert list(ordering_permutation(dist([0.3, 0.1, 0.3, 0.3])).order) == [1, 0, 2, 3]
+    assert list(OrderingPermutation(dist([0.2, 0.2, 0.6])).order) == [0, 1, 2]
+    assert list(OrderingPermutation(dist([0.3, 0.1, 0.3, 0.3])).order) == [1, 0, 2, 3]
 
 
 def test_ordering_matches_stable_reference():
@@ -42,7 +41,7 @@ def test_ordering_matches_stable_reference():
         d = int(rng.integers(3, 10))
         raw = rng.integers(0, 4, size=d).astype(float) + 1.0
         p = raw / raw.sum()
-        got = list(ordering_permutation(dist(p)).order)
+        got = list(OrderingPermutation(dist(p)).order)
         want = sorted(range(d), key=p.__getitem__)
         assert got == want
 
@@ -53,13 +52,13 @@ def test_ordering_matches_stable_reference():
     ids=["distinct", "tied-low", "tied-high", "certain", "flat"],
 )
 def test_constructors_derive_from_a_distribution(p):
-    # the classes are the one construction path: same bits as the functions,
+    # the classes are the one construction path: same bits as lorenz_curve,
     # read-only arrays
     pd = dist(p)
     perm, curve = OrderingPermutation(pd), LorenzCurve(pd)
     assert perm.dim == curve.dim == curve.permutation.dim == pd.dim
     order = np.argsort(pd.probs, kind="stable")
-    for got in (perm.order, curve.permutation.order, ordering_permutation(pd).order):
+    for got in (perm.order, curve.permutation.order):
         assert got.tobytes() == order.tobytes()
     for got in (curve.values, lorenz_curve(pd).values):
         assert got.tobytes() == np.cumsum(pd.probs[order]).tobytes()

@@ -41,8 +41,10 @@ from conftest import reference_fourier
 def test_new_system_constants(sys3):
     assert sys3.d == 3
     assert sys3.half_inverse == 2
-    assert abs(sys3.omega - complex(-0.5, 0.8660254)) < 1e-7
-    assert abs(sys3.omega - np.exp(2j * np.pi / 3)) < 1e-12
+    # the clock phase of D(1, 0) at position 1 is the primitive root exp(2*pi*i/3)
+    omega = sys3.displacement(1, 0).entries[1, 1]
+    assert abs(omega - complex(-0.5, 0.8660254)) < 1e-7
+    assert abs(omega - np.exp(2j * np.pi / 3)) < 1e-12
     assert new_system(7).half_inverse == 4
     assert new_system(11).half_inverse == 6
 
@@ -68,7 +70,8 @@ def test_large_dimension_rejected_before_allocation(bad):
 
 @pytest.mark.parametrize("d", [3, 5, 9])
 def test_omega_is_primitive_root(d):
-    omega = new_system(d).omega
+    # the (1, 1) entry of D(1, 0) is the root the system's phases are built from
+    omega = new_system(d).displacement(1, 0).entries[1, 1]
     assert abs(omega**d - 1.0) < 1e-12
     for k in range(1, d):
         assert abs(omega**k - 1.0) > 1e-12
@@ -99,7 +102,8 @@ def test_displacement_identity(sys3):
 
 def test_displacement_clock_diagonal(sys3):
     got = np.diagonal(sys3.displacement(1, 0).entries)
-    want = np.array([1.0, sys3.omega, sys3.omega**2])
+    omega = np.exp(2j * np.pi / 3)
+    want = np.array([1.0, omega, omega**2])
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -575,7 +579,7 @@ def test_trusted_results_pass_the_public_validators(d):
             assert np.all(np.diff(curve.values) >= 0.0) and curve.values[0] >= 0.0
             assert np.all(curve.values <= np.arange(1, d + 1) / d + 1e-12)
             assert abs(curve.values[-1] - 1.0) <= 1e-10
-    states = [system.position_state(a), system.momentum_state(b)]
+    states = [system.position_state(a), system.momentum_state(b), example_state(system)]
     states += [system.coherent_state(fid, a, b) for fid in (system.default_fiducial(), random_state_vector(d, rng))]
     for st in states:
         assert not st.amplitudes.flags.writeable
@@ -607,8 +611,9 @@ def test_internal_ops_skip_the_dense_revalidation(monkeypatch, capsys):
     rho = random_density_matrix(5, 13)
     for p in (system.position_probs(rho), system.momentum_probs(rho)):
         assert abs(p.probs.sum() - 1.0) <= 1e-10
-    # the phase-space layer checks only its fiducial: displaced states and
-    # basis states are built without the state-vector constructor
+    # the phase-space layer checks only its fiducial: displaced states, basis
+    # states and the example state are built without the state-vector
+    # constructor
     fiducials = [system.default_fiducial(), random_state_vector(5, 17)]
     monkeypatch.setattr(StateVector, "__init__", refuse)
     monkeypatch.setattr(StateVector, "normalized", refuse)
@@ -619,3 +624,4 @@ def test_internal_ops_skip_the_dense_revalidation(monkeypatch, capsys):
     for r in range(5):
         assert system.position_state(r).amplitudes[r] == 1.0
         assert system.momentum_state(r).dim == 5
+    assert example_state(system).dim == 5

@@ -13,7 +13,6 @@ from qgini import (
     EvenDimension,
     StateVector,
     ValidationError,
-    bounds,
     estimate_sup_gini,
     example_gini_closed_form,
     example_state,
@@ -125,18 +124,18 @@ def test_displaced_example_family_shares_the_index(d):
 
 
 def test_bounds_spot_values():
-    b3 = bounds(3)
+    b3 = BoundSet(3)
     assert b3.gini_cap == 0.5
     assert b3.g_strict_upper == 1.0
     assert abs(b3.eta_upper - 0.3169873) < 1e-7
-    b5 = bounds(5)
+    b5 = BoundSet(5)
     assert abs(b5.gini_cap - 0.6666667) < 1e-7
     assert abs(b5.eta_upper - 0.4606553) < 1e-7
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 11, 21])
 def test_bound_identities(d):
-    b = bounds(d)
+    b = BoundSet(d)
     assert abs(b.g_lower + b.eta_upper - b.g_strict_upper) <= 1e-12
     assert abs(b.eta_upper - gini_cap(d) * np.sqrt(d) / (1.0 + np.sqrt(d))) <= 1e-12
     assert 0.0 < b.eta_upper < b.gini_cap
@@ -145,14 +144,14 @@ def test_bound_identities(d):
 
 def test_bounds_validation():
     with pytest.raises(EvenDimension):
-        bounds(4)
+        BoundSet(4)
     with pytest.raises(DimensionTooSmall):
-        bounds(1)
+        BoundSet(1)
     with pytest.raises(EvenDimension):
         example_gini_closed_form(6)
-    assert bounds(MAX_DIM).dim == MAX_DIM
+    assert BoundSet(MAX_DIM).dim == MAX_DIM
     with pytest.raises(DimensionTooLarge):
-        bounds(MAX_DIM + 2)
+        BoundSet(MAX_DIM + 2)
 
 
 # ---- the estimator ----
