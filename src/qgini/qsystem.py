@@ -298,23 +298,24 @@ class QuantumSystem:
         Every entry is an exact root of unity or zero. alpha and beta are
         taken mod d; D(alpha, beta).dagger() equals D(-alpha, -beta) exactly.
         """
-        entries = self._displaced(np.eye(self.d, dtype=np.complex128), alpha, beta)
+        # the displaced rows of the identity are the columns of D
+        entries = self._displaced(np.eye(self.d, dtype=np.complex128), alpha, beta).T
         return _trusted(UnitaryMatrix, dim=self.d, entries=entries)
 
-    def _displaced(self, x: np.ndarray, alpha: int, beta: int) -> np.ndarray:
-        """D(alpha, beta) @ x for a vector or a matrix x, in O(x.size).
+    def _displaced(self, x: np.ndarray, alpha: int, beta: int | np.ndarray) -> np.ndarray:
+        """D(alpha, beta) applied to a vector x or to each row of x, in O(x.size).
 
         D multiplies the m-th position amplitude by omega**(alpha*m), shifts
         position indices by beta, and fixes the overall phase with the factor
-        omega**(-half_inverse*alpha*beta): row s of x moves to row
-        r = (s + beta) % d and is multiplied by
-        omega**((alpha*r - half_inverse*alpha*beta) % d), the exponent
-        reduced mod d before the table lookup.
+        omega**(-half_inverse*alpha*beta): entry s moves to r = (s + beta) % d
+        and is multiplied by omega**((alpha*r - half_inverse*alpha*beta) % d),
+        the exponent reduced mod d before the table lookup. A 1-D array of
+        shifts beta displaces a vector x once per shift, one row each.
         """
-        a, b = alpha % self.d, beta % self.d
+        a, b = alpha % self.d, np.asarray(beta)[..., None] % self.d
         ks = np.arange(self.d)
         phases = self._omega_pow[(a * ks - self.half_inverse * a * b) % self.d]
-        return (phases * x[(ks - b) % self.d].T).T
+        return phases * x[..., (ks - b) % self.d]
 
     # -- coherent states --
 
@@ -330,25 +331,19 @@ class QuantumSystem:
         """Displaced fiducial D(alpha, beta)|f>, with the fiducial's norm.
 
         The fiducial must not coincide with any position or momentum basis
-        state, otherwise the displaced family collapses onto a basis; both
-        overlap moduli maxima must stay below 1 - OVERLAP_TOL.
+        state, otherwise the displaced family collapses onto a basis; the
+        exact overlaps max |f| and max |F^dag f| must stay below 1 - OVERLAP_TOL.
         """
         f = fiducial if isinstance(fiducial, StateVector) else StateVector(fiducial)
         if f.dim != self.d:
             raise DimensionMismatch(f"dimension mismatch: system is {self.d}, fiducial is {f.dim}")
-        moduli = np.abs(f.amplitudes)
-        pos = float(moduli.max())
-        limit = 1.0 - OVERLAP_TOL
-        # every momentum overlap is at most sum |f| / sqrt(d), so the
-        # transform runs only when that bound or the position overlap reaches
-        # the limit (a state spread over many positions clears it at once)
-        if pos >= limit or float(moduli.sum()) >= limit * np.sqrt(self.d):
-            mom = float(np.max(np.abs(momentum_amplitudes(f))))
-            if pos >= limit or mom >= limit:
-                raise DegenerateFiducial(
-                    f"fiducial coincides with a basis state: max position overlap {pos:.9f}, "
-                    f"max momentum overlap {mom:.9f}"
-                )
+        pos = float(np.max(np.abs(f.amplitudes)))
+        mom = float(np.max(np.abs(momentum_amplitudes(f))))
+        if max(pos, mom) >= 1.0 - OVERLAP_TOL:
+            raise DegenerateFiducial(
+                f"fiducial coincides with a basis state: max position overlap {pos:.9f}, "
+                f"max momentum overlap {mom:.9f}"
+            )
         return _trusted(StateVector, dim=self.d, amplitudes=self._displaced(f.amplitudes, alpha, beta))
 
     # -- measurement distributions --

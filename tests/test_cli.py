@@ -405,6 +405,23 @@ def test_reports_print_the_saved_bytes(capsys, argv, name):
     assert out.encode() == (SAVED_OUTPUT / name).read_bytes()
 
 
+# saved check stdout: the coherent suites displace one validated fiducial
+# directly, and their verdicts and margins must equal those of one
+# coherent_state call per pair. d = 11 is the largest dimension where both
+# suites run every displacement pair.
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["check", "--dim", "5", "--samples", "20", "--seed", "7"], "check-d5-n20-s7.json"),
+        (["check", "--dim", "11", "--samples", "20", "--seed", "7"], "check-d11-n20-s7.json"),
+    ],
+)
+def test_checks_print_the_saved_bytes(capsys, argv, name):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (SAVED_OUTPUT / name).read_bytes()
+
+
 def test_each_bracket_and_state_is_built_once(monkeypatch, capsys):
     # an estimate record prints the bracket its EtaEstimate was checked
     # against, and the example state is wrapped, not re-validated

@@ -178,8 +178,6 @@ def test_coherent_rejects_basis_fiducials(sys3):
 
 @pytest.mark.parametrize("d", [3, 5, 41])
 def test_coherent_guard_matches_the_exact_overlaps(d):
-    # the guard skips the transform when sum |f| / sqrt(d) clears the limit;
-    # its verdict must equal the one from the exact overlaps
     system = new_system(d)
     rng = np.random.default_rng(900 + d)
     limit = 1.0 - 1e-9
@@ -262,6 +260,26 @@ def test_coherent_state_builds_no_dense_displacement(monkeypatch, sys5):
     fid = sys5.default_fiducial()
     want = StateVector.normalized(_dense_displacement(5, 2, 3) @ fid.amplitudes).amplitudes
     assert np.max(np.abs(sys5.coherent_state(fid, 2, 3).amplitudes - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [3, 5, 11, 41])
+def test_displaced_shift_array_gives_the_coherent_rows(d):
+    # one call with an array of shifts displaces a fiducial once per shift;
+    # each row must be the coherent state of that shift, bit for bit
+    system = new_system(d)
+    rng = np.random.default_rng(1400 + d)
+    raw = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    raw *= np.sqrt(1.0 + 5e-11) / np.linalg.norm(raw)
+    shifts = np.arange(-d, 2 * d)
+    for fid in (system.default_fiducial().amplitudes, random_state_vector(d, rng).amplitudes, raw):
+        for a in (0, 1, 2, d - 1, -3, d + 4):
+            rows = system._displaced(fid, a, shifts)
+            assert rows.shape == (shifts.size, d)
+            for b, row in zip(shifts, rows):
+                assert np.array_equal(row, system.coherent_state(fid, a, int(b)).amplitudes)
+    for a in (0, 1, 2, d - 1):
+        for b in (0, 1, d - 2, d - 1):
+            assert np.array_equal(system.displacement(a, b).entries, _dense_displacement(d, a, b))
 
 
 # ---- state vectors and density matrices ----
