@@ -16,6 +16,7 @@ impossible budget, failed check), and 2 for unusable command lines.
 
 import argparse
 import csv
+import functools
 import io
 import os
 import sys
@@ -26,7 +27,7 @@ from qgini.errors import ValidationError
 from qgini.gini import GiniReport, gini_index, gini_report
 from qgini.lorenz import lorenz_curve
 from qgini.qsystem import check_dimension, new_system
-from qgini.serialize import scalar_text, to_json
+from qgini.serialize import _scalar_list_text, scalar_text, to_json
 from qgini.statefile import load_state_file
 from qgini.uncertainty import BoundSet, check_search_budget, estimate_sup_gini, example_state
 
@@ -48,7 +49,9 @@ def _dims_list(text: str) -> list:
         raise argparse.ArgumentTypeError(f"expected a comma-separated list of integers, got {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by every run()."""
     parser = argparse.ArgumentParser(
         prog="qgini",
         description="Lorenz values, Gini indices and uncertainty bounds for finite quantum systems.",
@@ -136,7 +139,7 @@ def _csv_cell(value) -> str:
     if isinstance(value, str):
         return value
     if isinstance(value, list):
-        return ";".join(map(scalar_text, value))
+        return _scalar_list_text(value, ";")
     return scalar_text(value)
 
 

@@ -9,7 +9,9 @@ Floats are rendered with 17 significant digits: that is enough for
 ``float(text)`` to recover the exact IEEE double, so every export/import
 cycle is bit-faithful. ``json.dumps`` offers no hook for significant-digit
 formatting (the encoder calls ``float.__repr__`` directly), hence the small
-emitter below. Parsing stays with :func:`json.loads`.
+emitter below. A flat list of exactly-float or exactly-int items, the bulk of
+every report, is formatted in one C-level call; any other list goes item by
+item. Parsing stays with :func:`json.loads`.
 """
 
 import json
@@ -17,13 +19,19 @@ import math
 
 from qgini.errors import ValidationError
 
+# 17 significant digits: the shortest count that round-trips every double
+_FLOAT17 = "%.17g"
+
+# the exact types a list may hold and still be a one-line scalar list
+_SCALAR_TYPES = frozenset({float, int, bool, str, type(None)})
+
 
 def float17(value) -> str:
     """Format one finite float with 17 significant digits."""
     x = float(value)
     if not math.isfinite(x):
         raise ValidationError(f"non-finite value {x!r} cannot be serialized")
-    return format(x, ".17g")
+    return _FLOAT17 % x
 
 
 def to_json(document) -> str:
@@ -56,6 +64,21 @@ def scalar_text(node) -> str:
     raise TypeError(f"cannot serialize object of type {type(node).__name__}")
 
 
+def _scalar_list_text(items: list, sep: str) -> str:
+    """The items' scalar texts joined by `sep`, with the errors scalar_text raises.
+
+    A list of exactly float (with a finite sum, so no NaN or infinity among
+    them) or of exactly int is formatted in one call; anything else, bool
+    and numpy scalars included, goes through scalar_text item by item.
+    """
+    kinds = set(map(type, items))
+    if kinds == {float} and math.isfinite(sum(items)):
+        return sep.join([_FLOAT17] * len(items)) % tuple(items)
+    if kinds == {int}:
+        return sep.join(map(str, items))
+    return sep.join(map(scalar_text, items))
+
+
 def _emit(node, out: list, level: int) -> None:
     pad = "  " * (level + 1)
     if isinstance(node, dict):
@@ -70,8 +93,10 @@ def _emit(node, out: list, level: int) -> None:
             out.append(",\n" if i < last else "\n")
         out.append("  " * level + "}")
     elif isinstance(node, list):
-        if not any(isinstance(item, (dict, list)) for item in node):
-            out.append("[" + ", ".join(map(scalar_text, node)) + "]")
+        # the exact-type test settles plain lists in C; the isinstance scan
+        # is left for lists holding subclasses or containers
+        if _SCALAR_TYPES.issuperset(map(type, node)) or not any(isinstance(item, (dict, list)) for item in node):
+            out.append("[" + _scalar_list_text(node, ", ") + "]")
             return
         out.append("[\n")
         last = len(node) - 1

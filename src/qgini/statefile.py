@@ -73,6 +73,12 @@ def loads_state(text: str):
     rows = doc.get("entries")
     if not isinstance(rows, list) or len(rows) != dim:
         raise InvalidStateFile(f"entries must be a list of {dim} rows")
+    # all d*d pairs are checked at once; only a document that fails (or the
+    # empty one) goes row by row, which names the first bad row or pair
+    if rows and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim}:
+        parts = _finite_parts(list(itertools.chain.from_iterable(rows)))
+        if parts is not None:
+            return validate_density(parts.view(np.complex128).reshape(dim, dim))
     entries = np.array([_complex_list(row, dim, f"entries[{r}]") for r, row in enumerate(rows)])
     return validate_density(entries)
 
@@ -91,10 +97,10 @@ def _complex_list(items, dim: int, what: str) -> np.ndarray:
 def _finite_parts(items: list) -> np.ndarray | None:
     """The (n, 2) float array of n [re, im] pairs of finite numbers, else None.
 
-    Checks the whole list at once. JSON numbers are exactly int or float, so
-    the type test rejects bools.
+    Checks the whole list at once, with set tests that run in C. JSON numbers
+    are exactly int or float, so the type test rejects bools.
     """
-    if not all(type(pair) is list and len(pair) == 2 for pair in items):
+    if not (set(map(type, items)) <= {list} and set(map(len, items)) <= {2}):
         return None
     flat = list(itertools.chain.from_iterable(items))
     if not set(map(type, flat)) <= {int, float}:

@@ -128,6 +128,26 @@ def test_python_dash_m_runs_the_command(capsys):
     assert proc.stderr == "error: dimension must be odd, got 4\n"
 
 
+def test_one_parser_serves_every_call_in_a_process(capsys, monkeypatch):
+    # the parser is built once per process; a usage error or --version must
+    # not leave it printing anything other than a fresh interpreter does
+    monkeypatch.setenv("COLUMNS", "80")
+    calls = [
+        ["example", "--dim", "3", "--format", "xml"],
+        ["--version"],
+        ["example", "--dim", "3"],
+        ["check", "--dim", "5", "--samples", "2"],
+    ]
+    codes = []
+    for argv in calls:
+        proc = in_fresh_interpreter("qgini", *argv)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+        codes.append(code)
+    assert codes == [2, 0, 0, 0]
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_overflowing_density_file_gets_one_error_line(tmp_path):
     path = tmp_path / "huge.json"
     path.write_text(huge_density_document(1e308, -1e308))

@@ -115,6 +115,10 @@ _PAIR = " must be a [re, im] pair of finite numbers"
             '{"dim": 3, "kind": "density", "entries": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [0, 0], [0, 0]], [[0, 0], [0, 0]]]}',
             "entries[2] must be a list of 3 [re, im] pairs",
         ),
+        # the first bad row or pair in reading order is named, whatever comes after it
+        ('{"dim": 2, "kind": "density", "entries": [[[0.5, 0], [0, false]], [[0, 0]]]}', "entries[0][1]" + _PAIR),
+        ('{"dim": 2, "kind": "density", "entries": [[[0.5, 0]], [[0, 0], [0, 1e999]]]}', "entries[0] must be a list of 2 [re, im] pairs"),
+        ('{"dim": 2, "kind": "density", "entries": [[[0.5, 0], [0, 0]], {"0": [0, 0]}]}', "entries[1] must be a list of 2 [re, im] pairs"),
     ],
 )
 def test_bad_pair_is_named_by_its_index(text, message):
