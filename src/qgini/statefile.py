@@ -73,12 +73,6 @@ def loads_state(text: str):
     rows = doc.get("entries")
     if not isinstance(rows, list) or len(rows) != dim:
         raise InvalidStateFile(f"entries must be a list of {dim} rows")
-    # all d*d pairs are checked at once; only a document that fails (or the
-    # empty one) goes row by row, which names the first bad row or pair
-    if rows and set(map(type, rows)) <= {list} and set(map(len, rows)) <= {dim}:
-        parts = _finite_parts(list(itertools.chain.from_iterable(rows)))
-        if parts is not None:
-            return validate_density(parts.view(np.complex128).reshape(dim, dim))
     entries = np.array([_complex_list(row, dim, f"entries[{r}]") for r, row in enumerate(rows)])
     return validate_density(entries)
 

@@ -10,6 +10,7 @@ search over pure states.
 """
 
 import bisect
+import itertools
 
 import numpy as np
 
@@ -21,8 +22,8 @@ from qgini.sampling import split_seed
 INITIAL_STEP = 0.3
 MIN_STEP = 1e-7
 BRACKET_SLACK = 1e-9
-# candidates one search probes per round until a window finds no improvement
-PROBE_ROWS = 8
+# candidates one search probes per round
+PROBE_ROWS = 12
 # ceiling on the memory of one round of the lockstep search: its candidate
 # block and the objective's temporaries
 _ROUND_BYTES = 32 * 2**20
@@ -184,45 +185,37 @@ def _pattern_search(objective, starts, max_sweeps):
     which starts at INITIAL_STEP. A search stops when its step drops below
     MIN_STEP (converged) or its sweep budget is spent.
 
-    The searches advance in rounds. Each round stacks the next candidates of
-    every live search into one block and scores it with one objective call.
-    A search probes a window of PROBE_ROWS candidates; the window doubles
-    after each window without an improvement (the point is then unchanged,
-    so the next window continues the same sweep) and resets after each
-    accepted move. One round's block and the objective's temporaries stay
-    under _ROUND_BYTES: searches that do not fit wait for the next round,
-    and a window never outgrows the ceiling, but a round always takes at
-    least one search. Because the objective scores a row the same whatever
-    block it is in, each search accepts exactly the moves it would accept
-    run alone with its whole sweep scored at once, whatever the windows and
-    the waiting. Returns one (point, value, converged, sweeps run) per start.
+    The searches advance in rounds. Each round stacks the next PROBE_ROWS
+    candidates (fewer at the end of a sweep) of the first live searches into
+    one block and scores it with one objective call. A block and the
+    objective's temporaries stay under _ROUND_BYTES, and so does every call
+    that scores the starts: searches that do not fit wait for the next
+    round, but a round always takes at least one search. Because the
+    objective scores a row the same whatever block it is in, each search
+    accepts exactly the moves it would accept run alone with its whole sweep
+    scored at once, whatever the window and the waiting. Returns one (point,
+    value, converged, sweeps run) per start.
     """
     x = np.array(starts, dtype=np.float64)
     x /= _row_norms(x)
-    best = objective(x)
     count, n = x.shape
     # a block row is 8n bytes; the objective's temporaries take about 3x more
     max_rows = max(1, _ROUND_BYTES // (32 * n))
+    best = np.concatenate([objective(x[i : i + max_rows]) for i in range(0, count, max_rows)])
     probe = min(PROBE_ROWS, max_rows)
+    per_round = max_rows // probe
     coords = np.arange(2 * n) // 2
     signs = np.tile([1.0, -1.0], n)
     step = np.full(count, INITIAL_STEP)
     start = [0] * count  # next candidate of each search's current sweep
-    window = [probe] * count
     improved = [False] * count
     converged = [False] * count
     sweeps = [1] * count
     live = list(range(count))
     while live:
-        ids, offsets, rows, total = [], [], [], 0
-        for r in live:
-            m = min(window[r], 2 * n - start[r])
-            if ids and total + m > max_rows:
-                break
-            ids.append(r)
-            offsets.append(total)
-            rows.append(m)
-            total += m
+        ids = live[:per_round]
+        rows = [min(probe, 2 * n - start[r]) for r in ids]
+        *offsets, total = itertools.accumulate(rows, initial=0)
         # the search each block row belongs to, and the row's candidate index
         owner = np.array(ids).repeat(rows)
         cand = np.arange(total) + np.array([start[r] - o for r, o in zip(ids, offsets)]).repeat(rows)
@@ -238,11 +231,9 @@ def _pattern_search(objective, starts, max_sweeps):
                 j = better[k]
                 x[r], best[r] = block[j], vals[j]
                 start[r] = 2 * ((start[r] + j - o) // 2 + 1)  # the next coordinate
-                window[r] = probe
                 improved[r] = True
             else:
                 start[r] += m
-                window[r] = min(2 * window[r], max_rows)
             if start[r] == 2 * n:
                 if not improved[r]:
                     step[r] *= 0.5

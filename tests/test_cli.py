@@ -397,6 +397,7 @@ SEARCH_BUDGET = ["--restarts", "4", "--iters", "2000", "--seed", "7"]
             ["sweep", "--dims", "3,5,7", "--restarts", "4", "--iters", "500", "--seed", "7", "--format", "csv"],
             "sweep-d3-5-7-r4-i500-s7.csv",
         ),
+        (["estimate", "--dim", "41", *SEARCH_BUDGET], "estimate-d41-r4-i2000-s7.json"),
     ],
 )
 def test_search_prints_the_saved_bytes(capsys, argv, name):

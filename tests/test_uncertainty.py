@@ -303,8 +303,14 @@ def test_batched_search_matches_the_sequential_loop(d):
             assert np.max(np.abs(x - ref_x)) <= 1e-12
 
 
-@pytest.mark.parametrize("d", [3, 5, 7, 11])
-def test_lockstep_search_matches_each_start_alone(d):
+# windows of 3 rows split a coordinate's +/- pair across rounds; 4d rows
+# hold one search's whole sweep
+@pytest.mark.parametrize(
+    "d, probe_rows",
+    [pytest.param(d, 12, id=str(d)) for d in (3, 5, 7, 11)] + [(3, 3)] + [(d, 4 * d) for d in (5, 7, 11)],
+)
+def test_lockstep_search_matches_each_start_alone(monkeypatch, d, probe_rows):
+    monkeypatch.setattr(uncertainty, "PROBE_ROWS", probe_rows)
     system = new_system(d)
     objective = _combined_gini_objective(system)
     starts = search_starts(system, 9)
@@ -354,7 +360,7 @@ def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
     free_rows = max(block_rows[1:])  # the first call scores the starts
     free_estimate = estimate_sup_gini(system, restarts=9, iterations=2000, seed=3)
 
-    # room for 20 rows at d = 11 (32 bytes per real); the 9 first windows take 72
+    # room for 20 rows at d = 11 (32 bytes per real); the 9 first windows take 108
     ceiling = 20 * 32 * 22
     monkeypatch.setattr(uncertainty, "_ROUND_BYTES", ceiling)
     block_rows.clear()
@@ -377,6 +383,26 @@ def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
     x0 = starts[1] / np.linalg.norm(starts[1])
     full_sweep = traced_peak(lambda: objective(np.repeat(x0[None, :], 4 * 11, axis=0)))
     assert traced_peak(estimate) <= ceiling + fdag_bytes + full_sweep
+
+
+def test_starts_are_scored_under_the_round_ceiling(monkeypatch):
+    system = new_system(11)
+    objective = _combined_gini_objective(system)
+    starts = search_starts(system, 30)
+    free = _pattern_search(objective, starts, 7)
+    block_rows = []
+
+    def recording(block):
+        block_rows.append(len(block))
+        return objective(block)
+
+    # room for 20 rows at d = 11 (32 bytes per real), fewer than the 30 starts
+    monkeypatch.setattr(uncertainty, "_ROUND_BYTES", 20 * 32 * 22)
+    capped = _pattern_search(recording, starts, 7)
+    assert max(block_rows) <= 20
+    for (x, best, converged, ran), (fx, fbest, fconverged, fran) in zip(capped, free):
+        assert np.array_equal(x, fx) and best == fbest
+        assert (converged, ran) == (fconverged, fran)
 
 
 def test_eta_estimate_validation():
