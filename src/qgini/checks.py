@@ -4,23 +4,28 @@ Each check draws reproducible samples from its own child stream (split off
 the master seed), verifies one structural property of the Lorenz/Gini
 pipeline, and reports a verdict with the worst observed margin. Identical
 (dimension, samples, seed) triples give identical verdicts.
+
+Suites that score many states draw them in the order of a state-by-state
+loop and score them in stacks, chunk by chunk, so memory stays bounded by
+_STACK_BYTES whatever the sample count. The stacked kernels round each
+state exactly as the lone one does, so the margins are bit-identical to a
+state-by-state loop.
 """
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from qgini.gini import gini_cap, gini_index, gini_report
-from qgini.lorenz import comonotonic, lorenz_curve
+from qgini.gini import _gini_rows, gini_cap, gini_report
+from qgini.lorenz import _lorenz_rows, comonotonic, lorenz_curve
 from qgini.qsystem import (
-    DensityMatrix,
     ProbabilityDistribution,
     QuantumSystem,
-    StateVector,
-    _trusted,
+    _conjugated,
+    _position_rows,
     check_budget,
     conjugate,
-    mix,
 )
 from qgini.sampling import random_density_matrix, random_state_vector, split_seed
 
@@ -32,6 +37,10 @@ CONJ_TOL = 1e-10      # identities that pass through basis rotations
 # request is refused before any work.
 MAX_SAMPLES = 100_000
 
+# Ceiling on the bytes of one stack of states (and of each temporary of the
+# same shape) that a suite scores at once.
+_STACK_BYTES = 64 * 2**10
+
 
 @dataclass
 class CheckResult:
@@ -40,30 +49,66 @@ class CheckResult:
     detail: str
 
 
+def _chunks(items, size: int):
+    """Lists of consecutive items, each stacking to at most _STACK_BYTES.
+
+    An item stacks to `size` complex entries; a chunk holds at least one
+    item. A generator of draws is consumed chunk by chunk, in draw order.
+    """
+    rows = max(1, _STACK_BYTES // (16 * size))
+    items = iter(items)
+    while chunk := list(itertools.islice(items, rows)):
+        yield chunk
+
+
+def _density_stacks(d: int, samples: int, rng):
+    """Stacks of `samples` random density matrices, drawn one by one."""
+    for chunk in _chunks((random_density_matrix(d, rng).entries for _ in range(samples)), d * d):
+        yield np.array(chunk)
+
+
+def _mixture_stacks(d: int, samples: int, rng):
+    """Stacks of (rho, sigma, lam, lam * rho + (1 - lam) * sigma), drawn rho, sigma, lam per sample."""
+    draws = (
+        (random_density_matrix(d, rng).entries, random_density_matrix(d, rng).entries, float(rng.uniform()))
+        for _ in range(samples)
+    )
+    for chunk in _chunks(draws, d * d):
+        rho, sigma, lam = map(np.array, zip(*chunk))
+        w = lam[:, None, None]
+        yield rho, sigma, lam, w * rho + (1.0 - w) * sigma
+
+
+def _distributions(system: QuantumSystem, x: np.ndarray, pure: bool = False):
+    """Position and momentum distributions of a stack of density matrices (or amplitude rows)."""
+    return _position_rows(x, pure), system._momentum_rows(x, pure)
+
+
+def _ginis(system: QuantumSystem, x: np.ndarray, pure: bool = False):
+    """Position and momentum Gini indices of a stack of density matrices (or amplitude rows)."""
+    p_x, p_p = _distributions(system, x, pure)
+    return _gini_rows(p_x), _gini_rows(p_p)
+
+
 def _check_lorenz_bound(system, samples, rng):
     """L(l) never exceeds (l+1)/d, the uniform distribution's line."""
     d = system.d
     line = np.arange(1, d + 1) / d
     worst = -np.inf
-    for _ in range(samples):
-        rho = random_density_matrix(d, rng)
-        for p in (system.position_probs(rho), system.momentum_probs(rho)):
-            worst = max(worst, float(np.max(lorenz_curve(p).values - line)))
+    for rho in _density_stacks(d, samples, rng):
+        for p in _distributions(system, rho):
+            worst = max(worst, float(np.max(_lorenz_rows(p) - line)))
     return worst <= INEQ_SLACK, f"max excess over the uniform line {worst:.2e}"
 
 
 def _check_superadditive(system, samples, rng):
     """Lorenz values of a mixture dominate the mixture of Lorenz values."""
-    d = system.d
     worst = np.inf
-    for _ in range(samples):
-        rho, sigma = random_density_matrix(d, rng), random_density_matrix(d, rng)
-        lam = float(rng.uniform())
-        tau = mix(rho, sigma, lam)
-        for picker in (system.position_probs, system.momentum_probs):
-            combined = lorenz_curve(picker(tau)).values
-            split = lam * lorenz_curve(picker(rho)).values + (1 - lam) * lorenz_curve(picker(sigma)).values
-            worst = min(worst, float(np.min(combined - split)))
+    for rho, sigma, lam, tau in _mixture_stacks(system.d, samples, rng):
+        w = lam[:, None]
+        mixed, first, second = ([_lorenz_rows(p) for p in _distributions(system, x)] for x in (tau, rho, sigma))
+        for combined, a, b in zip(mixed, first, second):
+            worst = min(worst, float(np.min(combined - (w * a + (1 - w) * b))))
     return worst >= -INEQ_SLACK, f"min mixture margin {worst:.2e}"
 
 
@@ -97,11 +142,14 @@ def _check_basis_extremes(system, samples, rng):
     """Basis states sit at the extremes: flat-zero Lorenz tail, index at cap."""
     d = system.d
     cap = gini_cap(d)
+    ks = np.arange(d)
     worst = 0.0
-    for r in range(d):
-        for state in (system.position_state(r), system.momentum_state(r)):
-            rep = gini_report(system, state)
-            worst = max(worst, abs(rep.g_x + rep.g_p - cap))
+    for chunk in _chunks(range(d), d):
+        r = np.array(chunk)
+        # position states r, then momentum states r: rows r of the symmetric F
+        for amps in ((ks == r[:, None]).astype(np.complex128), system.fourier.entries[r]):
+            g_x, g_p = _ginis(system, amps, pure=True)
+            worst = max(worst, float(np.max(np.abs(g_x + g_p - cap))))
     flat = gini_report(system, system.maximally_mixed())
     worst = max(worst, flat.g_x, flat.g_p)
     return worst <= CONJ_TOL, f"max deviation from the extreme values {worst:.2e}"
@@ -109,13 +157,11 @@ def _check_basis_extremes(system, samples, rng):
 
 def _check_gini_range(system, samples, rng):
     """Both indices stay inside [0, (d-1)/(d+1)]."""
-    d = system.d
-    cap = gini_cap(d)
+    cap = gini_cap(system.d)
     worst = -np.inf
-    for _ in range(samples):
-        rep = gini_report(system, random_density_matrix(d, rng))
-        for g in (rep.g_x, rep.g_p):
-            worst = max(worst, -g, g - cap)
+    for rho in _density_stacks(system.d, samples, rng):
+        g = np.stack(_ginis(system, rho))
+        worst = max(worst, float(np.max(np.maximum(-g, g - cap))))
     return worst <= INEQ_SLACK, f"max range violation {worst:.2e}"
 
 
@@ -123,27 +169,20 @@ def _check_dual_form(system, samples, rng):
     """The weighted-sort index matches its definition, 1 - 2/(d+1) * sum of the Lorenz values."""
     d = system.d
     worst = 0.0
-    for _ in range(samples):
-        p = ProbabilityDistribution(rng.dirichlet(np.ones(d)))
-        definition = 1.0 - (2.0 / (d + 1.0)) * float(lorenz_curve(p).values.sum())
-        worst = max(worst, abs(gini_index(p) - max(definition, 0.0)))
+    for chunk in _chunks((rng.dirichlet(np.ones(d)) for _ in range(samples)), d):
+        p = np.array(chunk)
+        definition = 1.0 - (2.0 / (d + 1.0)) * _lorenz_rows(p).sum(axis=-1)
+        worst = max(worst, float(np.max(np.abs(_gini_rows(p) - np.maximum(definition, 0.0)))))
     return worst <= EQ_TOL, f"max disagreement between the two forms {worst:.2e}"
 
 
 def _check_subadditive(system, samples, rng):
     """Each index, and their sum, is convex under mixing."""
-    d = system.d
     worst = -np.inf
-    for _ in range(samples):
-        rho, sigma = random_density_matrix(d, rng), random_density_matrix(d, rng)
-        lam = float(rng.uniform())
-        rep_m = gini_report(system, mix(rho, sigma, lam))
-        rep_a, rep_b = gini_report(system, rho), gini_report(system, sigma)
-        for attr in ("g_x", "g_p", "g_xp"):
-            excess = getattr(rep_m, attr) - (
-                lam * getattr(rep_a, attr) + (1 - lam) * getattr(rep_b, attr)
-            )
-            worst = max(worst, excess)
+    for rho, sigma, lam, tau in _mixture_stacks(system.d, samples, rng):
+        (mx, mp), (ax, ap), (bx, bp) = (_ginis(system, x) for x in (tau, rho, sigma))
+        for m, a, b in ((mx, ax, bx), (mp, ap, bp), (mx + mp, ax + ap, bx + bp)):
+            worst = max(worst, float(np.max(m - (lam * a + (1 - lam) * b))))
     return worst <= INEQ_SLACK, f"max convexity excess {worst:.2e}"
 
 
@@ -151,19 +190,23 @@ def _check_position_mixture_cap(system, samples, rng):
     """Mixtures of position projectors never push g_xp past the single cap."""
     d = system.d
     cap = gini_cap(d)
+    ks = np.arange(d)
     worst = -np.inf
-    for _ in range(samples):
-        rho = DensityMatrix(np.diag(rng.dirichlet(np.ones(d))))
-        rep = gini_report(system, rho)
-        worst = max(worst, rep.g_xp - cap)
+    # a Dirichlet diagonal is a density matrix by construction
+    for chunk in _chunks((rng.dirichlet(np.ones(d)) for _ in range(samples)), d * d):
+        rho = np.zeros((len(chunk), d, d), dtype=np.complex128)
+        rho[:, ks, ks] = chunk
+        g_x, g_p = _ginis(system, rho)
+        worst = max(worst, float(np.max(g_x + g_p - cap)))
     return worst <= INEQ_SLACK, f"max excess of g_xp over the single-basis cap {worst:.2e}"
 
 
-def _invariance_pairs(system, rng):
+def _invariance_pairs(system, rng) -> np.ndarray:
+    """Displacement pairs (alpha, beta) as rows: all d^2 up to d = 11, else 100 drawn."""
     d = system.d
     if d <= 11:
-        return [(a, b) for a in range(d) for b in range(d)]
-    return [(int(a), int(b)) for a, b in rng.integers(0, d, size=(100, 2))]
+        return np.indices((d, d)).reshape(2, -1).T
+    return rng.integers(0, d, size=(100, 2))
 
 
 def _check_displacement_invariance(system, samples, rng):
@@ -175,13 +218,14 @@ def _check_displacement_invariance(system, samples, rng):
         rho = random_density_matrix(d, rng)
         ref = gini_report(system, rho)
         ref_lx = lorenz_curve(system.position_probs(rho)).values
-        for a, b in _invariance_pairs(system, rng):
-            moved = conjugate(rho, system.displacement(a, b))
-            rep = gini_report(system, moved)
+        for chunk in _chunks(_invariance_pairs(system, rng), d * d):
+            moved = _conjugated(rho.entries, system._displacements(*np.array(chunk).T))
+            p_x, p_p = _distributions(system, moved)
+            g_xp = _gini_rows(p_x) + _gini_rows(p_p)
             worst = max(
                 worst,
-                abs(rep.g_xp - ref.g_xp),
-                float(np.max(np.abs(lorenz_curve(system.position_probs(moved)).values - ref_lx))),
+                float(np.max(np.abs(g_xp - ref.g_xp))),
+                float(np.max(np.abs(_lorenz_rows(p_x) - ref_lx))),
             )
     return worst <= CONJ_TOL, f"max drift under displacements {worst:.2e}"
 
@@ -208,10 +252,14 @@ def _check_coherent_equality(system, samples, rng):
     fid = system.coherent_state(random_state_vector(d, rng), 0, 0)
     ref = gini_report(system, fid)
     worst = 0.0
-    for a, b in _invariance_pairs(system, rng):
-        moved = _trusted(StateVector, dim=d, amplitudes=system._displaced(fid.amplitudes, a, b))
-        rep = gini_report(system, moved)
-        worst = max(worst, abs(rep.g_x - ref.g_x), abs(rep.g_p - ref.g_p), abs(rep.g_xp - ref.g_xp))
+    for chunk in _chunks(_invariance_pairs(system, rng), d):
+        g_x, g_p = _ginis(system, system._displaced(fid.amplitudes, *np.array(chunk).T), pure=True)
+        worst = max(
+            worst,
+            float(np.max(np.abs(g_x - ref.g_x))),
+            float(np.max(np.abs(g_p - ref.g_p))),
+            float(np.max(np.abs(g_x + g_p - ref.g_xp))),
+        )
     return worst <= CONJ_TOL, f"max spread across the coherent family {worst:.2e}"
 
 

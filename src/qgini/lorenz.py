@@ -49,6 +49,15 @@ def lorenz_curve(p: ProbabilityDistribution) -> LorenzCurve:
     return LorenzCurve(p)
 
 
+def _lorenz_rows(p: np.ndarray) -> np.ndarray:
+    """Lorenz values of each distribution along the last axis of p.
+
+    The sequential partial sums of a row round as those of a lone
+    distribution, so a stack gives the values of LorenzCurve row by row.
+    """
+    return np.cumsum(np.sort(p, axis=-1), axis=-1)
+
+
 def comonotonic(pa: ProbabilityDistribution, pb: ProbabilityDistribution) -> bool:
     """Whether two distributions admit a common ascending ordering.
 

@@ -187,6 +187,8 @@ class DensityMatrix:
 
     def __init__(self, entries):
         m = np.array(entries, dtype=np.complex128)
+        if m.size == 0:
+            raise ValidationError("density matrix has no entries")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValidationError(f"density matrix must be square, got shape {m.shape}")
         _check_finite(m, "density matrix")
@@ -298,21 +300,29 @@ class QuantumSystem:
         Every entry is an exact root of unity or zero. alpha and beta are
         taken mod d; D(alpha, beta).dagger() equals D(-alpha, -beta) exactly.
         """
-        # the displaced rows of the identity are the columns of D
-        entries = self._displaced(np.eye(self.d, dtype=np.complex128), alpha, beta).T
-        return _trusted(UnitaryMatrix, dim=self.d, entries=entries)
+        return _trusted(UnitaryMatrix, dim=self.d, entries=self._displacements(alpha, beta))
 
-    def _displaced(self, x: np.ndarray, alpha: int, beta: int | np.ndarray) -> np.ndarray:
+    def _displacements(self, alpha, beta) -> np.ndarray:
+        """Entries of D(alpha, beta), stacked over 1-D arrays of alpha and beta.
+
+        The displaced rows of the identity are the columns of D, so each
+        matrix is a column-major view, as a lone D is, and a product with
+        it takes the same BLAS path.
+        """
+        return np.moveaxis(self._displaced(np.eye(self.d, dtype=np.complex128), alpha, beta), 0, -1)
+
+    def _displaced(self, x: np.ndarray, alpha, beta) -> np.ndarray:
         """D(alpha, beta) applied to a vector x or to each row of x, in O(x.size).
 
         D multiplies the m-th position amplitude by omega**(alpha*m), shifts
         position indices by beta, and fixes the overall phase with the factor
         omega**(-half_inverse*alpha*beta): entry s moves to r = (s + beta) % d
         and is multiplied by omega**((alpha*r - half_inverse*alpha*beta) % d),
-        the exponent reduced mod d before the table lookup. A 1-D array of
-        shifts beta displaces a vector x once per shift, one row each.
+        the exponent reduced mod d before the table lookup. 1-D arrays of
+        alpha and beta (either may stay a scalar) displace x once per pair,
+        and the pair index becomes the second-to-last axis.
         """
-        a, b = alpha % self.d, np.asarray(beta)[..., None] % self.d
+        a, b = np.asarray(alpha)[..., None] % self.d, np.asarray(beta)[..., None] % self.d
         ks = np.arange(self.d)
         phases = self._omega_pow[(a * ks - self.half_inverse * a * b) % self.d]
         return phases * x[..., (ks - b) % self.d]
@@ -354,10 +364,7 @@ class QuantumSystem:
         |psi|^2 for a state vector, the diagonal of rho for a density matrix.
         """
         self._check_dim(state)
-        if isinstance(state, StateVector):
-            p = _moduli_squared(state.amplitudes)
-        else:
-            p = _clamped(np.diagonal(state.entries).real)
+        p = _position_rows(*_state_array(state))
         return _trusted(ProbabilityDistribution, dim=self.d, probs=p)
 
     def momentum_probs(self, state) -> ProbabilityDistribution:
@@ -368,12 +375,19 @@ class QuantumSystem:
         as the column sums of conj(F) * (rho F) with one d x d product.
         """
         self._check_dim(state)
-        if isinstance(state, StateVector):
-            p = _moduli_squared(momentum_amplitudes(state))
-        else:
-            f = self.fourier.entries
-            p = _clamped((f.conj() * (state.entries @ f)).sum(axis=0).real)
+        p = self._momentum_rows(*_state_array(state))
         return _trusted(ProbabilityDistribution, dim=self.d, probs=p)
+
+    def _momentum_rows(self, x: np.ndarray, pure: bool) -> np.ndarray:
+        """Momentum distributions of amplitude rows (pure) or density matrices, over the last axes.
+
+        Stacked products, FFTs and sums round each state exactly as they
+        round a lone one, so a stack scores the bits of a state-by-state loop.
+        """
+        if pure:
+            return _moduli_squared(np.fft.fft(x, norm="ortho"))
+        f = self.fourier.entries
+        return _clamped((f.conj() * (x @ f)).sum(axis=-2).real)
 
     def maximally_mixed(self) -> DensityMatrix:
         """Identity over d: flat in both bases, the zero of both Gini indices."""
@@ -392,6 +406,20 @@ def momentum_amplitudes(state: StateVector) -> np.ndarray:
     forward transform with orthonormal scaling.
     """
     return np.fft.fft(state.amplitudes, norm="ortho")
+
+
+def _state_array(state) -> tuple[np.ndarray, bool]:
+    """The amplitudes of a StateVector or the entries of a DensityMatrix, and whether it is pure."""
+    if isinstance(state, StateVector):
+        return state.amplitudes, True
+    return state.entries, False
+
+
+def _position_rows(x: np.ndarray, pure: bool) -> np.ndarray:
+    """Position distributions of amplitude rows (pure) or density matrices, over the last axes."""
+    if pure:
+        return _moduli_squared(x)
+    return _clamped(np.diagonal(x, axis1=-2, axis2=-1).real)
 
 
 def _moduli_squared(amplitudes: np.ndarray) -> np.ndarray:
@@ -436,4 +464,9 @@ def conjugate(rho: DensityMatrix, u: UnitaryMatrix) -> DensityMatrix:
     """U^dag rho U, a density matrix again since U is unitary."""
     if rho.dim != u.dim:
         raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {u.dim}")
-    return _trusted(DensityMatrix, dim=rho.dim, entries=u.entries.conj().T @ rho.entries @ u.entries)
+    return _trusted(DensityMatrix, dim=rho.dim, entries=_conjugated(rho.entries, u.entries))
+
+
+def _conjugated(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U^dag rho U over the last two axes; stacks of rho or U broadcast, one product pair each."""
+    return u.conj().swapaxes(-1, -2) @ rho @ u

@@ -44,10 +44,20 @@ def _reject_constant(name: str):
     raise InvalidStateFile(f"state file holds the non-finite number {name}")
 
 
+# float17 writes -0.0 as "-0", which int() would read as +0; the parser
+# hands back this object instead, so a pair keeps the sign and `dim` can
+# still tell the integer literal from a written -0.0
+_MINUS_ZERO = -0.0
+
+
+def _parse_int(text: str):
+    return _MINUS_ZERO if text == "-0" else int(text)
+
+
 def loads_state(text: str):
     """Parse state-file text into a StateVector or DensityMatrix."""
     try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int)
     except InvalidStateFile:  # a NaN or Infinity literal, already named
         raise
     except (json.JSONDecodeError, RecursionError) as exc:
@@ -63,6 +73,8 @@ def loads_state(text: str):
         kind = doc["kind"]
     except KeyError as exc:
         raise InvalidStateFile(f"state file is missing the {exc.args[0]!r} field") from exc
+    if dim is _MINUS_ZERO:
+        dim = 0
     if not isinstance(dim, int) or isinstance(dim, bool):
         raise InvalidStateFile(f"dim must be an integer, got {dim!r}")
     if kind not in _KINDS:

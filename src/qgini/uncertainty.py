@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 
 from qgini.errors import ValidationError
-from qgini.gini import gini_cap, gini_weights
+from qgini.gini import _weighted_sums, gini_cap, gini_weights
 from qgini.qsystem import QuantumSystem, StateVector, _trusted, check_budget, check_dimension
 from qgini.sampling import split_seed
 
@@ -159,8 +159,7 @@ def _combined_gini_objective(system: QuantumSystem):
         pp = phi.real**2 + phi.imag**2
         px.sort(axis=1)
         pp.sort(axis=1)
-        weighted = np.matmul(px[:, None, :], w) + np.matmul(pp[:, None, :], w)
-        return 2.0 - scale * weighted[:, 0]
+        return 2.0 - scale * (_weighted_sums(px, w) + _weighted_sums(pp, w))
 
     return objective
 

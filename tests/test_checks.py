@@ -1,7 +1,14 @@
+import tracemalloc
+
+import numpy as np
 import pytest
 
+from qgini import checks
 from qgini.checks import run_property_checks
-from qgini.qsystem import QuantumSystem
+from qgini.gini import _gini_rows, gini_index
+from qgini.lorenz import _lorenz_rows, lorenz_curve
+from qgini.qsystem import QuantumSystem, _conjugated, conjugate
+from qgini.sampling import random_density_matrix, random_state_vector
 
 
 def test_all_checks_pass_on_small_samples():
@@ -38,3 +45,78 @@ def test_each_coherent_suite_validates_its_fiducial_once(monkeypatch, d):
     results = run_property_checks(d, samples=20, seed=7)
     assert all(r.passed for r in results)
     assert len(calls) <= 2
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
+# the suites score stacks; each state must get the bits of its own public
+# position_probs / momentum_probs / gini_index / lorenz_curve call, in every
+# chunk of the stack: 11 states fill chunks of 4 rows as 4, 4, 3, and a
+# ceiling below one state still takes one row per chunk
+@pytest.mark.parametrize("ceiling", ["default", "four-rows", "one-byte"])
+@pytest.mark.parametrize("pure", [False, True], ids=["density", "pure"])
+@pytest.mark.parametrize("d", [3, 5, 11, 41])
+def test_stacked_kernels_match_the_public_path_bit_for_bit(monkeypatch, d, pure, ceiling):
+    size = d if pure else d * d
+    if ceiling != "default":
+        monkeypatch.setattr(checks, "_STACK_BYTES", 4 * 16 * size if ceiling == "four-rows" else 1)
+    rows = max(1, checks._STACK_BYTES // (16 * size))
+    count = 11
+    system = QuantumSystem(d)
+    rng = np.random.default_rng(d)
+    draw = random_state_vector if pure else random_density_matrix
+    states = [draw(d, rng) for _ in range(count)]
+    chunks = list(checks._chunks((s.amplitudes if pure else s.entries for s in states), size))
+    assert [len(c) for c in chunks] == [min(rows, count - start) for start in range(0, count, rows)]
+    if ceiling == "four-rows":
+        assert [len(c) for c in chunks] == [4, 4, 3]
+    scored = []
+    for chunk in chunks:
+        p_x, p_p = checks._distributions(system, np.array(chunk), pure)
+        scored.append((p_x, p_p, _gini_rows(p_x), _gini_rows(p_p), _lorenz_rows(p_x), _lorenz_rows(p_p)))
+    p_x, p_p, g_x, g_p, l_x, l_p = (np.concatenate(column) for column in zip(*scored))
+    for i, state in enumerate(states):
+        px, pp = system.position_probs(state), system.momentum_probs(state)
+        assert np.array_equal(bits(p_x[i]), bits(px.probs))
+        assert np.array_equal(bits(p_p[i]), bits(pp.probs))
+        assert bits(g_x[i]) == bits(gini_index(px)) and bits(g_p[i]) == bits(gini_index(pp))
+        assert np.array_equal(bits(l_x[i]), bits(lorenz_curve(px).values))
+        assert np.array_equal(bits(l_p[i]), bits(lorenz_curve(pp).values))
+
+
+@pytest.mark.parametrize("d", [3, 5, 11, 41])
+def test_displacement_stacks_match_one_displacement_at_a_time(d):
+    system = QuantumSystem(d)
+    rng = np.random.default_rng(d)
+    rho = random_density_matrix(d, rng)
+    fid = system.coherent_state(random_state_vector(d, rng), 0, 0)
+    a, b = rng.integers(0, d, size=(2, 13))
+    moved = _conjugated(rho.entries, system._displacements(a, b))
+    coherent = system._displaced(fid.amplitudes, a, b)
+    for i in range(len(a)):
+        lone = conjugate(rho, system.displacement(a[i], b[i])).entries
+        assert np.array_equal(moved[i].view(np.uint64), lone.view(np.uint64))
+        own = system.coherent_state(fid, a[i], b[i]).amplitudes
+        assert np.array_equal(coherent[i].view(np.uint64), own.view(np.uint64))
+
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_suite_memory_does_not_grow_with_the_sample_count(monkeypatch):
+    # states are drawn and scored in chunks of at most _STACK_BYTES, 4
+    # density matrices here, so 20 and 200 samples peak alike (the first
+    # run fills numpy's caches)
+    monkeypatch.setattr(checks, "_STACK_BYTES", 4 * 16 * 5 * 5)
+    run_property_checks(5, samples=20, seed=3)
+    small = traced_peak(lambda: run_property_checks(5, samples=20, seed=3))
+    large = traced_peak(lambda: run_property_checks(5, samples=200, seed=3))
+    assert large < 1.25 * small

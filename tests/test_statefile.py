@@ -43,6 +43,48 @@ def test_density_round_trip_is_bit_exact(tmp_path):
     assert np.array_equal(back.entries, rho.entries)
 
 
+def _signed_zeros(kind):
+    if kind == "pure":
+        return StateVector([1 - 0j, complex(-0.0, 0.0), complex(0.0, -0.0)])
+    m = np.diag([1.0, 0.0, 0.0]).astype(np.complex128)
+    m.real[0, 1] = m.imag[1, 0] = m.imag[2, 2] = -0.0
+    return DensityMatrix(m)
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+def test_negative_zero_survives_a_round_trip(kind):
+    # float17 writes -0.0 as "-0", an integer literal in JSON
+    state = _signed_zeros(kind)
+    values = state.amplitudes if kind == "pure" else state.entries
+    text = dumps_state(state)
+    assert "-0]" in text and "[-0" in text
+    back = loads_state(text)
+    back_values = back.amplitudes if kind == "pure" else back.entries
+    assert np.array_equal(back_values.view(np.uint64), values.view(np.uint64))
+
+
+def test_minus_zero_dim_still_reads_as_the_integer_zero():
+    # only a pair keeps the sign of -0; a written -0.0 is still no integer
+    assert loads_state('{"dim": 1, "kind": "pure", "amplitudes": [[1, -0]]}').amplitudes.view(np.uint64)[1] == 1 << 63
+    with pytest.raises(ValidationError, match="^state vector has no amplitudes$"):
+        loads_state('{"dim": -0, "kind": "pure", "amplitudes": []}')
+    with pytest.raises(InvalidStateFile, match=r"^dim must be an integer, got -0\.0$"):
+        loads_state('{"dim": -0.0, "kind": "pure", "amplitudes": []}')
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"dim": 0, "kind": "pure", "amplitudes": []}', "state vector has no amplitudes"),
+        ('{"dim": 0, "kind": "density", "entries": []}', "density matrix has no entries"),
+    ],
+    ids=["pure", "density"],
+)
+def test_empty_state_file_names_the_missing_values(text, message):
+    with pytest.raises(ValidationError, match=rf"^{message}$"):
+        loads_state(text)
+
+
 def test_document_shape():
     st = random_state_vector(3, 1)
     doc = json.loads(dumps_state(st))

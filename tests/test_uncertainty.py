@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 
@@ -303,6 +304,13 @@ def test_batched_search_matches_the_sequential_loop(d):
             assert np.max(np.abs(x - ref_x)) <= 1e-12
 
 
+@functools.lru_cache(maxsize=None)
+def sequential_references(d, sweeps):
+    """sequential_pattern_search of the nine search_starts, once per dimension and budget."""
+    system = new_system(d)
+    return [sequential_pattern_search(system, x0, sweeps) for x0 in search_starts(system, 9)]
+
+
 # windows of 3 rows split a coordinate's +/- pair across rounds; 4d rows
 # hold one search's whole sweep
 @pytest.mark.parametrize(
@@ -316,7 +324,7 @@ def test_lockstep_search_matches_each_start_alone(monkeypatch, d, probe_rows):
     starts = search_starts(system, 9)
     for sweeps in (7, 2000):
         alone = [_pattern_search(objective, x0[None, :], sweeps)[0] for x0 in starts]
-        reference = [sequential_pattern_search(system, x0, sweeps) for x0 in starts]
+        reference = sequential_references(d, sweeps)
         for count in (1, 4, 9):
             results = _pattern_search(objective, starts[:count], sweeps)
             assert len(results) == count
