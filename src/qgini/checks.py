@@ -5,11 +5,13 @@ the master seed), verifies one structural property of the Lorenz/Gini
 pipeline, and reports a verdict with the worst observed margin. Identical
 (dimension, samples, seed) triples give identical verdicts.
 
-Suites that score many states draw them in the order of a state-by-state
-loop and score them in stacks, chunk by chunk, so memory stays bounded by
-_STACK_BYTES whatever the sample count. The stacked kernels round each
-state exactly as the lone one does, so the margins are bit-identical to a
-state-by-state loop.
+Suites that score many states (among them the sampled density suites,
+comonotonic additivity and the Fourier swap) draw them in the order of a
+state-by-state loop and build and score them in stacks, chunk by chunk, so
+memory stays bounded by _STACK_BYTES whatever the sample count. A density
+draw's generator calls stay per sample; its arithmetic runs once per chunk.
+The stacked kernels round each state exactly as the lone one does, so the
+margins are bit-identical to a state-by-state loop.
 """
 
 import itertools
@@ -18,16 +20,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from qgini.gini import _gini_rows, gini_cap, gini_report
-from qgini.lorenz import _lorenz_rows, comonotonic, lorenz_curve
-from qgini.qsystem import (
-    ProbabilityDistribution,
-    QuantumSystem,
-    _conjugated,
-    _position_rows,
-    check_budget,
-    conjugate,
+from qgini.lorenz import _comonotonic_rows, _lorenz_rows, lorenz_curve
+from qgini.qsystem import QuantumSystem, _conjugated, _position_rows, check_budget
+from qgini.sampling import (
+    _density_draw,
+    _density_entries,
+    random_density_matrix,
+    random_state_vector,
+    split_seed,
 )
-from qgini.sampling import random_density_matrix, random_state_vector, split_seed
 
 EQ_TOL = 1e-12        # algebraic identities evaluated in floats
 INEQ_SLACK = 1e-12    # slack granted to inequalities
@@ -62,19 +63,17 @@ def _chunks(items, size: int):
 
 
 def _density_stacks(d: int, samples: int, rng):
-    """Stacks of `samples` random density matrices, drawn one by one."""
-    for chunk in _chunks((random_density_matrix(d, rng).entries for _ in range(samples)), d * d):
-        yield np.array(chunk)
+    """Stacks of `samples` random density matrices, drawn one by one and built a chunk at a time."""
+    for chunk in _chunks((_density_draw(d, rng) for _ in range(samples)), d * d):
+        yield _density_entries(chunk)
 
 
 def _mixture_stacks(d: int, samples: int, rng):
     """Stacks of (rho, sigma, lam, lam * rho + (1 - lam) * sigma), drawn rho, sigma, lam per sample."""
-    draws = (
-        (random_density_matrix(d, rng).entries, random_density_matrix(d, rng).entries, float(rng.uniform()))
-        for _ in range(samples)
-    )
+    draws = ((_density_draw(d, rng), _density_draw(d, rng), rng.uniform()) for _ in range(samples))
     for chunk in _chunks(draws, d * d):
-        rho, sigma, lam = map(np.array, zip(*chunk))
+        rho, sigma, lam = zip(*chunk)
+        rho, sigma, lam = _density_entries(rho), _density_entries(sigma), np.array(lam)
         w = lam[:, None, None]
         yield rho, sigma, lam, w * rho + (1.0 - w) * sigma
 
@@ -112,29 +111,34 @@ def _check_superadditive(system, samples, rng):
     return worst >= -INEQ_SLACK, f"min mixture margin {worst:.2e}"
 
 
+def _comonotonic_draws(d: int, samples: int, rng):
+    """Stacks of (permutation, Dirichlet, Dirichlet, weight) draws, drawn in that order per sample.
+
+    Each chunk is filled row by row, so no chunk holds an array per draw.
+    """
+    ones = np.ones(d)
+    for chunk in _chunks(range(samples), d):
+        n = len(chunk)
+        perm, a, b, lam = np.empty((n, d), dtype=np.intp), np.empty((n, d)), np.empty((n, d)), np.empty(n)
+        for i in range(n):
+            perm[i], a[i], b[i] = rng.permutation(d), rng.dirichlet(ones), rng.dirichlet(ones)
+            lam[i] = rng.uniform()
+        yield perm, a, b, lam
+
+
 def _check_comonotonic_additive(system, samples, rng):
     """Superadditivity tightens to equality on comonotonic diagonal pairs."""
     d = system.d
     worst = 0.0
-    for _ in range(samples):
-        perm = rng.permutation(d)
-        pa = np.sort(rng.dirichlet(np.ones(d)))[perm]
-        pb = np.sort(rng.dirichlet(np.ones(d)))[perm]
-        da, db = ProbabilityDistribution(pa), ProbabilityDistribution(pb)
-        if not comonotonic(da, db):
+    for perm, a, b, lam in _comonotonic_draws(d, samples, rng):
+        # Dirichlet draws are distributions by construction; one permutation
+        # of the ascending entries orders both rows alike
+        pa, pb = (np.take_along_axis(np.sort(x, axis=-1), perm, axis=-1) for x in (a, b))
+        if not np.all(_comonotonic_rows(pa, pb)):
             return False, "constructed pair not recognized as comonotonic"
-        lam = float(rng.uniform())
-        mixed = ProbabilityDistribution(lam * pa + (1 - lam) * pb)
-        gap = float(
-            np.max(
-                np.abs(
-                    lorenz_curve(mixed).values
-                    - lam * lorenz_curve(da).values
-                    - (1 - lam) * lorenz_curve(db).values
-                )
-            )
-        )
-        worst = max(worst, gap)
+        w = lam[:, None]
+        gap = _lorenz_rows(w * pa + (1 - w) * pb) - w * _lorenz_rows(pa) - (1 - w) * _lorenz_rows(pb)
+        worst = max(worst, float(np.max(np.abs(gap))))
     return worst <= EQ_TOL, f"max additivity gap {worst:.2e}"
 
 
@@ -219,6 +223,7 @@ def _check_displacement_invariance(system, samples, rng):
         ref = gini_report(system, rho)
         ref_lx = lorenz_curve(system.position_probs(rho)).values
         for chunk in _chunks(_invariance_pairs(system, rng), d * d):
+            # an index-and-phase U^dag rho U is exact but does not round as these products do
             moved = _conjugated(rho.entries, system._displacements(*np.array(chunk).T))
             p_x, p_p = _distributions(system, moved)
             g_xp = _gini_rows(p_x) + _gini_rows(p_p)
@@ -232,15 +237,15 @@ def _check_displacement_invariance(system, samples, rng):
 
 def _check_fourier_swap(system, samples, rng):
     """Conjugating by F trades the two distributions and preserves g_xp."""
-    d = system.d
     worst = 0.0
-    for _ in range(max(samples // 10, 1)):
-        rho = random_density_matrix(d, rng)
-        swapped = conjugate(rho, system.fourier)
+    for rho in _density_stacks(system.d, max(samples // 10, 1), rng):
+        swapped = _conjugated(rho, system.fourier.entries)
+        (sx, sp), (rx, rp) = (_distributions(system, x) for x in (swapped, rho))
+        g_swapped = _gini_rows(sx) + _gini_rows(sp)
         worst = max(
             worst,
-            float(np.max(np.abs(system.position_probs(swapped).probs - system.momentum_probs(rho).probs))),
-            abs(gini_report(system, swapped).g_xp - gini_report(system, rho).g_xp),
+            float(np.max(np.abs(sx - rp))),
+            float(np.max(np.abs(g_swapped - (_gini_rows(rx) + _gini_rows(rp))))),
         )
     return worst <= CONJ_TOL, f"max swap mismatch {worst:.2e}"
 

@@ -69,5 +69,10 @@ def comonotonic(pa: ProbabilityDistribution, pb: ProbabilityDistribution) -> boo
     """
     if pa.dim != pb.dim:
         raise DimensionMismatch(f"dimension mismatch: {pa.dim} vs {pb.dim}")
-    order = np.lexsort((pb.probs, pa.probs))
-    return bool(np.all(np.diff(pb.probs[order]) >= 0.0))
+    return bool(_comonotonic_rows(pa.probs, pb.probs))
+
+
+def _comonotonic_rows(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Whether each pair of rows along the last axis is comonotonic, as in `comonotonic`."""
+    order = np.lexsort((pb, pa))
+    return np.all(np.diff(np.take_along_axis(pb, order, axis=-1), axis=-1) >= 0.0, axis=-1)

@@ -2,6 +2,13 @@
 
 All sampling goes through :class:`numpy.random.Generator`, so a fixed seed
 reproduces the exact same states on every platform numpy supports.
+
+A density draw has two parts. Its generator calls (the component count,
+the Dirichlet weights, one block of Haar normals) run one sample at a time,
+because their order is the seed contract. Its arithmetic runs once for a
+stack of draws: the normalization, the weights and the conjugates in one
+pass, then one (d, k) @ (k, d) product per draw, so each matrix has the
+bits of a lone draw.
 """
 
 import numpy as np
@@ -30,12 +37,8 @@ def _as_generator(rng) -> np.random.Generator:
     return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
 
-def _haar_rows(d: int, gen: np.random.Generator, k: int) -> np.ndarray:
-    """k Haar-distributed unit vectors as rows: complex standard normal, normalized.
-
-    One draw of k (2, d) blocks consumes the generator as k draws of one block.
-    """
-    parts = gen.standard_normal((k, 2, d))
+def _haar_rows(parts: np.ndarray) -> np.ndarray:
+    """Haar unit rows of (k, 2, d) standard normal blocks: real and imaginary parts, normalized."""
     amps = parts[:, 0] + 1j * parts[:, 1]
     return amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
@@ -43,7 +46,8 @@ def _haar_rows(d: int, gen: np.random.Generator, k: int) -> np.ndarray:
 def random_state_vector(d: int, rng) -> StateVector:
     """Draw a Haar-distributed pure state: complex standard normal, normalized."""
     check_dimension(d)
-    return _trusted(StateVector, dim=d, amplitudes=_haar_rows(d, _as_generator(rng), 1)[0])
+    parts = _as_generator(rng).standard_normal((1, 2, d))
+    return _trusted(StateVector, dim=d, amplitudes=_haar_rows(parts)[0])
 
 
 def random_density_matrix(d: int, rng) -> DensityMatrix:
@@ -53,8 +57,32 @@ def random_density_matrix(d: int, rng) -> DensityMatrix:
     the flat Dirichlet distribution on the simplex.
     """
     check_dimension(d)
-    gen = _as_generator(rng)
+    entries = _density_entries([_density_draw(d, _as_generator(rng))])[0]
+    return _trusted(DensityMatrix, dim=d, entries=entries)
+
+
+def _density_draw(d: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """The generator calls of one density draw, in order: k, k Dirichlet weights, k (2, d) normal blocks."""
     k = int(gen.integers(1, d + 1))
     weights = gen.dirichlet(np.ones(k))
-    amps = _haar_rows(d, gen, k)
-    return _trusted(DensityMatrix, dim=d, entries=(amps.T * weights) @ amps.conj())
+    return weights, gen.standard_normal((k, 2, d))
+
+
+def _density_entries(draws) -> np.ndarray:
+    """The (n, d, d) stack of density matrices of n draws of one dimension.
+
+    The Haar rows of all draws are normalized, weighted and conjugated
+    together, elementwise, as one draw's rows are; each matrix is then its
+    own (d, k) @ (k, d) product, so it rounds as a lone draw's does.
+    """
+    weights, parts = zip(*draws)
+    amps = _haar_rows(np.concatenate(parts))
+    scaled = amps * np.concatenate(weights)[:, None]
+    conj = amps.conj()
+    d = amps.shape[1]
+    stack = np.empty((len(weights), d, d), dtype=np.complex128)
+    end = 0
+    for i, w in enumerate(weights):
+        start, end = end, end + len(w)
+        np.matmul(scaled[start:end].T, conj[start:end], out=stack[i])
+    return stack

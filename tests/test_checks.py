@@ -86,6 +86,78 @@ def test_stacked_kernels_match_the_public_path_bit_for_bit(monkeypatch, d, pure,
         assert np.array_equal(bits(l_p[i]), bits(lorenz_curve(pp).values))
 
 
+def reference_density(d, gen):
+    # the one-at-a-time density draw: k, the Dirichlet weights and one block
+    # of Haar normals, then one weighted (d, k) @ (k, d) product
+    k = int(gen.integers(1, d + 1))
+    weights = gen.dirichlet(np.ones(k))
+    parts = gen.standard_normal((k, 2, d))
+    amps = parts[:, 0] + 1j * parts[:, 1]
+    amps = amps / np.linalg.norm(amps, axis=1, keepdims=True)
+    return (amps.T * weights) @ amps.conj()
+
+
+def words(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+# a density draw's generator calls run per sample and its arithmetic per
+# chunk; each matrix must keep the bits of the one-at-a-time draw, and the
+# generator must end where the one-at-a-time draws leave it
+@pytest.mark.parametrize("ceiling", ["default", "four-rows", "one-byte"])
+@pytest.mark.parametrize("d", [3, 5, 11, 41])
+def test_density_draws_keep_the_bits_and_the_stream(monkeypatch, d, ceiling):
+    if ceiling != "default":
+        monkeypatch.setattr(checks, "_STACK_BYTES", 4 * 16 * d * d if ceiling == "four-rows" else 1)
+    rows = max(1, checks._STACK_BYTES // (16 * d * d))
+    count = 11
+    ref, stacked, lone = (np.random.default_rng(d) for _ in range(3))
+    want = [reference_density(d, ref) for _ in range(count)]
+    stacks = list(checks._density_stacks(d, count, stacked))
+    assert [len(s) for s in stacks] == [min(rows, count - start) for start in range(0, count, rows)]
+    got = np.concatenate(stacks)
+    for i in range(count):
+        assert np.array_equal(words(got[i]), words(want[i]))
+        assert np.array_equal(words(random_density_matrix(d, lone).entries), words(want[i]))
+    assert stacked.bit_generator.state == ref.bit_generator.state
+    assert lone.bit_generator.state == ref.bit_generator.state
+
+    # mixtures draw rho, sigma, then the weight, per sample
+    ref, stacked = np.random.default_rng(d + 1), np.random.default_rng(d + 1)
+    want = []
+    for _ in range(count):
+        rho, sigma, lam = reference_density(d, ref), reference_density(d, ref), ref.uniform()
+        want.append((rho, sigma, lam, lam * rho + (1.0 - lam) * sigma))
+    got = [np.concatenate(column) for column in zip(*checks._mixture_stacks(d, count, stacked))]
+    for i, expected in enumerate(want):
+        for column, value in zip(got, expected):
+            assert np.array_equal(words(column[i]), words(value))
+    assert stacked.bit_generator.state == ref.bit_generator.state
+
+
+def test_comonotonic_suite_stops_at_a_rejected_pair_in_a_later_chunk(monkeypatch):
+    # chunks of 4 draws at d = 5; the predicate rejects one pair of the
+    # second chunk, and the suite reports it without scoring further chunks
+    monkeypatch.setattr(checks, "_STACK_BYTES", 4 * 16 * 5)
+    verdicts = []
+    predicate = checks._comonotonic_rows
+
+    def rejecting(pa, pb):
+        rows = predicate(pa, pb)
+        verdicts.append(rows.copy())
+        if len(verdicts) == 2:
+            rows[1] = False
+        return rows
+
+    monkeypatch.setattr(checks, "_comonotonic_rows", rejecting)
+    results = {r.name: r for r in run_property_checks(5, samples=20, seed=7)}
+    assert (results["comonotonic_additive"].passed, results["comonotonic_additive"].detail) == (
+        False,
+        "constructed pair not recognized as comonotonic",
+    )
+    assert [v.tolist() for v in verdicts] == [[True] * 4, [True] * 4]
+
+
 @pytest.mark.parametrize("d", [3, 5, 11, 41])
 def test_displacement_stacks_match_one_displacement_at_a_time(d):
     system = QuantumSystem(d)

@@ -429,13 +429,16 @@ def test_reports_print_the_saved_bytes(capsys, argv, name):
 # saved check stdout: the coherent suites displace one validated fiducial
 # directly, and their verdicts and margins must equal those of one
 # coherent_state call per pair. d = 11 is the largest dimension where both
-# suites run every displacement pair; d = 41 pins the 100 drawn pairs.
+# suites run every displacement pair; d = 41 pins the 100 drawn pairs. The
+# default 200 samples at d = 11 score several chunks per sampled suite,
+# 20 Fourier-swap states and 4 displacement states.
 @pytest.mark.parametrize(
     "argv, name",
     [
         (["check", "--dim", "5", "--samples", "20", "--seed", "7"], "check-d5-n20-s7.json"),
         (["check", "--dim", "11", "--samples", "20", "--seed", "7"], "check-d11-n20-s7.json"),
         (["check", "--dim", "41", "--samples", "20", "--seed", "7"], "check-d41-n20-s7.json"),
+        (["check", "--dim", "11", "--seed", "7"], "check-d11-n200-s7.json"),
     ],
 )
 def test_checks_print_the_saved_bytes(capsys, argv, name):

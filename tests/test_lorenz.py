@@ -16,6 +16,7 @@ from qgini import (
     mix,
     new_system,
 )
+from qgini.lorenz import _comonotonic_rows
 
 
 def dist(values) -> ProbabilityDistribution:
@@ -175,6 +176,33 @@ def test_comonotonic_matches_pairwise_reference():
             (pa[r] - pa[s]) * (pb[r] - pb[s]) >= 0.0 for r in range(d) for s in range(d)
         )
         assert comonotonic(dist(pa), dist(pb)) == want
+
+
+# (pa, pb, comonotonic): ties in pa broken by pb, equal rows, a flat row,
+# signed zeros, a reversed pair and a discordant pair whose product of
+# differences underflows
+PREDICATE_CASES = [
+    ([0.25, 0.25, 0.5], [0.3, 0.2, 0.5], True),
+    ([0.25, 0.25, 0.5], [0.5, 0.25, 0.25], False),
+    ([0.2, 0.4, 0.4], [0.2, 0.4, 0.4], True),
+    ([1 / 3, 1 / 3, 1 / 3], [0.2, 0.5, 0.3], True),
+    ([-0.0, 0.0, 1.0], [0.0, -0.0, 1.0], True),
+    ([0.5, 0.3, 0.2], [0.2, 0.3, 0.5], False),
+    ([1e-170, 0.0, 1 - 1e-170], [0.0, 1e-170, 1 - 1e-170], False),
+]
+
+
+def test_comonotonic_row_predicate_matches_comonotonic():
+    # the stacked suite tests many pairs in one call; each row must get the
+    # verdict of its own comonotonic call, in either order of the pair
+    pairs = [(a, b) for a, b, _ in PREDICATE_CASES] + [(b, a) for a, b, _ in PREDICATE_CASES]
+    want = [w for _, _, w in PREDICATE_CASES] * 2
+    pa, pb = (np.array(column) for column in zip(*pairs))
+    rows = _comonotonic_rows(pa, pb)
+    assert rows.tolist() == want
+    for (a, b), row in zip(pairs, rows):
+        assert comonotonic(dist(a), dist(b)) == row
+        assert bool(_comonotonic_rows(np.array(a), np.array(b))) == row
 
 
 def test_comonotonic_pairs_add_exactly():
