@@ -22,13 +22,7 @@ import numpy as np
 from qgini.gini import _gini_rows, gini_cap, gini_report
 from qgini.lorenz import _comonotonic_rows, _lorenz_rows, lorenz_curve
 from qgini.qsystem import QuantumSystem, _conjugated, _position_rows, check_budget
-from qgini.sampling import (
-    _density_draw,
-    _density_entries,
-    random_density_matrix,
-    random_state_vector,
-    split_seed,
-)
+from qgini.sampling import _density_draw, _density_entries, random_density_matrix, random_state_vector, split_seed
 
 EQ_TOL = 1e-12        # algebraic identities evaluated in floats
 INEQ_SLACK = 1e-12    # slack granted to inequalities
@@ -111,26 +105,20 @@ def _check_superadditive(system, samples, rng):
     return worst >= -INEQ_SLACK, f"min mixture margin {worst:.2e}"
 
 
-def _comonotonic_draws(d: int, samples: int, rng):
-    """Stacks of (permutation, Dirichlet, Dirichlet, weight) draws, drawn in that order per sample.
-
-    Each chunk is filled row by row, so no chunk holds an array per draw.
-    """
+def _check_comonotonic_additive(system, samples, rng):
+    """Superadditivity tightens to equality on comonotonic diagonal pairs."""
+    d = system.d
     ones = np.ones(d)
+    worst = 0.0
     for chunk in _chunks(range(samples), d):
+        # each sample's draws (permutation, two Dirichlets, weight, in that
+        # order) fill one row of the chunk's arrays; a list of arrays per
+        # draw would take several times the bytes of the rows
         n = len(chunk)
         perm, a, b, lam = np.empty((n, d), dtype=np.intp), np.empty((n, d)), np.empty((n, d)), np.empty(n)
         for i in range(n):
             perm[i], a[i], b[i] = rng.permutation(d), rng.dirichlet(ones), rng.dirichlet(ones)
             lam[i] = rng.uniform()
-        yield perm, a, b, lam
-
-
-def _check_comonotonic_additive(system, samples, rng):
-    """Superadditivity tightens to equality on comonotonic diagonal pairs."""
-    d = system.d
-    worst = 0.0
-    for perm, a, b, lam in _comonotonic_draws(d, samples, rng):
         # Dirichlet draws are distributions by construction; one permutation
         # of the ascending entries orders both rows alike
         pa, pb = (np.take_along_axis(np.sort(x, axis=-1), perm, axis=-1) for x in (a, b))

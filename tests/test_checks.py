@@ -48,7 +48,7 @@ def test_each_coherent_suite_validates_its_fiducial_once(monkeypatch, d):
 
 
 def bits(values):
-    return np.asarray(values, dtype=np.float64).view(np.uint64)
+    return np.ascontiguousarray(values).view(np.uint64)
 
 
 # the suites score stacks; each state must get the bits of its own public
@@ -97,10 +97,6 @@ def reference_density(d, gen):
     return (amps.T * weights) @ amps.conj()
 
 
-def words(values):
-    return np.ascontiguousarray(values).view(np.uint64)
-
-
 # a density draw's generator calls run per sample and its arithmetic per
 # chunk; each matrix must keep the bits of the one-at-a-time draw, and the
 # generator must end where the one-at-a-time draws leave it
@@ -117,8 +113,8 @@ def test_density_draws_keep_the_bits_and_the_stream(monkeypatch, d, ceiling):
     assert [len(s) for s in stacks] == [min(rows, count - start) for start in range(0, count, rows)]
     got = np.concatenate(stacks)
     for i in range(count):
-        assert np.array_equal(words(got[i]), words(want[i]))
-        assert np.array_equal(words(random_density_matrix(d, lone).entries), words(want[i]))
+        assert np.array_equal(bits(got[i]), bits(want[i]))
+        assert np.array_equal(bits(random_density_matrix(d, lone).entries), bits(want[i]))
     assert stacked.bit_generator.state == ref.bit_generator.state
     assert lone.bit_generator.state == ref.bit_generator.state
 
@@ -131,7 +127,7 @@ def test_density_draws_keep_the_bits_and_the_stream(monkeypatch, d, ceiling):
     got = [np.concatenate(column) for column in zip(*checks._mixture_stacks(d, count, stacked))]
     for i, expected in enumerate(want):
         for column, value in zip(got, expected):
-            assert np.array_equal(words(column[i]), words(value))
+            assert np.array_equal(bits(column[i]), bits(value))
     assert stacked.bit_generator.state == ref.bit_generator.state
 
 
