@@ -5,13 +5,13 @@ the master seed), verifies one structural property of the Lorenz/Gini
 pipeline, and reports a verdict with the worst observed margin. Identical
 (dimension, samples, seed) triples give identical verdicts.
 
-Suites that score many states (among them the sampled density suites,
-comonotonic additivity and the Fourier swap) draw them in the order of a
-state-by-state loop and build and score them in stacks, chunk by chunk, so
-memory stays bounded by _STACK_BYTES whatever the sample count. A density
-draw's generator calls stay per sample; its arithmetic runs once per chunk.
-The stacked kernels round each state exactly as the lone one does, so the
-margins are bit-identical to a state-by-state loop.
+Suites draw their states in the order of a state-by-state loop (density
+states through sampling's draw kernels) and build and score them in stacks,
+chunk by chunk, so memory stays bounded by _STACK_BYTES whatever the sample
+count. Reference states (the maximally mixed state, a displaced state's
+original, the coherent fiducial) are scored by the same kernels, which round
+each state exactly as a lone one, so the margins are bit-identical to a
+state-by-state loop.
 """
 
 import itertools
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qgini.gini import _gini_rows, gini_cap, gini_report
-from qgini.lorenz import _comonotonic_rows, _lorenz_rows, lorenz_curve
+from qgini.gini import _gini_rows, gini_cap
+from qgini.lorenz import _comonotonic_rows, _lorenz_rows
 from qgini.qsystem import QuantumSystem, _conjugated, _position_rows, check_budget
-from qgini.sampling import _density_draw, _density_entries, random_density_matrix, random_state_vector, split_seed
+from qgini.sampling import _density_draw, _density_entries, random_state_vector, split_seed
 
 EQ_TOL = 1e-12        # algebraic identities evaluated in floats
 INEQ_SLACK = 1e-12    # slack granted to inequalities
@@ -142,8 +142,8 @@ def _check_basis_extremes(system, samples, rng):
         for amps in ((ks == r[:, None]).astype(np.complex128), system.fourier.entries[r]):
             g_x, g_p = _ginis(system, amps, pure=True)
             worst = max(worst, float(np.max(np.abs(g_x + g_p - cap))))
-    flat = gini_report(system, system.maximally_mixed())
-    worst = max(worst, flat.g_x, flat.g_p)
+    flat = np.stack(_ginis(system, system.maximally_mixed().entries))
+    worst = max(worst, float(np.max(flat)))
     return worst <= CONJ_TOL, f"max deviation from the extreme values {worst:.2e}"
 
 
@@ -207,17 +207,17 @@ def _check_displacement_invariance(system, samples, rng):
     states = min(max(samples // 50, 1), 5)
     worst = 0.0
     for _ in range(states):
-        rho = random_density_matrix(d, rng)
-        ref = gini_report(system, rho)
-        ref_lx = lorenz_curve(system.position_probs(rho)).values
+        rho = _density_entries([_density_draw(d, rng)])[0]
+        ref_x, ref_p = _distributions(system, rho)
+        ref_g_xp, ref_lx = _gini_rows(ref_x) + _gini_rows(ref_p), _lorenz_rows(ref_x)
         for chunk in _chunks(_invariance_pairs(system, rng), d * d):
             # an index-and-phase U^dag rho U is exact but does not round as these products do
-            moved = _conjugated(rho.entries, system._displacements(*np.array(chunk).T))
+            moved = _conjugated(rho, system._displacements(*np.array(chunk).T))
             p_x, p_p = _distributions(system, moved)
             g_xp = _gini_rows(p_x) + _gini_rows(p_p)
             worst = max(
                 worst,
-                float(np.max(np.abs(g_xp - ref.g_xp))),
+                float(np.max(np.abs(g_xp - ref_g_xp))),
                 float(np.max(np.abs(_lorenz_rows(p_x) - ref_lx))),
             )
     return worst <= CONJ_TOL, f"max drift under displacements {worst:.2e}"
@@ -242,16 +242,16 @@ def _check_coherent_equality(system, samples, rng):
     """Every coherent state of one fiducial shares the same g_x, g_p and g_xp."""
     d = system.d
     # coherent_state checks the fiducial once; a Haar draw is far from both bases
-    fid = system.coherent_state(random_state_vector(d, rng), 0, 0)
-    ref = gini_report(system, fid)
+    fid = system.coherent_state(random_state_vector(d, rng), 0, 0).amplitudes
+    ref_x, ref_p = _ginis(system, fid, pure=True)
     worst = 0.0
     for chunk in _chunks(_invariance_pairs(system, rng), d):
-        g_x, g_p = _ginis(system, system._displaced(fid.amplitudes, *np.array(chunk).T), pure=True)
+        g_x, g_p = _ginis(system, system._displaced(fid, *np.array(chunk).T), pure=True)
         worst = max(
             worst,
-            float(np.max(np.abs(g_x - ref.g_x))),
-            float(np.max(np.abs(g_p - ref.g_p))),
-            float(np.max(np.abs(g_x + g_p - ref.g_xp))),
+            float(np.max(np.abs(g_x - ref_x))),
+            float(np.max(np.abs(g_p - ref_p))),
+            float(np.max(np.abs(g_x + g_p - (ref_x + ref_p)))),
         )
     return worst <= CONJ_TOL, f"max spread across the coherent family {worst:.2e}"
 

@@ -182,18 +182,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _sweep_row(dim: int, args: argparse.Namespace) -> dict:
     system = new_system(dim)
-    example_xp = gini_report(system, example_state(system)).g_xp
     estimate = estimate_sup_gini(system, restarts=args.restarts, iterations=args.iters, seed=args.seed)
-    bound_set = estimate.bounds
-    return {
-        "dim": dim,
-        "gini_cap": bound_set.gini_cap,
-        "g_lower": bound_set.g_lower,
-        "eta_upper": bound_set.eta_upper,
-        "example_g_xp": example_xp,
-        "g_sup_estimate": estimate.g_sup_estimate,
-        "eta_estimate": estimate.eta_estimate,
-    }
+    record = _build_record(system, estimate.best_state, "estimate_best", estimate=estimate)
+    record["example_g_xp"] = gini_report(system, example_state(system)).g_xp
+    return {column: record[column] for column in SWEEP_COLUMNS}
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -222,7 +214,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         "all_passed": all(r.passed for r in results),
         "checks": [{"name": r.name, "passed": r.passed, "detail": r.detail} for r in results],
     }
-    sys.stdout.write(to_json(document) + "\n")
+    _emit(document, "json")
     return 0 if document["all_passed"] else 1
 
 

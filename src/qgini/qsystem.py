@@ -59,8 +59,15 @@ MAX_DIM = 4001
 _NORM_FLOOR = float(np.sqrt(np.finfo(np.float64).tiny))
 
 
+def _check_integer(name: str, value, error=ValidationError) -> None:
+    """Reject anything but a Python or numpy integer: bool, every float (5.0 too) and other types."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise error(f"{name} must be an integer, got {value!r}")
+
+
 def check_dimension(d: int) -> None:
-    """Reject dimensions that are even, smaller than 3 or larger than MAX_DIM."""
+    """Reject dimensions that are not integers, are even, or lie outside 3..MAX_DIM."""
+    _check_integer("dimension", d)
     if d % 2 == 0:
         raise EvenDimension(f"dimension must be odd, got {d}")
     if d < 3:
@@ -70,7 +77,8 @@ def check_dimension(d: int) -> None:
 
 
 def check_budget(name: str, value: int, ceiling: int) -> None:
-    """Reject a budget count below 1 or above `ceiling`."""
+    """Reject a budget count that is not an integer, is below 1 or is above `ceiling`."""
+    _check_integer(name, value)
     if value < 1:
         raise BudgetTooSmall(f"{name} must be at least 1, got {value}")
     if value > ceiling:
@@ -363,8 +371,7 @@ class QuantumSystem:
 
         |psi|^2 for a state vector, the diagonal of rho for a density matrix.
         """
-        self._check_dim(state)
-        p = _position_rows(*_state_array(state))
+        p = _position_rows(*self._state_array(state))
         return _trusted(ProbabilityDistribution, dim=self.d, probs=p)
 
     def momentum_probs(self, state) -> ProbabilityDistribution:
@@ -374,8 +381,7 @@ class QuantumSystem:
         building F; for a density matrix the diagonal of F^dag rho F, taken
         as the column sums of conj(F) * (rho F) with one d x d product.
         """
-        self._check_dim(state)
-        p = self._momentum_rows(*_state_array(state))
+        p = self._momentum_rows(*self._state_array(state))
         return _trusted(ProbabilityDistribution, dim=self.d, probs=p)
 
     def _momentum_rows(self, x: np.ndarray, pure: bool) -> np.ndarray:
@@ -394,9 +400,13 @@ class QuantumSystem:
         entries = np.array(np.eye(self.d) / self.d, dtype=np.complex128)
         return _trusted(DensityMatrix, dim=self.d, entries=entries)
 
-    def _check_dim(self, other) -> None:
-        if other.dim != self.d:
-            raise DimensionMismatch(f"dimension mismatch: system is {self.d}, operand is {other.dim}")
+    def _state_array(self, state) -> tuple[np.ndarray, bool]:
+        """A state's amplitudes (StateVector) or entries (DensityMatrix), and whether it is pure."""
+        if state.dim != self.d:
+            raise DimensionMismatch(f"dimension mismatch: system is {self.d}, operand is {state.dim}")
+        if isinstance(state, StateVector):
+            return state.amplitudes, True
+        return state.entries, False
 
 
 def momentum_amplitudes(state: StateVector) -> np.ndarray:
@@ -406,13 +416,6 @@ def momentum_amplitudes(state: StateVector) -> np.ndarray:
     forward transform with orthonormal scaling.
     """
     return np.fft.fft(state.amplitudes, norm="ortho")
-
-
-def _state_array(state) -> tuple[np.ndarray, bool]:
-    """The amplitudes of a StateVector or the entries of a DensityMatrix, and whether it is pure."""
-    if isinstance(state, StateVector):
-        return state.amplitudes, True
-    return state.entries, False
 
 
 def _position_rows(x: np.ndarray, pure: bool) -> np.ndarray:

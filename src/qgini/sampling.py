@@ -13,7 +13,7 @@ bits of a lone draw.
 
 import numpy as np
 
-from qgini.qsystem import DensityMatrix, StateVector, _trusted, check_dimension
+from qgini.qsystem import DensityMatrix, StateVector, _check_integer, _trusted, check_dimension
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -22,10 +22,12 @@ _GOLDEN = 0x9E3779B97F4A7C15
 def split_seed(master: int, index: int) -> int:
     """Derive an independent 64-bit child seed from a master seed and an index.
 
-    splitmix64: the child is the splitmix64 finalizer applied to
-    master + (index + 1) * golden-ratio constant, all mod 2**64. Children for
-    distinct indices are decorrelated even when master seeds are tiny.
+    splitmix64: the child is the splitmix64 finalizer applied to master +
+    (index + 1) * golden-ratio constant, all mod 2**64; a float is refused, not
+    truncated. Children are decorrelated even when master seeds are tiny.
     """
+    _check_integer("seed", master)
+    _check_integer("index", index)
     z = (int(master) + (int(index) + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64

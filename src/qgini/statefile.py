@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from qgini.errors import InvalidStateFile
-from qgini.qsystem import DensityMatrix, StateVector, validate_density
+from qgini.qsystem import DensityMatrix, StateVector, _check_integer, validate_density
 from qgini.serialize import to_json
 
 _KINDS = ("pure", "density")
@@ -75,8 +75,7 @@ def loads_state(text: str):
         raise InvalidStateFile(f"state file is missing the {exc.args[0]!r} field") from exc
     if dim is _MINUS_ZERO:
         dim = 0
-    if not isinstance(dim, int) or isinstance(dim, bool):
-        raise InvalidStateFile(f"dim must be an integer, got {dim!r}")
+    _check_integer("dim", dim, InvalidStateFile)
     if kind not in _KINDS:
         raise InvalidStateFile(f"kind must be one of {_KINDS}, got {kind!r}")
     if kind == "pure":

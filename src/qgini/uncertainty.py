@@ -16,7 +16,9 @@ import numpy as np
 
 from qgini.errors import ValidationError
 from qgini.gini import _weighted_sums, gini_cap, gini_weights
-from qgini.qsystem import QuantumSystem, StateVector, _trusted, check_budget, check_dimension
+from qgini.qsystem import (
+    QuantumSystem, StateVector, _check_integer, _moduli_squared, _trusted, check_budget, check_dimension
+)
 from qgini.sampling import split_seed
 
 INITIAL_STEP = 0.3
@@ -76,10 +78,9 @@ class BoundSet:
     """
 
     def __init__(self, d: int):
-        check_dimension(d)
+        self.g_lower = example_gini_closed_form(d)  # validates d
         self.dim = int(d)
         self.gini_cap = gini_cap(d)
-        self.g_lower = example_gini_closed_form(d)
         self.g_strict_upper = 2.0 * self.gini_cap
         self.eta_upper = self.gini_cap * np.sqrt(d) / (1.0 + np.sqrt(d))
         if abs(self.g_lower + self.eta_upper - self.g_strict_upper) > 1e-12:
@@ -94,10 +95,11 @@ class EtaEstimate:
 
     g_sup_estimate is the best combined index found, hence a lower bound on
     the true supremum; eta_estimate = g_strict_upper - g_sup_estimate is the
-    matching upper bound on the coefficient. best_state reproduces
-    g_sup_estimate through the ordinary reporting pipeline. converged records
-    whether the winning restart's step size shrank below MIN_STEP before the
-    sweep budget ran out.
+    matching upper bound on the coefficient. best_state is the state found:
+    the reporting pipeline scores it by FFT, the search by a dense F^dag
+    product, so its g_xp may differ from g_sup_estimate in the last few ulp.
+    converged records whether the winning restart's step size shrank below
+    MIN_STEP before the sweep budget ran out.
     """
 
     def __init__(self, dim, g_sup_estimate, bound_set, best_state, restarts, iterations, seed, converged):
@@ -154,9 +156,8 @@ def _combined_gini_objective(system: QuantumSystem):
 
     def objective(block: np.ndarray) -> np.ndarray:
         psi = block.view(np.complex128)
-        px = psi.real**2 + psi.imag**2
-        phi = np.matmul(fdag, psi[:, :, None])[:, :, 0]
-        pp = phi.real**2 + phi.imag**2
+        px = _moduli_squared(psi)
+        pp = _moduli_squared(np.matmul(fdag, psi[:, :, None])[:, :, 0])
         px.sort(axis=1)
         pp.sort(axis=1)
         return 2.0 - scale * (_weighted_sums(px, w) + _weighted_sums(pp, w))
@@ -282,6 +283,7 @@ def estimate_sup_gini(
     restarts, ties resolved toward the lowest restart index.
     """
     check_search_budget(restarts, iterations)
+    _check_integer("seed", seed)
     d = system.d
     objective = _combined_gini_objective(system)
     bound_set = BoundSet(d)

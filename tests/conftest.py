@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -37,3 +38,12 @@ def huge_density_document(upper, lower, diagonal=(0.5, 0.5, 0.0)):
     for i, value in enumerate(diagonal):
         rows[i][i][0] = value
     return json.dumps({"dim": 3, "kind": "density", "entries": rows})
+
+
+def traced_peak(call):
+    """The value of call() and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -9,6 +7,8 @@ from qgini.gini import _gini_rows, gini_index
 from qgini.lorenz import _lorenz_rows, lorenz_curve
 from qgini.qsystem import QuantumSystem, _conjugated, conjugate
 from qgini.sampling import random_density_matrix, random_state_vector
+
+from conftest import traced_peak
 
 
 def test_all_checks_pass_on_small_samples():
@@ -170,21 +170,12 @@ def test_displacement_stacks_match_one_displacement_at_a_time(d):
         assert np.array_equal(coherent[i].view(np.uint64), own.view(np.uint64))
 
 
-def traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_suite_memory_does_not_grow_with_the_sample_count(monkeypatch):
     # states are drawn and scored in chunks of at most _STACK_BYTES, 4
     # density matrices here, so 20 and 200 samples peak alike (the first
     # run fills numpy's caches)
     monkeypatch.setattr(checks, "_STACK_BYTES", 4 * 16 * 5 * 5)
     run_property_checks(5, samples=20, seed=3)
-    small = traced_peak(lambda: run_property_checks(5, samples=20, seed=3))
-    large = traced_peak(lambda: run_property_checks(5, samples=200, seed=3))
+    _, small = traced_peak(lambda: run_property_checks(5, samples=20, seed=3))
+    _, large = traced_peak(lambda: run_property_checks(5, samples=200, seed=3))
     assert large < 1.25 * small

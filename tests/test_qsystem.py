@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qgini import (
+    BoundSet,
     DegenerateFiducial,
     DensityMatrix,
     DimensionMismatch,
@@ -13,12 +14,14 @@ from qgini import (
     NotNormalized,
     NotPositive,
     ProbabilityDistribution,
+    QuantumSystem,
     StateVector,
     TraceNotOne,
     UnitaryMatrix,
     ValidationError,
     WeightOutOfRange,
     conjugate,
+    estimate_sup_gini,
     example_state,
     gini_report,
     lorenz_curve,
@@ -27,9 +30,11 @@ from qgini import (
     pure_density,
     random_density_matrix,
     random_state_vector,
+    split_seed,
     validate_density,
 )
 from qgini import cli
+from qgini.checks import run_property_checks
 from qgini.qsystem import MAX_DIM, momentum_amplitudes
 
 from conftest import reference_fourier
@@ -66,6 +71,38 @@ def test_large_dimension_rejected_before_allocation(bad):
     # refused by check_dimension, before the dense Fourier matrix is built
     with pytest.raises(DimensionTooLarge, match=f"at most {MAX_DIM}"):
         new_system(bad)
+
+
+# each library entry point that takes a count or a seed, and the name its message uses
+INTEGER_INPUTS = {
+    "QuantumSystem": ("dimension", lambda v: QuantumSystem(v)),
+    "BoundSet": ("dimension", lambda v: BoundSet(v)),
+    "split_seed": ("seed", lambda v: split_seed(v, 0)),
+    "split_seed-index": ("index", lambda v: split_seed(7, v)),
+    "estimate-seed": ("seed", lambda v: estimate_sup_gini(new_system(3), restarts=1, iterations=1, seed=v)),
+    "estimate-restarts": ("restarts", lambda v: estimate_sup_gini(new_system(3), restarts=v, iterations=1)),
+    "check-samples": ("samples", lambda v: run_property_checks(5, samples=v)),
+}
+
+
+@pytest.mark.parametrize("bad", [5.5, 5.0, np.float64(5.0), True, np.bool_(True), "5", None], ids=repr)
+@pytest.mark.parametrize("entry", INTEGER_INPUTS)
+def test_non_integer_inputs_are_refused_not_truncated(entry, bad):
+    name, call = INTEGER_INPUTS[entry]
+    with pytest.raises(ValidationError) as info:
+        call(bad)
+    assert type(info.value) is ValidationError
+    assert str(info.value) == f"{name} must be an integer, got {bad!r}"
+
+
+def test_numpy_integers_count_as_integers():
+    assert QuantumSystem(np.int64(5)).d == 5
+    assert BoundSet(np.int32(5)).g_lower == BoundSet(5).g_lower
+    assert split_seed(np.uint64(7), np.int8(2)) == split_seed(7, 2)
+    system = new_system(3)
+    numpy_budget = estimate_sup_gini(system, restarts=np.int64(2), iterations=np.int16(5), seed=np.int64(4))
+    assert numpy_budget.g_sup_estimate == estimate_sup_gini(system, restarts=2, iterations=5, seed=4).g_sup_estimate
+    assert run_property_checks(np.int64(5), samples=np.int64(3)) == run_property_checks(5, samples=3)
 
 
 @pytest.mark.parametrize("d", [3, 5, 9])

@@ -1,6 +1,5 @@
 import functools
 import itertools
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +35,8 @@ from qgini.uncertainty import (
     _pattern_search,
     check_search_budget,
 )
+
+from conftest import traced_peak
 
 
 def reference_combined_gini(probs_x, probs_p) -> float:
@@ -290,20 +291,6 @@ def search_starts(system, count, seed=29):
     return np.array(starts)
 
 
-@pytest.mark.parametrize("d", [3, 5, 7, 11])
-def test_batched_search_matches_the_sequential_loop(d):
-    system = new_system(d)
-    objective = _combined_gini_objective(system)
-    for x0 in search_starts(system, 4):
-        for sweeps in (2000, 7):
-            [(x, best, converged, ran)] = _pattern_search(objective, x0[None, :], sweeps)
-            ref_x, ref_best, ref_converged, ref_history = sequential_pattern_search(system, x0, sweeps)
-            assert abs(best - ref_best) <= 1e-12
-            assert converged == ref_converged
-            assert ran == len(ref_history) - 1
-            assert np.max(np.abs(x - ref_x)) <= 1e-12
-
-
 @functools.lru_cache(maxsize=None)
 def sequential_references(d, sweeps):
     """sequential_pattern_search of the nine search_starts, once per dimension and budget."""
@@ -344,15 +331,6 @@ def test_lockstep_search_matches_each_start_alone(monkeypatch, d, probe_rows):
             assert len(set(ran)) > 1  # the searches stop at different rounds
 
 
-def traced_peak(call):
-    tracemalloc.start()
-    try:
-        call()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
     system = new_system(11)
     fdag_bytes = system.fourier.entries.nbytes
@@ -378,10 +356,9 @@ def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
         assert np.array_equal(x, fx) and best == fbest
         assert (converged, ran) == (fconverged, fran)
 
-    def estimate():
-        return estimate_sup_gini(system, restarts=9, iterations=2000, seed=3)
-
-    capped_estimate = estimate()
+    capped_estimate, capped_peak = traced_peak(
+        lambda: estimate_sup_gini(system, restarts=9, iterations=2000, seed=3)
+    )
     assert capped_estimate.g_sup_estimate == free_estimate.g_sup_estimate
     assert np.array_equal(capped_estimate.best_state.amplitudes, free_estimate.best_state.amplitudes)
     assert capped_estimate.converged == free_estimate.converged
@@ -389,8 +366,8 @@ def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
     # what one search's full sweep takes today: the 4d x 2d block and the
     # objective's temporaries
     x0 = starts[1] / np.linalg.norm(starts[1])
-    full_sweep = traced_peak(lambda: objective(np.repeat(x0[None, :], 4 * 11, axis=0)))
-    assert traced_peak(estimate) <= ceiling + fdag_bytes + full_sweep
+    _, full_sweep = traced_peak(lambda: objective(np.repeat(x0[None, :], 4 * 11, axis=0)))
+    assert capped_peak <= ceiling + fdag_bytes + full_sweep
 
 
 def test_starts_are_scored_under_the_round_ceiling(monkeypatch):
