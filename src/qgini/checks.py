@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qgini.gini import _gini_rows, gini_cap
+from qgini.gini import _gini_rows, _ginis, gini_cap
 from qgini.lorenz import _comonotonic_rows, _lorenz_rows
 from qgini.qsystem import QuantumSystem, _conjugated, _position_rows, check_budget
 from qgini.sampling import _density_draw, _density_entries, random_state_vector, split_seed
@@ -75,12 +75,6 @@ def _mixture_stacks(d: int, samples: int, rng):
 def _distributions(system: QuantumSystem, x: np.ndarray, pure: bool = False):
     """Position and momentum distributions of a stack of density matrices (or amplitude rows)."""
     return _position_rows(x, pure), system._momentum_rows(x, pure)
-
-
-def _ginis(system: QuantumSystem, x: np.ndarray, pure: bool = False):
-    """Position and momentum Gini indices of a stack of density matrices (or amplitude rows)."""
-    p_x, p_p = _distributions(system, x, pure)
-    return _gini_rows(p_x), _gini_rows(p_p)
 
 
 def _check_lorenz_bound(system, samples, rng):

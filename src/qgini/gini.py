@@ -10,7 +10,7 @@ is the quantity whose supremum defines the uncertainty coefficient.
 import numpy as np
 
 from qgini.errors import ValidationError
-from qgini.qsystem import NORM_TOL, ProbabilityDistribution, QuantumSystem
+from qgini.qsystem import NORM_TOL, ProbabilityDistribution, QuantumSystem, _position_rows, check_dimension
 
 
 def gini_cap(d: int) -> float:
@@ -44,6 +44,11 @@ def _gini_rows(p: np.ndarray) -> np.ndarray:
     return np.maximum(1.0 - scale * _weighted_sums(np.sort(p, axis=-1), weights), 0.0)
 
 
+def _ginis(system: QuantumSystem, x: np.ndarray, pure: bool = False):
+    """Position and momentum Gini indices of a stack of density matrices (or amplitude rows)."""
+    return _gini_rows(_position_rows(x, pure)), _gini_rows(system._momentum_rows(x, pure))
+
+
 def _weighted_sums(ascending: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """weights @ each distribution along the last axis, already sorted ascending.
 
@@ -57,14 +62,15 @@ def _weighted_sums(ascending: np.ndarray, weights: np.ndarray) -> np.ndarray:
 class GiniReport:
     """Position and momentum Gini indices of one state, and their sum.
 
-    g_xp is derived in the constructor, so a report cannot carry an
-    inconsistent sum. Both indices must lie in [0, (d-1)/(d+1)] up to
-    NORM_TOL and g_xp strictly below twice the cap: the boundary accepts
-    distributions that sum to 1 - NORM_TOL, which lifts an index up to
-    2/(d+1) * NORM_TOL above the cap.
+    dim must be a valid dimension. g_xp is derived in the constructor, so a
+    report cannot carry an inconsistent sum. Both indices must lie in
+    [0, (d-1)/(d+1)] up to NORM_TOL and g_xp strictly below twice the cap:
+    the boundary accepts distributions that sum to 1 - NORM_TOL, which lifts
+    an index up to 2/(d+1) * NORM_TOL above the cap.
     """
 
     def __init__(self, dim: int, g_x: float, g_p: float):
+        check_dimension(dim)
         cap = gini_cap(dim) + NORM_TOL
         for name, g in (("g_x", g_x), ("g_p", g_p)):
             if not 0.0 <= g <= cap:
@@ -83,6 +89,5 @@ class GiniReport:
 
 def gini_report(system: QuantumSystem, state) -> GiniReport:
     """Evaluate both measurement Gini indices of a StateVector or DensityMatrix."""
-    g_x = gini_index(system.position_probs(state))
-    g_p = gini_index(system.momentum_probs(state))
-    return GiniReport(system.d, g_x, g_p)
+    g_x, g_p = _ginis(system, *system._state_array(state))
+    return GiniReport(system.d, float(g_x), float(g_p))

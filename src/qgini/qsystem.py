@@ -291,12 +291,14 @@ class QuantumSystem:
 
     def position_state(self, r: int) -> StateVector:
         """Computational basis vector with a single 1 at index r mod d."""
+        _check_integer("r", r)
         amp = np.zeros(self.d, dtype=np.complex128)
         amp[r % self.d] = 1.0
         return _trusted(StateVector, dim=self.d, amplitudes=amp)
 
     def momentum_state(self, r: int) -> StateVector:
         """Fourier image of the r-th position state, i.e. column r of F."""
+        _check_integer("r", r)
         column = self._omega_pow[np.arange(self.d) * (r % self.d) % self.d] / np.sqrt(self.d)
         return _trusted(StateVector, dim=self.d, amplitudes=column)
 
@@ -308,6 +310,8 @@ class QuantumSystem:
         Every entry is an exact root of unity or zero. alpha and beta are
         taken mod d; D(alpha, beta).dagger() equals D(-alpha, -beta) exactly.
         """
+        _check_integer("alpha", alpha)
+        _check_integer("beta", beta)
         return _trusted(UnitaryMatrix, dim=self.d, entries=self._displacements(alpha, beta))
 
     def _displacements(self, alpha, beta) -> np.ndarray:
@@ -352,6 +356,8 @@ class QuantumSystem:
         state, otherwise the displaced family collapses onto a basis; the
         exact overlaps max |f| and max |F^dag f| must stay below 1 - OVERLAP_TOL.
         """
+        _check_integer("alpha", alpha)
+        _check_integer("beta", beta)
         f = fiducial if isinstance(fiducial, StateVector) else StateVector(fiducial)
         if f.dim != self.d:
             raise DimensionMismatch(f"dimension mismatch: system is {self.d}, fiducial is {f.dim}")

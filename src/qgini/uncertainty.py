@@ -83,8 +83,6 @@ class BoundSet:
         self.gini_cap = gini_cap(d)
         self.g_strict_upper = 2.0 * self.gini_cap
         self.eta_upper = self.gini_cap * np.sqrt(d) / (1.0 + np.sqrt(d))
-        if abs(self.g_lower + self.eta_upper - self.g_strict_upper) > 1e-12:
-            raise ValidationError("bound identity g_lower + eta_upper = g_strict_upper failed")
 
     def __repr__(self):
         return f"BoundSet(dim={self.dim})"
@@ -95,14 +93,18 @@ class EtaEstimate:
 
     g_sup_estimate is the best combined index found, hence a lower bound on
     the true supremum; eta_estimate = g_strict_upper - g_sup_estimate is the
-    matching upper bound on the coefficient. best_state is the state found:
-    the reporting pipeline scores it by FFT, the search by a dense F^dag
-    product, so its g_xp may differ from g_sup_estimate in the last few ulp.
-    converged records whether the winning restart's step size shrank below
-    MIN_STEP before the sweep budget ran out.
+    matching upper bound on the coefficient; dim is the bracket's. best_state
+    is the state found: the reporting pipeline scores it by FFT, the search
+    by a dense product of F with the conjugate amplitudes, so its g_xp may
+    differ from g_sup_estimate in the last few ulp. converged records whether
+    the winning restart's step size shrank below MIN_STEP before the sweep
+    budget ran out. restarts, iterations and seed must be integers, the first
+    two within the search budget.
     """
 
-    def __init__(self, dim, g_sup_estimate, bound_set, best_state, restarts, iterations, seed, converged):
+    def __init__(self, g_sup_estimate, bound_set, best_state, restarts, iterations, seed, converged):
+        check_search_budget(restarts, iterations)
+        _check_integer("seed", seed)
         g = float(g_sup_estimate)
         if g < bound_set.g_lower - BRACKET_SLACK:
             raise ValidationError(
@@ -113,7 +115,7 @@ class EtaEstimate:
         eta = bound_set.g_strict_upper - g
         if not 0.0 < eta <= bound_set.eta_upper + BRACKET_SLACK:
             raise ValidationError(f"eta estimate {eta!r} outside (0, eta_upper]")
-        self.dim = int(dim)
+        self.dim = bound_set.dim
         self.g_sup_estimate = g
         self.eta_estimate = eta
         self.bounds = bound_set
@@ -141,7 +143,8 @@ def _combined_gini_objective(system: QuantumSystem):
     keep candidates on the unit sphere. Returns the m sums of both indices in
     the weighted-sort form of :func:`qgini.gini.gini_weights`, with the
     weights built once and no object construction, so one call scores a
-    whole block of candidates.
+    whole block of candidates. Momentum amplitudes are taken as F conj(psi),
+    the conjugates of F^dag psi (F is symmetric), so no copy of F is made.
 
     Every row-wise product is a stack of per-row matrix-vector or dot
     products (np.matmul over a leading axis), never one matrix-matrix
@@ -151,13 +154,13 @@ def _combined_gini_objective(system: QuantumSystem):
     it sits in, and the batched search accepts exactly the moves of a
     one-candidate-at-a-time search.
     """
-    fdag = system.fourier.entries.conj()  # F is symmetric, so this is F^dag
+    f = system.fourier.entries
     w, scale = gini_weights(system.d)
 
     def objective(block: np.ndarray) -> np.ndarray:
         psi = block.view(np.complex128)
         px = _moduli_squared(psi)
-        pp = _moduli_squared(np.matmul(fdag, psi[:, :, None])[:, :, 0])
+        pp = _moduli_squared(np.matmul(f, psi.conj()[:, :, None])[:, :, 0])
         px.sort(axis=1)
         pp.sort(axis=1)
         return 2.0 - scale * (_weighted_sums(px, w) + _weighted_sums(pp, w))
@@ -294,7 +297,6 @@ def estimate_sup_gini(
     results = _pattern_search(objective, starts, iterations)
     best_x, best_val, best_converged, _ = max(results, key=lambda result: result[1])
     return EtaEstimate(
-        dim=d,
         g_sup_estimate=float(best_val),
         bound_set=bound_set,
         best_state=_gauge_fixed(best_x),

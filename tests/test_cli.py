@@ -397,6 +397,10 @@ SEARCH_BUDGET = ["--restarts", "4", "--iters", "2000", "--seed", "7"]
             ["sweep", "--dims", "3,5,7", "--restarts", "4", "--iters", "500", "--seed", "7"],
             "sweep-d3-5-7-r4-i500-s7.json",
         ),
+        (
+            ["estimate", "--dim", "101", "--restarts", "2", "--iters", "50", "--seed", "7"],
+            "estimate-d101-r2-i50-s7.json",
+        ),
     ],
 )
 def test_search_prints_the_saved_bytes(capsys, argv, name):
@@ -427,7 +431,7 @@ def test_reports_print_the_saved_bytes(capsys, argv, name):
 
 @pytest.mark.parametrize("path", sorted(SAVED_OUTPUT.glob("estimate-*.json")), ids=lambda path: path.name)
 def test_estimate_report_rescores_the_best_state_within_4_ulp(path):
-    # the search scores with a dense F^dag product, the report with an FFT,
+    # the search scores with a dense product of F, the report with an FFT,
     # so g_xp of the best state may differ from g_sup_estimate in the last
     # bits (the saved documents differ by -2 to +1 ulp)
     doc = json.loads(path.read_text())
@@ -520,6 +524,11 @@ def test_sweep_rejects_even_member(capsys):
 def test_sweep_rejects_non_integer_list(capsys):
     code, _, _ = run_cli(capsys, "sweep", "--dims", "3,x")
     assert code == 2
+
+
+def test_sweep_rejects_an_empty_list(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--dims", ",")
+    assert (code, out, err) == (1, "", "error: dimension list is empty\n")
 
 
 # ---- check ----

@@ -8,7 +8,9 @@ from qgini import (
     DimensionMismatch,
     DimensionTooLarge,
     DimensionTooSmall,
+    EtaEstimate,
     EvenDimension,
+    GiniReport,
     NotFinite,
     NotHermitian,
     NotNormalized,
@@ -73,7 +75,18 @@ def test_large_dimension_rejected_before_allocation(bad):
         new_system(bad)
 
 
-# each library entry point that takes a count or a seed, and the name its message uses
+def _estimate(restarts=1, iterations=1, seed=0):
+    b = BoundSet(3)
+    return EtaEstimate(b.g_lower, b, None, restarts, iterations, seed, True)
+
+
+def _coherent(alpha, beta):
+    system = new_system(5)
+    return system.coherent_state(system.default_fiducial(), alpha, beta)
+
+
+# each library entry point that takes an integer (a dimension, count, seed or
+# phase-space index), and the name its message uses
 INTEGER_INPUTS = {
     "QuantumSystem": ("dimension", lambda v: QuantumSystem(v)),
     "BoundSet": ("dimension", lambda v: BoundSet(v)),
@@ -82,6 +95,16 @@ INTEGER_INPUTS = {
     "estimate-seed": ("seed", lambda v: estimate_sup_gini(new_system(3), restarts=1, iterations=1, seed=v)),
     "estimate-restarts": ("restarts", lambda v: estimate_sup_gini(new_system(3), restarts=v, iterations=1)),
     "check-samples": ("samples", lambda v: run_property_checks(5, samples=v)),
+    "EtaEstimate-restarts": ("restarts", lambda v: _estimate(restarts=v)),
+    "EtaEstimate-iterations": ("iterations", lambda v: _estimate(iterations=v)),
+    "EtaEstimate-seed": ("seed", lambda v: _estimate(seed=v)),
+    "GiniReport": ("dimension", lambda v: GiniReport(v, 0.1, 0.2)),
+    "position_state": ("r", lambda v: new_system(5).position_state(v)),
+    "momentum_state": ("r", lambda v: new_system(5).momentum_state(v)),
+    "displacement-alpha": ("alpha", lambda v: new_system(5).displacement(v, 0)),
+    "displacement-beta": ("beta", lambda v: new_system(5).displacement(0, v)),
+    "coherent_state-alpha": ("alpha", lambda v: _coherent(v, 0)),
+    "coherent_state-beta": ("beta", lambda v: _coherent(0, v)),
 }
 
 
@@ -103,6 +126,21 @@ def test_numpy_integers_count_as_integers():
     numpy_budget = estimate_sup_gini(system, restarts=np.int64(2), iterations=np.int16(5), seed=np.int64(4))
     assert numpy_budget.g_sup_estimate == estimate_sup_gini(system, restarts=2, iterations=5, seed=4).g_sup_estimate
     assert run_property_checks(np.int64(5), samples=np.int64(3)) == run_property_checks(5, samples=3)
+
+
+def test_result_types_and_indices_take_numpy_and_negative_integers(sys5):
+    b = BoundSet(3)
+    est = EtaEstimate(b.g_lower, b, None, np.int64(2), np.int16(5), np.int64(-4), True)
+    assert (est.dim, est.restarts, est.iterations, est.seed) == (3, 2, 5, -4)
+    assert type(est.restarts) is int and type(est.seed) is int
+    assert GiniReport(np.int64(5), 0.1, 0.2).dim == 5
+    assert np.array_equal(sys5.position_state(np.int8(-1)).amplitudes, sys5.position_state(4).amplitudes)
+    assert np.array_equal(sys5.momentum_state(np.uint16(7)).amplitudes, sys5.momentum_state(2).amplitudes)
+    assert np.array_equal(sys5.displacement(np.int32(-2), np.int64(8)).entries, sys5.displacement(3, 3).entries)
+    fid = sys5.default_fiducial()
+    assert np.array_equal(
+        sys5.coherent_state(fid, -1, np.int64(2)).amplitudes, sys5.coherent_state(fid, 4, 2).amplitudes
+    )
 
 
 @pytest.mark.parametrize("d", [3, 5, 9])

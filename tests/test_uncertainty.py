@@ -144,6 +144,14 @@ def test_bound_identities(d):
     assert b.g_lower == example_gini_closed_form(d)
 
 
+def test_bound_identity_holds_at_every_odd_dimension():
+    # BoundSet does not check g_lower + eta_upper = g_strict_upper itself:
+    # all three are closed forms of d, so the identity is pinned here
+    for d in range(3, MAX_DIM + 1, 2):
+        b = BoundSet(d)
+        assert abs(b.g_lower + b.eta_upper - b.g_strict_upper) <= 1e-12, d
+
+
 def test_bounds_validation():
     with pytest.raises(EvenDimension):
         BoundSet(4)
@@ -370,6 +378,15 @@ def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
     assert capped_peak <= ceiling + fdag_bytes + full_sweep
 
 
+@pytest.mark.parametrize("d", [201, 401])
+def test_search_keeps_no_copy_of_the_fourier_matrix(d):
+    # F is built before tracing; a conjugate copy of it alone would take F's bytes
+    system = new_system(d)
+    f_bytes = system.fourier.entries.nbytes
+    _, peak = traced_peak(lambda: estimate_sup_gini(system, restarts=1, iterations=1))
+    assert peak < f_bytes
+
+
 def test_starts_are_scored_under_the_round_ceiling(monkeypatch):
     system = new_system(11)
     objective = _combined_gini_objective(system)
@@ -395,6 +412,6 @@ def test_eta_estimate_validation():
     from qgini.uncertainty import EtaEstimate
 
     with pytest.raises(ValidationError):
-        EtaEstimate(3, 0.5, b, None, 1, 1, 0, True)  # below the achievable floor
+        EtaEstimate(0.5, b, None, 1, 1, 0, True)  # below the achievable floor
     with pytest.raises(ValidationError):
-        EtaEstimate(3, 1.0, b, None, 1, 1, 0, True)  # at the strict ceiling
+        EtaEstimate(1.0, b, None, 1, 1, 0, True)  # at the strict ceiling
