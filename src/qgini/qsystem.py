@@ -385,7 +385,7 @@ class QuantumSystem:
 
         |F^dag psi|^2 for a state vector, by FFT in O(d log d) without
         building F; for a density matrix the diagonal of F^dag rho F, taken
-        as the column sums of conj(F) * (rho F) with one d x d product.
+        as the real column sums of conj(rho F) * F with one d x d product.
         """
         p = self._momentum_rows(*self._state_array(state))
         return _trusted(ProbabilityDistribution, dim=self.d, probs=p)
@@ -398,8 +398,13 @@ class QuantumSystem:
         """
         if pure:
             return _moduli_squared(np.fft.fft(x, norm="ortho"))
+        # conj(rho F) * F in place: the same real parts as conj(F) * (rho F),
+        # with no conjugate copy of F and no second d x d temporary
         f = self.fourier.entries
-        return _clamped((f.conj() * (x @ f)).sum(axis=-2).real)
+        y = x @ f
+        np.conjugate(y, out=y)
+        y *= f
+        return _clamped(y.sum(axis=-2).real)
 
     def maximally_mixed(self) -> DensityMatrix:
         """Identity over d: flat in both bases, the zero of both Gini indices."""

@@ -10,11 +10,19 @@ reproduces every IEEE double exactly. Loading validates the document shape
 and rejects non-finite numbers (:class:`InvalidStateFile`), then checks the
 physics invariants through the ordinary :class:`StateVector` /
 density-matrix validation.
+
+The layout :func:`dumps_state` writes ("dim", "kind" and the values field
+in that order, with any JSON whitespace) is read in one flat pass: all the
+numbers are parsed as one flat list, with no list per pair. Any other
+layout, and every document the flat pass would reject, goes to the general
+reader, which parses the document tree. Both paths end in the same
+constructors, so every message is unchanged.
 """
 
 import itertools
 import json
 import os
+import re
 import sys
 
 import numpy as np
@@ -54,8 +62,77 @@ def _parse_int(text: str):
     return _MINUS_ZERO if text == "-0" else int(text)
 
 
+# the head of the layout dumps_state writes, up to the ':' before the
+# values; a space stands for any run of JSON whitespace, and the values
+# field must agree with the kind
+_FLAT_HEAD = re.compile(
+    rb' \{ "dim" : ([1-9][0-9]{0,5}) , "kind" : (?:"(pure)" , "amplitudes"|"density" , "entries") :'.replace(
+        b" ", rb"[ \t\n\r]*"
+    )
+)
+_JSON_WHITESPACE = b" \t\n\r"
+_NUMBERS_AS_ZEROS = bytes.maketrans(b"123456789.eE+-", b"0" * 14)
+# a pair slot with no number in it; re scans for these faster than `in`
+# does through the long runs of 0s
+_EMPTY_SLOTS = (re.compile(rb"\[,"), re.compile(rb",\]"))
+# the ':' before the values and the '}' after them become the brackets of
+# one flat list, and the brackets of the pairs and rows become whitespace
+_AS_FLAT_LIST = str.maketrans("[]:}", "  []")
+_FLAT_DECODER = json.JSONDecoder(parse_int=_parse_int)
+
+
 def loads_state(text: str):
     """Parse state-file text into a StateVector or DensityMatrix."""
+    state = _read_flat(text)
+    return _read_general(text) if state is None else state
+
+
+def _read_flat(text: str):
+    """The state of a document in the layout dumps_state writes, else None.
+
+    Parses every number in one flat JSON list, so JSON decides the number
+    grammar and -0 keeps its sign, and builds no list per pair. Declines,
+    without building anything of size d^2 first, whatever the general
+    reader might read differently: a non-ASCII text, another head or tail,
+    a payload whose brackets and commas are not exactly d pairs (pure) or d
+    rows of d pairs (density), a number outside its pair, and a number that
+    is not valid JSON or not finite.
+    """
+    if not text.isascii():
+        return None
+    raw = text.encode("ascii")
+    head = _FLAT_HEAD.match(raw)
+    close = raw.rfind(b"}")
+    if head is None or raw[close + 1 :].strip(_JSON_WHITESPACE):
+        return None
+    dim, pure = int(head[1]), head[2] is not None
+    # numbers become runs of 0s and whitespace goes; what is left of the
+    # payload must be exactly the brackets and commas of its pairs
+    shape = raw[head.end() : close].translate(_NUMBERS_AS_ZEROS, _JSON_WHITESPACE)
+    skeleton = shape.translate(None, b"0")
+    row = 4 * dim + 1  # "[" + dim "[,]" joined by "," + "]"
+    if len(skeleton) != (row if pure else dim * (row + 1) + 1):
+        return None
+    pairs = b"[" + b",".join([b"[,]"] * dim) + b"]"
+    if skeleton != (pairs if pure else b"[" + b",".join([pairs] * dim) + b"]"):
+        return None
+    # the flat parse allows one number between each two commas, so a number
+    # outside its pair leaves a pair slot empty
+    if any(slot.search(shape) for slot in _EMPTY_SLOTS):
+        return None
+    try:
+        numbers, _ = _FLAT_DECODER.raw_decode(text.translate(_AS_FLAT_LIST), head.end() - 1)
+        parts = np.array(numbers, dtype=np.float64)
+    except (ValueError, OverflowError):  # not JSON, past the digit limit, or too large for a double
+        return None
+    if not np.isfinite(parts).all():
+        return None
+    values = parts.view(np.complex128)
+    return StateVector(values) if pure else validate_density(values.reshape(dim, dim))
+
+
+def _read_general(text: str):
+    """Parse any state-file text through the document tree; the source of every message."""
     try:
         doc = json.loads(text, parse_constant=_reject_constant, parse_int=_parse_int)
     except InvalidStateFile:  # a NaN or Infinity literal, already named

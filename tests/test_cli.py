@@ -26,6 +26,7 @@ from qgini import (
 )
 from qgini.checks import MAX_SAMPLES
 from qgini.cli import SWEEP_COLUMNS, _csv_cell, run
+from qgini.statefile import dumps_state
 from qgini.uncertainty import MAX_ITERATIONS, MAX_RESTARTS
 
 from conftest import huge_density_document, traced_peak
@@ -427,6 +428,32 @@ def test_reports_print_the_saved_bytes(capsys, argv, name):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert out.encode() == (SAVED_OUTPUT / name).read_bytes()
+
+
+def _density_text(rho, layout):
+    """State-file text of rho: as save_state_file writes it, compact, or with the keys reordered."""
+    if layout == "saved":
+        return dumps_state(rho)
+    entries = np.stack((rho.entries.real, rho.entries.imag), axis=-1).tolist()
+    if layout == "compact":
+        return json.dumps({"dim": rho.dim, "kind": "density", "entries": entries}, separators=(",", ":"))
+    return json.dumps({"entries": entries, "kind": "density", "dim": rho.dim})
+
+
+@pytest.mark.parametrize("layout", ["saved", "compact", "reordered"])
+def test_d201_density_probe_prints_the_saved_bytes(tmp_path, monkeypatch, layout):
+    # saved output of probe for save_state_file of random_density_matrix(201, 5);
+    # the reordered keys take the general reader. At d = 201 the last bits of
+    # the momentum product depend on the BLAS thread count, so the probes run
+    # in fresh interpreters on one thread, as the saved bytes were made
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    path = tmp_path / "density-201.json"
+    path.write_text(_density_text(random_density_matrix(201, 5), layout))
+    for fmt, name in (("json", "probe-density-d201-s5.json"), ("csv", "probe-density-d201-s5.csv")):
+        proc = in_fresh_interpreter("qgini.cli", "probe", "--input", str(path), "--format", fmt)
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.encode() == (SAVED_OUTPUT / name).read_bytes()
 
 
 @pytest.mark.parametrize("path", sorted(SAVED_OUTPUT.glob("estimate-*.json")), ids=lambda path: path.name)

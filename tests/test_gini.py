@@ -16,7 +16,10 @@ from qgini import (
     new_system,
     pure_density,
     random_density_matrix,
+    random_state_vector,
 )
+
+from conftest import traced_peak
 
 
 def weighted_gini_reference(p: np.ndarray) -> float:
@@ -92,6 +95,18 @@ def test_report_validation():
         GiniReport(3, 0.7, 0.0)
     with pytest.raises(ValidationError):
         GiniReport(3, 0.5, 0.5)  # sum reaches the strict bound
+
+
+def test_density_report_keeps_no_copy_of_the_fourier_matrix():
+    # F and the state are built first, so the momentum kernel's own memory
+    # is what is traced: one d x d complex product, not a conjugate copy of F
+    # and a second product beside it
+    d = 401
+    system = new_system(d)
+    system.fourier
+    rho = pure_density(random_state_vector(d, 3))
+    _, peak = traced_peak(lambda: gini_report(system, rho))
+    assert peak < 1.5 * 16 * d * d
 
 
 def test_subadditivity_under_mixing():

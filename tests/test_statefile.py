@@ -20,9 +20,9 @@ from qgini import (
     random_state_vector,
     save_state_file,
 )
-from qgini.statefile import dumps_state, loads_state
+from qgini.statefile import _read_flat, _read_general, dumps_state, loads_state
 
-from conftest import huge_density_document
+from conftest import huge_density_document, traced_peak
 
 
 def test_pure_round_trip_is_bit_exact(tmp_path):
@@ -218,6 +218,10 @@ _numbers = st.one_of(st.floats(), st.floats(-1.0, 1.0), st.integers(min_value=-(
 _junk = st.one_of(_numbers, st.booleans(), st.text(max_size=2), st.none(), st.lists(_numbers, max_size=3))
 
 
+# json.dumps keyword sets: one line, indented, and compact
+_LAYOUTS = [{}, {"indent": 2}, {"separators": (",", ":")}]
+
+
 @st.composite
 def _state_documents(draw):
     """State-file text: valid states, then maybe one number or field replaced, or the text cut."""
@@ -235,7 +239,9 @@ def _state_documents(draw):
         draw(st.sampled_from(cells))[draw(st.integers(0, 1))] = draw(_junk)
     if draw(st.booleans()):
         doc[draw(st.sampled_from(["dim", "kind", "amplitudes", "entries"]))] = draw(_junk)
-    text = json.dumps(doc)
+    if draw(st.booleans()):
+        doc = dict(draw(st.permutations(list(doc.items()))))
+    text = json.dumps(doc, **draw(st.sampled_from(_LAYOUTS)))
     if draw(st.integers(0, 9)) == 0:
         text = text[: draw(st.integers(0, len(text)))]
     return text
@@ -251,3 +257,107 @@ def test_loads_state_returns_a_state_or_raises_validation_error(text):
     assert isinstance(state, (StateVector, DensityMatrix))
     values = state.amplitudes if isinstance(state, StateVector) else state.entries
     assert np.all(np.isfinite(values))
+
+
+# ---- the flat reader against the general reader ----
+
+
+def _outcome(read, text):
+    """The state's class and value bits, or the exception's class and message."""
+    try:
+        state = read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+    values = state.amplitudes if isinstance(state, StateVector) else state.entries
+    return type(state), values.shape, values.view(np.uint64).tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(_state_documents())
+def test_loads_state_reads_what_the_general_reader_reads(text):
+    assert _outcome(loads_state, text) == _outcome(_read_general, text)
+
+
+_PURE = '{"dim": 3, "kind": "pure", "amplitudes": [[0.6, 0], [0, 0.8], [0, -0]]}'
+_DENSITY = '{"dim": 2, "kind": "density", "entries": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, -0]]]}'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(_PURE, id="pure"),
+        pytest.param(_DENSITY, id="density"),
+        pytest.param(_PURE.replace("[[", "[ \t\r\n[ ").replace(", ", "\n,\t"), id="json-whitespace"),
+        pytest.param(_PURE.replace('"dim": 3, "kind": "pure"', '"kind": "pure", "dim": 3'), id="reordered-keys"),
+        pytest.param(_PURE[:-1] + ', "note": 1}', id="extra-key"),
+        pytest.param(_PURE[:-1] + ', "amplitudes": [[1, 0], [0, 0], [0, 0]]}', id="repeated-field"),
+        pytest.param(_PURE.replace('"dim"', '"\\u0064im"'), id="escaped-key"),
+        pytest.param(_PURE.replace('"pure", "amplitudes"', '"pure", "entries"'), id="field-against-kind"),
+        pytest.param("\ufeff" + _PURE, id="bom"),
+        pytest.param(_PURE + " x", id="trailing-junk"),
+        pytest.param(_PURE + "}", id="trailing-brace"),
+        pytest.param(_PURE.replace("[[", "\u00a0[["), id="non-ascii-whitespace"),
+        pytest.param(_PURE.replace("[[", "\x0b[["), id="vertical-tab"),
+        pytest.param(_PURE.replace('"dim": 3', '"dim":\x0c3'), id="form-feed-in-head"),
+        pytest.param(_PURE.replace("0.6", ".6"), id="leading-dot"),
+        pytest.param(_PURE.replace("0.6", "+0.6"), id="plus-sign"),
+        pytest.param(_PURE.replace("[0, 0.8]", "[00, 0.8]"), id="leading-zero"),
+        pytest.param(_PURE.replace("0.6", "6."), id="trailing-dot"),
+        pytest.param(_DENSITY.replace("0.5", "5E-1"), id="exponent"),
+        pytest.param(_PURE.replace("0.6", "1e999"), id="overflow"),
+        pytest.param(_PURE.replace("0.6", "NaN"), id="nan"),
+        pytest.param(_PURE.replace("0.6", "-Infinity"), id="infinity"),
+        pytest.param(_PURE.replace("0.6", "1" + "0" * 400), id="400-digit-integer"),
+        pytest.param(_PURE.replace("0.6", "1" + "0" * 5000), id="5000-digit-integer"),
+        pytest.param(_PURE.replace("[0, -0]", "[0, true]"), id="true"),
+        pytest.param(_PURE.replace("[0, -0]", "[0, null]"), id="null"),
+        pytest.param(_PURE.replace("[0, -0]", '[0, "0"]'), id="string"),
+        pytest.param(_PURE.replace("[0, -0]", "[0, -0, 0]"), id="long-pair"),
+        pytest.param(_PURE.replace("[0, -0]", "[0]"), id="short-pair"),
+        pytest.param(_PURE.replace(", [0, -0]", ""), id="missing-pair"),
+        pytest.param(_DENSITY.replace("[[0, 0], [0.5, -0]]", "[[0, 0]]"), id="short-row"),
+        pytest.param(_DENSITY.replace("[[0, 0], [0.5, -0]]", "[[0, 0], [0.5, -0], [0, 0]]"), id="long-row"),
+        pytest.param(_DENSITY.replace("[[[", "[[[[").replace("]]]", "]]]]"), id="deeper-nesting"),
+        pytest.param(_PURE.replace('"dim": 3', '"dim": 03'), id="dim-leading-zero"),
+        pytest.param(_PURE.replace('"dim": 3', '"dim": 3.0'), id="dim-float"),
+        pytest.param(_PURE.replace('"dim": 3', '"dim": -0'), id="dim-minus-zero"),
+        pytest.param(_PURE.replace('"dim": 3', '"dim": 1234567'), id="dim-seven-digits"),
+        pytest.param(_DENSITY.replace('"dim": 2', '"dim": 999999'), id="dim-999999"),
+        # a number outside its pair keeps the brackets and commas of d pairs
+        pytest.param(_PURE.replace("[0, 0.8],", "[0, 0.8]5,"), id="number-after-pair"),
+        pytest.param(_PURE.replace(", [0, 0.8]", ", 5[0, 0.8]"), id="number-before-pair"),
+        pytest.param(_PURE.replace("[0.6, 0]", "[0.6, ]0"), id="number-moved-after-pair"),
+        pytest.param(_PURE.replace("[0, 0.8]", "0[, 0.8]"), id="number-moved-before-pair"),
+        pytest.param(_DENSITY.replace("[0, 0]], [[", "[0, 1]]7, [["), id="number-after-row"),
+        pytest.param(_DENSITY.replace("[0.5, -0]]]", "[0.5, ]-0]]"), id="number-moved-after-row"),
+        pytest.param(_PURE.replace("[0.6, 0]", "[0.6 0, ]"), id="two-numbers-in-a-slot"),
+        pytest.param(_PURE.replace("[0.6, 0]", "[, 0]"), id="empty-slot"),
+        pytest.param(_PURE.replace("0.8", "0.7"), id="not-normalized"),
+        pytest.param(_DENSITY.replace("[[[0.5, 0], [0, 0]]", "[[[0.5, 0], [0.1, 0]]"), id="not-hermitian"),
+    ],
+)
+def test_crafted_text_reads_as_the_general_reader_reads_it(text):
+    assert _outcome(loads_state, text) == _outcome(_read_general, text)
+
+
+@pytest.mark.parametrize("state", [random_state_vector(101, 4), random_density_matrix(21, 4)], ids=["pure", "density"])
+@pytest.mark.parametrize("compact", [False, True], ids=["indented", "compact"])
+def test_flat_reader_takes_what_dumps_state_writes(state, compact):
+    text = dumps_state(state)
+    if compact:  # the same numbers with no whitespace at all
+        text = "".join(text.split())
+    back = _read_flat(text)
+    assert back is not None
+    values = state.amplitudes if isinstance(state, StateVector) else state.entries
+    back_values = back.amplitudes if isinstance(back, StateVector) else back.entries
+    assert np.array_equal(back_values.view(np.uint64), values.view(np.uint64))
+
+
+@pytest.mark.parametrize("dim", [3001, 999999])
+def test_flat_reader_declines_a_short_payload_without_building_its_dimension(dim):
+    # the payload holds 2 x 2 pairs; a skeleton of dim x dim pairs would take
+    # about 4 dim^2 bytes
+    text = _DENSITY.replace('"dim": 2', f'"dim": {dim}')
+    state, peak = traced_peak(lambda: _read_flat(text))
+    assert state is None
+    assert peak < 64 * 1024
