@@ -6,10 +6,13 @@ A state file holds one of:
     {"dim": d, "kind": "density", "entries": [[[re, im], ...], ...]} d rows of d pairs
 
 Numbers are written with 17 significant digits, so a save/load cycle
-reproduces every IEEE double exactly. Loading validates the document shape
-and rejects non-finite numbers (:class:`InvalidStateFile`), then checks the
-physics invariants through the ordinary :class:`StateVector` /
-density-matrix validation.
+reproduces every IEEE double exactly. :func:`dumps_state` formats all the
+numbers in one call, with the same 17-digit format, the same bytes and the
+same error for a non-finite number as :func:`qgini.serialize.to_json` gives
+the document of pairs. Loading validates the document shape and rejects
+non-finite numbers (:class:`InvalidStateFile`), then checks the physics
+invariants through the ordinary :class:`StateVector` / density-matrix
+validation.
 
 The layout :func:`dumps_state` writes ("dim", "kind" and the values field
 in that order, with any JSON whitespace) is read in one flat pass: all the
@@ -29,23 +32,39 @@ import numpy as np
 
 from qgini.errors import InvalidStateFile
 from qgini.qsystem import DensityMatrix, StateVector, _check_integer, validate_density
-from qgini.serialize import to_json
+from qgini.serialize import _FLOAT17, float17, scalar_text
 
 _KINDS = ("pure", "density")
 
 
 def dumps_state(state) -> str:
-    """Serialize a StateVector or DensityMatrix to JSON text."""
+    """Serialize a StateVector or DensityMatrix to JSON text.
+
+    Writes what to_json writes for the document of [re, im] float pairs in
+    the array's own nesting, but formats every number in one call over one
+    template, with no list per pair.
+    """
     if isinstance(state, StateVector):
         kind, field, values = "pure", "amplitudes", state.amplitudes
     elif isinstance(state, DensityMatrix):
         kind, field, values = "density", "entries", state.entries
     else:
         raise TypeError(f"cannot serialize {type(state).__name__} as a state file")
-    # [re, im] float pairs in the array's own nesting
-    pairs = np.stack((values.real, values.imag), axis=-1).tolist()
-    doc = {"dim": state.dim, "kind": kind, field: pairs}
-    return to_json(doc) + "\n"
+    head = f'{{\n  "dim": {scalar_text(state.dim)},\n  "kind": "{kind}",\n  "{field}": '
+    pairs = np.stack((values.real, values.imag), axis=-1)
+    finite = np.isfinite(pairs)
+    if not finite.all():  # float17's error, for the first in row-major order, re before im
+        float17(pairs[~finite][0])
+    return head + _layout(values.shape, 1) % tuple(pairs.ravel().tolist()) + "\n}\n"
+
+
+def _layout(shape: tuple, level: int) -> str:
+    """What to_json writes at `level` for nested [re, im] pairs of `shape`, a number format per number."""
+    if not shape:
+        return f"[{_FLOAT17}, {_FLOAT17}]"
+    pad = "  " * level
+    item = pad + "  " + _layout(shape[1:], level + 1)
+    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + pad + "]"
 
 
 def _reject_constant(name: str):

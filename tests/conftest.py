@@ -31,6 +31,13 @@ def reference_fourier(d: int) -> np.ndarray:
     return f
 
 
+def pair_document(state):
+    """The document of [re, im] float pairs, in the array's own nesting, that a state file holds."""
+    kind, field = ("pure", "amplitudes") if hasattr(state, "amplitudes") else ("density", "entries")
+    values = getattr(state, field)
+    return {"dim": state.dim, "kind": kind, field: np.stack((values.real, values.imag), axis=-1).tolist()}
+
+
 def huge_density_document(upper, lower, diagonal=(0.5, 0.5, 0.0)):
     """A 3 x 3 density document with `upper` at (0, 1), `lower` at (1, 0) and the given diagonal."""
     rows = [[[0.0, 0.0] for _ in range(3)] for _ in range(3)]

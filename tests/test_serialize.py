@@ -7,16 +7,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgini import load_state_file, new_system, random_state_vector
+from qgini import DensityMatrix, StateVector, load_state_file, new_system, random_state_vector
 from qgini import cli
 from qgini.cli import _build_record, _csv_cell
 from qgini.errors import ValidationError
+from qgini.qsystem import _trusted
 from qgini.serialize import _scalar_list_text, float17, scalar_text, to_json
 from qgini.statefile import dumps_state
 from qgini.uncertainty import example_state
+
+from conftest import pair_document
 
 DATA = Path(__file__).parent / "data"
 
@@ -229,3 +232,35 @@ def test_state_files_match_the_per_scalar_writer(name, kind, field):
     document = {"dim": state.dim, "kind": kind, field: np.stack((values.real, values.imag), axis=-1).tolist()}
     expected = reference_to_json(document) + "\n"
     assert dumps_state(state) == expected == (DATA / name).read_text()
+
+
+# signed zero, the least subnormal, and magnitudes far from 1 either way
+_STATE_PARTS = st.one_of(_finite, st.sampled_from([-0.0, 5e-324, 1e-300, 1e300]))
+
+
+@st.composite
+def _trusted_states(draw):
+    """A pure or density state of size 1-9 wrapped unchecked, its values in one of several array layouts."""
+    n = draw(st.integers(1, 9))
+    kind = draw(st.sampled_from(["pure", "density"]))
+    layout = draw(st.sampled_from(["contiguous", "view", "real"]))
+    shape = (n,) if kind == "pure" else (n, n)
+    size = math.prod(shape)
+    parts = draw(st.lists(_STATE_PARTS, min_size=2 * size, max_size=2 * size))
+    values = np.array(parts).view(np.complex128).reshape(shape)
+    if layout == "real":
+        values = np.array(parts[:size]).reshape(shape)
+    elif layout == "view" and kind == "pure":
+        # a strided slice of a longer vector
+        values = np.repeat(values, 2)[::2]
+    elif layout == "view":
+        values = values.T
+    if kind == "pure":
+        return _trusted(StateVector, dim=n, amplitudes=values)
+    return _trusted(DensityMatrix, dim=n, entries=values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trusted_states())
+def test_any_state_is_written_as_the_per_scalar_writer_writes_it(state):
+    assert dumps_state(state) == reference_to_json(pair_document(state)) + "\n"

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import math
 import re
 
 import numpy as np
@@ -20,9 +22,11 @@ from qgini import (
     random_state_vector,
     save_state_file,
 )
+from qgini.qsystem import _trusted
+from qgini.serialize import to_json
 from qgini.statefile import _read_flat, _read_general, dumps_state, loads_state
 
-from conftest import huge_density_document, traced_peak
+from conftest import huge_density_document, pair_document, traced_peak
 
 
 def test_pure_round_trip_is_bit_exact(tmp_path):
@@ -97,6 +101,67 @@ def test_document_shape():
 def test_dumps_rejects_other_types():
     with pytest.raises(TypeError):
         dumps_state([1, 2, 3])
+
+
+# sha256 of the text the per-pair tree walk wrote for these states; the same
+# at 1, 2 and 4 BLAS threads
+_PINNED_STATES = [
+    pytest.param(
+        lambda: random_density_matrix(201, 5),
+        "82cd7fc3776fe585d79818dca0ce6ab89ffc4bb0e4e2e423e5e1977a93d2f94c",
+        id="density-d201-s5",
+    ),
+    pytest.param(
+        lambda: random_state_vector(1001, 5),
+        "17890b65db4411544d2e084b165cc3f08154786ffea96453b2bd78e8da570626",
+        id="pure-d1001-s5",
+    ),
+    pytest.param(
+        lambda: random_density_matrix(41, 7),
+        "b42bfb479317cca827f34ecb01eacb645fc9e10e5ec14041c05bbb50b61c7895",
+        id="density-d41-s7",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, digest", _PINNED_STATES)
+def test_saved_state_keeps_its_bytes_and_its_bits(tmp_path, make, digest):
+    state = make()
+    path = tmp_path / "state.json"
+    save_state_file(path, state)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+    back = load_state_file(path)
+    field = "amplitudes" if isinstance(state, StateVector) else "entries"
+    assert np.array_equal(getattr(back, field).view(np.uint64), getattr(state, field).view(np.uint64))
+
+
+def _with_two_non_finite_parts(kind, first, second):
+    """A state wrapped unchecked, `first` at a late imaginary part and `second` at the real part after it.
+
+    In the density matrix the second comes first in column-major order.
+    """
+    d = 7
+    if kind == "pure":
+        values = random_state_vector(d, 3).amplitudes.copy()
+        values.imag[d - 2], values.real[d - 1] = first, second
+        return _trusted(StateVector, dim=d, amplitudes=values)
+    values = random_density_matrix(d, 3).entries.copy()
+    values.imag[d - 2, d - 1], values.real[d - 1, 0] = first, second
+    return _trusted(DensityMatrix, dim=d, entries=values)
+
+
+@pytest.mark.parametrize("kind", ["pure", "density"])
+@pytest.mark.parametrize(
+    "first, second", [(math.nan, math.inf), (math.inf, -math.inf), (-math.inf, math.nan)], ids=["nan", "inf", "-inf"]
+)
+def test_non_finite_value_is_refused_as_the_document_writer_refuses_it(kind, first, second):
+    state = _with_two_non_finite_parts(kind, first, second)
+    with pytest.raises(ValidationError) as expected:
+        to_json(pair_document(state))
+    message = f"non-finite value {first!r} cannot be serialized"
+    assert str(expected.value) == message
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        dumps_state(state)
 
 
 _PAST_DIGIT_LIMIT = [
