@@ -21,7 +21,7 @@ import numpy as np
 
 from qgini.gini import _gini_rows, _ginis, gini_cap
 from qgini.lorenz import _comonotonic_rows, _lorenz_rows
-from qgini.qsystem import QuantumSystem, _conjugated, _position_rows, check_budget
+from qgini.qsystem import QuantumSystem, _conjugated, _distribution_rows, check_budget
 from qgini.sampling import _density_draw, _density_entries, random_state_vector, split_seed
 
 EQ_TOL = 1e-12        # algebraic identities evaluated in floats
@@ -72,18 +72,13 @@ def _mixture_stacks(d: int, samples: int, rng):
         yield rho, sigma, lam, w * rho + (1.0 - w) * sigma
 
 
-def _distributions(system: QuantumSystem, x: np.ndarray, pure: bool = False):
-    """Position and momentum distributions of a stack of density matrices (or amplitude rows)."""
-    return _position_rows(x, pure), system._momentum_rows(x, pure)
-
-
 def _check_lorenz_bound(system, samples, rng):
     """L(l) never exceeds (l+1)/d, the uniform distribution's line."""
     d = system.d
     line = np.arange(1, d + 1) / d
     worst = -np.inf
     for rho in _density_stacks(d, samples, rng):
-        for p in _distributions(system, rho):
+        for p in _distribution_rows(rho):
             worst = max(worst, float(np.max(_lorenz_rows(p) - line)))
     return worst <= INEQ_SLACK, f"max excess over the uniform line {worst:.2e}"
 
@@ -93,7 +88,7 @@ def _check_superadditive(system, samples, rng):
     worst = np.inf
     for rho, sigma, lam, tau in _mixture_stacks(system.d, samples, rng):
         w = lam[:, None]
-        mixed, first, second = ([_lorenz_rows(p) for p in _distributions(system, x)] for x in (tau, rho, sigma))
+        mixed, first, second = ([_lorenz_rows(p) for p in _distribution_rows(x)] for x in (tau, rho, sigma))
         for combined, a, b in zip(mixed, first, second):
             worst = min(worst, float(np.min(combined - (w * a + (1 - w) * b))))
     return worst >= -INEQ_SLACK, f"min mixture margin {worst:.2e}"
@@ -134,9 +129,9 @@ def _check_basis_extremes(system, samples, rng):
         r = np.array(chunk)
         # position states r, then momentum states r: rows r of the symmetric F
         for amps in ((ks == r[:, None]).astype(np.complex128), system.fourier.entries[r]):
-            g_x, g_p = _ginis(system, amps, pure=True)
+            g_x, g_p = _ginis(amps, pure=True)
             worst = max(worst, float(np.max(np.abs(g_x + g_p - cap))))
-    flat = np.stack(_ginis(system, system.maximally_mixed().entries))
+    flat = np.stack(_ginis(system.maximally_mixed().entries))
     worst = max(worst, float(np.max(flat)))
     return worst <= CONJ_TOL, f"max deviation from the extreme values {worst:.2e}"
 
@@ -146,7 +141,7 @@ def _check_gini_range(system, samples, rng):
     cap = gini_cap(system.d)
     worst = -np.inf
     for rho in _density_stacks(system.d, samples, rng):
-        g = np.stack(_ginis(system, rho))
+        g = np.stack(_ginis(rho))
         worst = max(worst, float(np.max(np.maximum(-g, g - cap))))
     return worst <= INEQ_SLACK, f"max range violation {worst:.2e}"
 
@@ -166,7 +161,7 @@ def _check_subadditive(system, samples, rng):
     """Each index, and their sum, is convex under mixing."""
     worst = -np.inf
     for rho, sigma, lam, tau in _mixture_stacks(system.d, samples, rng):
-        (mx, mp), (ax, ap), (bx, bp) = (_ginis(system, x) for x in (tau, rho, sigma))
+        (mx, mp), (ax, ap), (bx, bp) = (_ginis(x) for x in (tau, rho, sigma))
         for m, a, b in ((mx, ax, bx), (mp, ap, bp), (mx + mp, ax + ap, bx + bp)):
             worst = max(worst, float(np.max(m - (lam * a + (1 - lam) * b))))
     return worst <= INEQ_SLACK, f"max convexity excess {worst:.2e}"
@@ -182,7 +177,7 @@ def _check_position_mixture_cap(system, samples, rng):
     for chunk in _chunks((rng.dirichlet(np.ones(d)) for _ in range(samples)), d * d):
         rho = np.zeros((len(chunk), d, d), dtype=np.complex128)
         rho[:, ks, ks] = chunk
-        g_x, g_p = _ginis(system, rho)
+        g_x, g_p = _ginis(rho)
         worst = max(worst, float(np.max(g_x + g_p - cap)))
     return worst <= INEQ_SLACK, f"max excess of g_xp over the single-basis cap {worst:.2e}"
 
@@ -202,12 +197,12 @@ def _check_displacement_invariance(system, samples, rng):
     worst = 0.0
     for _ in range(states):
         rho = _density_entries([_density_draw(d, rng)])[0]
-        ref_x, ref_p = _distributions(system, rho)
+        ref_x, ref_p = _distribution_rows(rho)
         ref_g_xp, ref_lx = _gini_rows(ref_x) + _gini_rows(ref_p), _lorenz_rows(ref_x)
         for chunk in _chunks(_invariance_pairs(system, rng), d * d):
             # an index-and-phase U^dag rho U is exact but does not round as these products do
             moved = _conjugated(rho, system._displacements(*np.array(chunk).T))
-            p_x, p_p = _distributions(system, moved)
+            p_x, p_p = _distribution_rows(moved)
             g_xp = _gini_rows(p_x) + _gini_rows(p_p)
             worst = max(
                 worst,
@@ -222,7 +217,7 @@ def _check_fourier_swap(system, samples, rng):
     worst = 0.0
     for rho in _density_stacks(system.d, max(samples // 10, 1), rng):
         swapped = _conjugated(rho, system.fourier.entries)
-        (sx, sp), (rx, rp) = (_distributions(system, x) for x in (swapped, rho))
+        (sx, sp), (rx, rp) = (_distribution_rows(x) for x in (swapped, rho))
         g_swapped = _gini_rows(sx) + _gini_rows(sp)
         worst = max(
             worst,
@@ -237,10 +232,10 @@ def _check_coherent_equality(system, samples, rng):
     d = system.d
     # coherent_state checks the fiducial once; a Haar draw is far from both bases
     fid = system.coherent_state(random_state_vector(d, rng), 0, 0).amplitudes
-    ref_x, ref_p = _ginis(system, fid, pure=True)
+    ref_x, ref_p = _ginis(fid, pure=True)
     worst = 0.0
     for chunk in _chunks(_invariance_pairs(system, rng), d):
-        g_x, g_p = _ginis(system, system._displaced(fid, *np.array(chunk).T), pure=True)
+        g_x, g_p = _ginis(system._displaced(fid, *np.array(chunk).T), pure=True)
         worst = max(
             worst,
             float(np.max(np.abs(g_x - ref_x))),

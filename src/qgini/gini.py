@@ -10,7 +10,7 @@ is the quantity whose supremum defines the uncertainty coefficient.
 import numpy as np
 
 from qgini.errors import ValidationError
-from qgini.qsystem import NORM_TOL, ProbabilityDistribution, QuantumSystem, _position_rows, check_dimension
+from qgini.qsystem import NORM_TOL, ProbabilityDistribution, QuantumSystem, _distribution_rows, check_dimension
 
 
 def gini_cap(d: int) -> float:
@@ -44,9 +44,10 @@ def _gini_rows(p: np.ndarray) -> np.ndarray:
     return np.maximum(1.0 - scale * _weighted_sums(np.sort(p, axis=-1), weights), 0.0)
 
 
-def _ginis(system: QuantumSystem, x: np.ndarray, pure: bool = False):
+def _ginis(x: np.ndarray, pure: bool = False):
     """Position and momentum Gini indices of a stack of density matrices (or amplitude rows)."""
-    return _gini_rows(_position_rows(x, pure)), _gini_rows(system._momentum_rows(x, pure))
+    p_x, p_p = _distribution_rows(x, pure)
+    return _gini_rows(p_x), _gini_rows(p_p)
 
 
 def _weighted_sums(ascending: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -89,5 +90,5 @@ class GiniReport:
 
 def gini_report(system: QuantumSystem, state) -> GiniReport:
     """Evaluate both measurement Gini indices of a StateVector or DensityMatrix."""
-    g_x, g_p = _ginis(system, *system._state_array(state))
+    g_x, g_p = _ginis(*system._state_array(state))
     return GiniReport(system.d, float(g_x), float(g_p))

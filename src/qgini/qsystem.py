@@ -47,11 +47,10 @@ PROB_CLIP = 1e-12       # probabilities in [-PROB_CLIP, 0) clamp to 0
 OVERLAP_TOL = 1e-9      # fiducial overlap moduli must stay below 1 - OVERLAP_TOL
 
 # Largest supported dimension. F is a dense complex d x d matrix (16 d^2
-# bytes, about 0.26 GB at 4001); a density matrix, and the temporaries of the
-# search and of density-matrix distributions, cost as much again. F is built
-# only for those and the property checks; a pure state's distributions need
-# O(d) memory. Larger requests are refused before any allocation rather than
-# failing inside numpy.
+# bytes, about 0.26 GB at 4001), built only for the search and the property
+# checks; a density matrix, and the temporaries of the search and of its
+# distributions, cost as much again. A pure state's distributions need O(d)
+# memory. Larger requests are refused before any allocation, not inside numpy.
 MAX_DIM = 4001
 
 # Below this norm the squared moduli leave the normal float range and lose
@@ -265,8 +264,7 @@ class QuantumSystem:
         exactly symmetric, so its adjoint F^dag is the C-contiguous
         `fourier.entries.conj()`.
 
-    Distributions of a pure state never touch F: F^dag psi is the
-    orthonormal discrete Fourier transform of psi.
+    Distributions never touch F: both come from FFTs (see _momentum_rows).
     """
 
     def __init__(self, d: int):
@@ -383,28 +381,10 @@ class QuantumSystem:
     def momentum_probs(self, state) -> ProbabilityDistribution:
         """Momentum outcome distribution of a StateVector or DensityMatrix.
 
-        |F^dag psi|^2 for a state vector, by FFT in O(d log d) without
-        building F; for a density matrix the diagonal of F^dag rho F, taken
-        as the real column sums of conj(rho F) * F with one d x d product.
+        |F^dag psi|^2 or the diagonal of F^dag rho F, by FFT without F.
         """
-        p = self._momentum_rows(*self._state_array(state))
+        p = _momentum_rows(*self._state_array(state))
         return _trusted(ProbabilityDistribution, dim=self.d, probs=p)
-
-    def _momentum_rows(self, x: np.ndarray, pure: bool) -> np.ndarray:
-        """Momentum distributions of amplitude rows (pure) or density matrices, over the last axes.
-
-        Stacked products, FFTs and sums round each state exactly as they
-        round a lone one, so a stack scores the bits of a state-by-state loop.
-        """
-        if pure:
-            return _moduli_squared(np.fft.fft(x, norm="ortho"))
-        # conj(rho F) * F in place: the same real parts as conj(F) * (rho F),
-        # with no conjugate copy of F and no second d x d temporary
-        f = self.fourier.entries
-        y = x @ f
-        np.conjugate(y, out=y)
-        y *= f
-        return _clamped(y.sum(axis=-2).real)
 
     def maximally_mixed(self) -> DensityMatrix:
         """Identity over d: flat in both bases, the zero of both Gini indices."""
@@ -429,11 +409,35 @@ def momentum_amplitudes(state: StateVector) -> np.ndarray:
     return np.fft.fft(state.amplitudes, norm="ortho")
 
 
+def _distribution_rows(x: np.ndarray, pure: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Position and momentum distributions of amplitude rows (pure) or density matrices, over the last axes."""
+    return _position_rows(x, pure), _momentum_rows(x, pure)
+
+
 def _position_rows(x: np.ndarray, pure: bool) -> np.ndarray:
     """Position distributions of amplitude rows (pure) or density matrices, over the last axes."""
     if pure:
         return _moduli_squared(x)
     return _clamped(np.diagonal(x, axis1=-2, axis2=-1).real)
+
+
+def _momentum_rows(x: np.ndarray, pure: bool) -> np.ndarray:
+    """Momentum distributions of amplitude rows (pure) or density matrices, over the last axes.
+
+    Pure rows take the orthonormal FFT. Entry k of the diagonal of F^dag rho F
+    is (1/d) sum_t c_t omega**(t*k), one inverse DFT of the wrapped-diagonal
+    sums c_t = sum_r rho[r, (r+t) mod d]: no F and no BLAS product, so a stack
+    rounds each state as a lone one, at any thread count.
+    """
+    if pure:
+        return _moduli_squared(np.fft.fft(x, norm="ortho"))
+    d = x.shape[-1]
+    # numpy casts the int32 flat indices r*d + (r+t) % d in buffers, so the peak
+    # is the gathered stack and a quarter more. A stack's sums come out with the
+    # state axis innermost; in C order they sort and score as lone states' do
+    r = np.arange(d, dtype=np.int32)[:, None]
+    c = x.reshape(*x.shape[:-2], d * d)[..., (r + r.T) % d + d * r].sum(axis=-2)
+    return _clamped(np.fft.ifft(np.ascontiguousarray(c)).real)
 
 
 def _moduli_squared(amplitudes: np.ndarray) -> np.ndarray:

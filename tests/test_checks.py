@@ -5,7 +5,7 @@ from qgini import checks
 from qgini.checks import run_property_checks
 from qgini.gini import _gini_rows, gini_index
 from qgini.lorenz import _lorenz_rows, lorenz_curve
-from qgini.qsystem import QuantumSystem, _conjugated, conjugate
+from qgini.qsystem import QuantumSystem, _conjugated, _distribution_rows, conjugate
 from qgini.sampling import random_density_matrix, random_state_vector
 
 from conftest import traced_peak
@@ -57,7 +57,7 @@ def bits(values):
 # ceiling below one state still takes one row per chunk
 @pytest.mark.parametrize("ceiling", ["default", "four-rows", "one-byte"])
 @pytest.mark.parametrize("pure", [False, True], ids=["density", "pure"])
-@pytest.mark.parametrize("d", [3, 5, 11, 41])
+@pytest.mark.parametrize("d", [3, 5, 11, 41, 101])
 def test_stacked_kernels_match_the_public_path_bit_for_bit(monkeypatch, d, pure, ceiling):
     size = d if pure else d * d
     if ceiling != "default":
@@ -74,7 +74,7 @@ def test_stacked_kernels_match_the_public_path_bit_for_bit(monkeypatch, d, pure,
         assert [len(c) for c in chunks] == [4, 4, 3]
     scored = []
     for chunk in chunks:
-        p_x, p_p = checks._distributions(system, np.array(chunk), pure)
+        p_x, p_p = _distribution_rows(np.array(chunk), pure)
         scored.append((p_x, p_p, _gini_rows(p_x), _gini_rows(p_p), _lorenz_rows(p_x), _lorenz_rows(p_p)))
     p_x, p_p, g_x, g_p, l_x, l_p = (np.concatenate(column) for column in zip(*scored))
     for i, state in enumerate(states):

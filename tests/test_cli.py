@@ -249,13 +249,14 @@ def test_example_record(capsys):
 
 
 def test_pure_reports_never_build_the_fourier_matrix(monkeypatch, capsys, tmp_path):
-    # a pure state's momentum distribution is an FFT; only the search needs F
+    # a pure state's momentum distribution is an FFT, and a density matrix's
+    # an inverse FFT of its wrapped-diagonal sums; only the search needs F
     searching = []
     build = QuantumSystem.fourier.func
 
     def fourier(self):
         if not searching:
-            raise AssertionError("a pure-state report built the Fourier matrix")
+            raise AssertionError("a report built the Fourier matrix")
         return build(self)
 
     def search(*args, **kwargs):
@@ -265,8 +266,9 @@ def test_pure_reports_never_build_the_fourier_matrix(monkeypatch, capsys, tmp_pa
         finally:
             searching.pop()
 
-    path = tmp_path / "pure.json"
+    path, density = tmp_path / "pure.json", tmp_path / "density.json"
     save_state_file(path, random_state_vector(41, 5))
+    save_state_file(density, random_density_matrix(41, 5))
     monkeypatch.setattr(QuantumSystem, "fourier", property(fourier))
     monkeypatch.setattr(cli, "estimate_sup_gini", search)
     code, peak = traced_peak(lambda: run(["example", "--dim", "4001"]))
@@ -274,6 +276,7 @@ def test_pure_reports_never_build_the_fourier_matrix(monkeypatch, capsys, tmp_pa
     # one dense d x d complex matrix would take 16 d^2 bytes
     assert peak < 4001 * 4001
     assert run(["probe", "--input", str(path)]) == 0
+    assert run(["probe", "--input", str(density)]) == 0
     assert run(["estimate", "--dim", "5", "--restarts", "1"]) == 0
     assert run(["sweep", "--dims", "3,5", "--restarts", "1", "--iters", "50"]) == 0
     capsys.readouterr()
@@ -413,8 +416,8 @@ def test_search_prints_the_saved_bytes(capsys, argv, name):
 # saved report stdout: however a report's state and bracket are built, the
 # values are the same arrays, so the bytes must not move. The state files
 # are save_state_file of random_state_vector(5, 7) and
-# random_density_matrix(5, 7); small dimensions keep the bytes independent
-# of the BLAS thread count.
+# random_density_matrix(5, 7). No report's distributions take a BLAS
+# product, so the bytes do not depend on the thread count.
 @pytest.mark.parametrize(
     "argv, name",
     [
@@ -443,17 +446,18 @@ def _density_text(rho, layout):
 @pytest.mark.parametrize("layout", ["saved", "compact", "reordered"])
 def test_d201_density_probe_prints_the_saved_bytes(tmp_path, monkeypatch, layout):
     # saved output of probe for save_state_file of random_density_matrix(201, 5);
-    # the reordered keys take the general reader. At d = 201 the last bits of
-    # the momentum product depend on the BLAS thread count, so the probes run
-    # in fresh interpreters on one thread, as the saved bytes were made
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
+    # the reordered keys take the general reader. The momentum distribution
+    # takes no BLAS product, so fresh interpreters on one and on two BLAS
+    # threads print the same bytes
     path = tmp_path / "density-201.json"
     path.write_text(_density_text(random_density_matrix(201, 5), layout))
-    for fmt, name in (("json", "probe-density-d201-s5.json"), ("csv", "probe-density-d201-s5.csv")):
-        proc = in_fresh_interpreter("qgini.cli", "probe", "--input", str(path), "--format", fmt)
-        assert proc.returncode == 0 and proc.stderr == ""
-        assert proc.stdout.encode() == (SAVED_OUTPUT / name).read_bytes()
+    for threads in ("1", "2"):
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            monkeypatch.setenv(var, threads)
+        for fmt, name in (("json", "probe-density-d201-s5.json"), ("csv", "probe-density-d201-s5.csv")):
+            proc = in_fresh_interpreter("qgini.cli", "probe", "--input", str(path), "--format", fmt)
+            assert proc.returncode == 0 and proc.stderr == ""
+            assert proc.stdout.encode() == (SAVED_OUTPUT / name).read_bytes(), (threads, fmt)
 
 
 @pytest.mark.parametrize("path", sorted(SAVED_OUTPUT.glob("estimate-*.json")), ids=lambda path: path.name)

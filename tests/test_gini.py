@@ -98,12 +98,11 @@ def test_report_validation():
 
 
 def test_density_report_keeps_no_copy_of_the_fourier_matrix():
-    # F and the state are built first, so the momentum kernel's own memory
-    # is what is traced: one d x d complex product, not a conjugate copy of F
-    # and a second product beside it
+    # the state is built first, so the momentum kernel's own memory is what
+    # is traced: one gathered d x d complex array and its int32 index, not F
+    # or a d x d product beside it
     d = 401
     system = new_system(d)
-    system.fourier
     rho = pure_density(random_state_vector(d, 3))
     _, peak = traced_peak(lambda: gini_report(system, rho))
     assert peak < 1.5 * 16 * d * d

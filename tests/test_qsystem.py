@@ -470,8 +470,8 @@ def test_position_probs_are_diagonal(sys3):
 
 def test_momentum_probs_match_reference_rotation():
     # reference route: the full rotation F^dag rho F by an independently
-    # built Fourier matrix, against the diagonal-only product
-    for d in (3, 5, 101, 201):
+    # built Fourier matrix, against the FFT of the wrapped-diagonal sums
+    for d in (3, 5, 101, 201, 1001):
         rho = random_density_matrix(d, 12)
         f = reference_fourier(d)
         want = np.diagonal(f.conj().T @ rho.entries @ f).real
