@@ -47,10 +47,10 @@ PROB_CLIP = 1e-12       # probabilities in [-PROB_CLIP, 0) clamp to 0
 OVERLAP_TOL = 1e-9      # fiducial overlap moduli must stay below 1 - OVERLAP_TOL
 
 # Largest supported dimension. F is a dense complex d x d matrix (16 d^2
-# bytes, about 0.26 GB at 4001), built only for the search and the property
-# checks; a density matrix, and the temporaries of the search and of its
-# distributions, cost as much again. A pure state's distributions need O(d)
-# memory. Larger requests are refused before any allocation, not inside numpy.
+# bytes, about 0.26 GB at 4001), built only for two property checks; a density
+# matrix, and the temporaries of its distributions, cost as much again. A pure
+# state's distributions need O(d) memory, and one round of the search at most
+# 32 MiB. Larger requests are refused before any allocation, not inside numpy.
 MAX_DIM = 4001
 
 # Below this norm the squared moduli leave the normal float range and lose
@@ -260,11 +260,10 @@ class QuantumSystem:
         Inverse of 2 in Z_d, equal to (d + 1) / 2.
     fourier : UnitaryMatrix
         F[r, s] = omega**(r*s) / sqrt(d) with omega = exp(2*pi*i/d); maps
-        position to momentum basis. Built on first access and kept. F is
-        exactly symmetric, so its adjoint F^dag is the C-contiguous
-        `fourier.entries.conj()`.
+        position to momentum basis. Built on first access and kept.
 
-    Distributions never touch F: both come from FFTs (see _momentum_rows).
+    Neither the distributions nor the search touch F: both take momenta by
+    FFT (see _momentum_rows).
     """
 
     def __init__(self, d: int):

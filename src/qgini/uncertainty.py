@@ -94,11 +94,11 @@ class EtaEstimate:
     g_sup_estimate is the best combined index found, hence a lower bound on
     the true supremum; eta_estimate = g_strict_upper - g_sup_estimate is the
     matching upper bound on the coefficient; dim is the bracket's. best_state
-    is the state found: the reporting pipeline scores it by FFT, the search
-    by a dense product of F with the conjugate amplitudes, so its g_xp may
-    differ from g_sup_estimate in the last few ulp. converged records whether
-    the winning restart's step size shrank below MIN_STEP before the sweep
-    budget ran out. restarts, iterations and seed must be integers, the first
+    is the state found, gauge-fixed; search and report both take momenta by
+    FFT, but the report clamps and adds the gauge-fixed state's two indices,
+    so its g_xp may differ from g_sup_estimate in the last few ulp. converged
+    records whether the winning restart's step size shrank below MIN_STEP
+    before the sweep budget ran out. restarts, iterations and seed must be integers, the first
     two within the search budget.
     """
 
@@ -141,29 +141,29 @@ def _combined_gini_objective(system: QuantumSystem):
     Each row of the (m, 2d) C-contiguous float64 block holds the 2d reals
     (Re a_0, Im a_0, Re a_1, ...) of a unit-norm amplitude vector; callers
     keep candidates on the unit sphere. Returns the m sums of both indices in
-    the weighted-sort form of :func:`qgini.gini.gini_weights`, with the
-    weights built once and no object construction, so one call scores a
-    whole block of candidates. Momentum amplitudes are taken as F conj(psi),
-    the conjugates of F^dag psi (F is symmetric), so no copy of F is made.
+    the weighted-sort form of :func:`qgini.gini.gini_weights`, so one call
+    scores a whole block of candidates. Momenta are the orthonormal FFT of
+    each row, as qsystem._momentum_rows takes them, so F is never built.
 
-    Every row-wise product is a stack of per-row matrix-vector or dot
-    products (np.matmul over a leading axis), never one matrix-matrix
-    product: BLAS rounds a row of a matrix product differently depending on
-    the block's shape, while a stacked product rounds each row exactly as a
-    lone vector. A candidate therefore scores the same bits whichever block
-    it sits in, and the batched search accepts exactly the moves of a
+    The FFT transforms each row on its own and the weighted sums are per-row
+    dot products, never one matrix-matrix product, so a row rounds exactly
+    as a lone vector: a candidate scores the same bits whichever block it
+    sits in, and the batched search accepts exactly the moves of a
     one-candidate-at-a-time search.
     """
-    f = system.fourier.entries
-    w, scale = gini_weights(system.d)
+    d = system.d
+    w, scale = gini_weights(d)
 
     def objective(block: np.ndarray) -> np.ndarray:
         psi = block.view(np.complex128)
-        px = _moduli_squared(psi)
-        pp = _moduli_squared(np.matmul(f, psi.conj()[:, :, None])[:, :, 0])
-        px.sort(axis=1)
-        pp.sort(axis=1)
-        return 2.0 - scale * (_weighted_sums(px, w) + _weighted_sums(pp, w))
+        # positions and momenta of each row side by side: one square, sort and sum
+        both = np.empty((len(psi), 2, d), dtype=np.complex128)
+        both[:, 0] = psi
+        np.fft.fft(psi, norm="ortho", out=both[:, 1])
+        p = _moduli_squared(both)
+        p.sort(axis=-1)
+        s = _weighted_sums(p, w)
+        return 2.0 - scale * (s[:, 0] + s[:, 1])
 
     return objective
 
@@ -202,8 +202,9 @@ def _pattern_search(objective, starts, max_sweeps):
     x = np.array(starts, dtype=np.float64)
     x /= _row_norms(x)
     count, n = x.shape
-    # a block row is 8n bytes; the objective's temporaries take about 3x more
-    max_rows = max(1, _ROUND_BYTES // (32 * n))
+    # a block row is 8n bytes; the objective's temporaries take up to 5x more:
+    # 2x its complex (2, d) buffer, 1x each for the two squares and their sum
+    max_rows = max(1, _ROUND_BYTES // (48 * n))
     best = np.concatenate([objective(x[i : i + max_rows]) for i in range(0, count, max_rows)])
     probe = min(PROBE_ROWS, max_rows)
     per_round = max_rows // probe
@@ -255,7 +256,6 @@ def _pattern_search(objective, starts, max_sweeps):
 def _gauge_fixed(x: np.ndarray) -> StateVector:
     """Amplitudes from interleaved reals, first nonzero entry made real positive."""
     psi = x.view(np.complex128).copy()
-    psi /= np.linalg.norm(psi)
     k = int(np.flatnonzero(np.abs(psi) > 1e-12)[0])
     psi *= np.conj(psi[k]) / abs(psi[k])
     return StateVector.normalized(psi)

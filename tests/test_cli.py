@@ -14,7 +14,6 @@ from qgini import (
     StateVector,
     checks,
     cli,
-    estimate_sup_gini,
     gini_report,
     new_system,
     pure_density,
@@ -250,31 +249,22 @@ def test_example_record(capsys):
 
 def test_pure_reports_never_build_the_fourier_matrix(monkeypatch, capsys, tmp_path):
     # a pure state's momentum distribution is an FFT, and a density matrix's
-    # an inverse FFT of its wrapped-diagonal sums; only the search needs F
-    searching = []
-    build = QuantumSystem.fourier.func
-
+    # an inverse FFT of its wrapped-diagonal sums; the search scores its
+    # candidates by the same FFT, so no command here needs F
     def fourier(self):
-        if not searching:
-            raise AssertionError("a report built the Fourier matrix")
-        return build(self)
-
-    def search(*args, **kwargs):
-        searching.append(True)
-        try:
-            return estimate_sup_gini(*args, **kwargs)
-        finally:
-            searching.pop()
+        raise AssertionError("a report or search built the Fourier matrix")
 
     path, density = tmp_path / "pure.json", tmp_path / "density.json"
     save_state_file(path, random_state_vector(41, 5))
     save_state_file(density, random_density_matrix(41, 5))
     monkeypatch.setattr(QuantumSystem, "fourier", property(fourier))
-    monkeypatch.setattr(cli, "estimate_sup_gini", search)
+    # one dense d x d complex matrix would take 16 d^2 bytes
     code, peak = traced_peak(lambda: run(["example", "--dim", "4001"]))
     assert code == 0
-    # one dense d x d complex matrix would take 16 d^2 bytes
     assert peak < 4001 * 4001
+    code, peak = traced_peak(lambda: run(["estimate", "--dim", "1001", "--restarts", "1", "--iters", "1"]))
+    assert code == 0
+    assert peak < 16 * 1001 * 1001
     assert run(["probe", "--input", str(path)]) == 0
     assert run(["probe", "--input", str(density)]) == 0
     assert run(["estimate", "--dim", "5", "--restarts", "1"]) == 0
@@ -462,9 +452,10 @@ def test_d201_density_probe_prints_the_saved_bytes(tmp_path, monkeypatch, layout
 
 @pytest.mark.parametrize("path", sorted(SAVED_OUTPUT.glob("estimate-*.json")), ids=lambda path: path.name)
 def test_estimate_report_rescores_the_best_state_within_4_ulp(path):
-    # the search scores with a dense product of F, the report with an FFT,
-    # so g_xp of the best state may differ from g_sup_estimate in the last
-    # bits (the saved documents differ by -2 to +1 ulp)
+    # the search and the report both take momenta by FFT, but the report
+    # clamps and adds the two indices of the gauge-fixed best state, so its
+    # g_xp may differ from g_sup_estimate in the last bits (the saved
+    # documents differ by -1 to +1 ulp)
     doc = json.loads(path.read_text())
     ulp_steps = np.array([doc["g_xp"], doc["g_sup_estimate"]]).view(np.int64)
     assert abs(int(ulp_steps[0]) - int(ulp_steps[1])) <= 4

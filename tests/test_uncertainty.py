@@ -24,8 +24,8 @@ from qgini import (
     split_seed,
     uncertainty,
 )
-from qgini.gini import gini_weights
-from qgini.qsystem import MAX_DIM
+from qgini.gini import _weighted_sums, gini_weights
+from qgini.qsystem import MAX_DIM, _distribution_rows
 from qgini.uncertainty import (
     INITIAL_STEP,
     MAX_ITERATIONS,
@@ -246,6 +246,25 @@ def test_objective_matches_report_pipeline(sys5):
         assert abs(value - rep.g_xp) <= 1e-10
 
 
+@pytest.mark.parametrize("d", [3, 5, 11, 101])
+def test_objective_rows_equal_the_distribution_kernel_bit_for_bit(d):
+    # the search takes momenta by the formula every report takes them by,
+    # and a row scores the same bits in any block
+    system = new_system(d)
+    objective = _combined_gini_objective(system)
+    w, scale = gini_weights(d)
+    rng = np.random.default_rng(d)
+    for rows in (1, 7, 25):
+        z = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
+        z /= np.linalg.norm(z, axis=1)[:, None]
+        px, pp = _distribution_rows(z, True)
+        px.sort(axis=1)
+        pp.sort(axis=1)
+        expected = 2.0 - scale * (_weighted_sums(px, w) + _weighted_sums(pp, w))
+        assert np.array_equal(objective(np.ascontiguousarray(z).view(np.float64)), expected)
+    assert "fourier" not in vars(system)
+
+
 def sequential_pattern_search(system, x0, max_sweeps, step=INITIAL_STEP, min_step=MIN_STEP):
     """Reference: the per-candidate loop the batched search replaced.
 
@@ -253,13 +272,12 @@ def sequential_pattern_search(system, x0, max_sweeps, step=INITIAL_STEP, min_ste
     objective, in the order (0, +step), (0, -step), (1, +step), ..., and
     accepts the first improvement at each coordinate.
     """
-    fdag = system.fourier.entries.conj()
     w, scale = gini_weights(system.d)
 
     def objective(x):
         psi = x.view(np.complex128)
         px = psi.real**2 + psi.imag**2
-        phi = fdag @ psi
+        phi = np.fft.fft(psi, norm="ortho")
         pp = phi.real**2 + phi.imag**2
         px.sort()
         pp.sort()
@@ -341,7 +359,6 @@ def test_lockstep_search_matches_each_start_alone(monkeypatch, d, probe_rows):
 
 def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
     system = new_system(11)
-    fdag_bytes = system.fourier.entries.nbytes
     objective = _combined_gini_objective(system)
     starts = search_starts(system, 9)
     block_rows = []
@@ -354,7 +371,8 @@ def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
     free_rows = max(block_rows[1:])  # the first call scores the starts
     free_estimate = estimate_sup_gini(system, restarts=9, iterations=2000, seed=3)
 
-    # room for 20 rows at d = 11 (32 bytes per real); the 9 first windows take 108
+    # room for at most 20 rows at d = 11 (the objective takes at least 32
+    # bytes per real); the 9 first windows take 108
     ceiling = 20 * 32 * 22
     monkeypatch.setattr(uncertainty, "_ROUND_BYTES", ceiling)
     block_rows.clear()
@@ -375,16 +393,17 @@ def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
     # objective's temporaries
     x0 = starts[1] / np.linalg.norm(starts[1])
     _, full_sweep = traced_peak(lambda: objective(np.repeat(x0[None, :], 4 * 11, axis=0)))
-    assert capped_peak <= ceiling + fdag_bytes + full_sweep
+    assert capped_peak <= ceiling + full_sweep
 
 
 @pytest.mark.parametrize("d", [201, 401])
 def test_search_keeps_no_copy_of_the_fourier_matrix(d):
-    # F is built before tracing; a conjugate copy of it alone would take F's bytes
+    # the search scores candidates by FFT: it builds no F, and its peak stays
+    # below the 16 d^2 bytes of one
     system = new_system(d)
-    f_bytes = system.fourier.entries.nbytes
     _, peak = traced_peak(lambda: estimate_sup_gini(system, restarts=1, iterations=1))
-    assert peak < f_bytes
+    assert peak < 16 * d * d
+    assert "fourier" not in vars(system)
 
 
 def test_starts_are_scored_under_the_round_ceiling(monkeypatch):
@@ -398,7 +417,8 @@ def test_starts_are_scored_under_the_round_ceiling(monkeypatch):
         block_rows.append(len(block))
         return objective(block)
 
-    # room for 20 rows at d = 11 (32 bytes per real), fewer than the 30 starts
+    # room for at most 20 rows at d = 11 (the objective takes at least 32
+    # bytes per real), fewer than the 30 starts
     monkeypatch.setattr(uncertainty, "_ROUND_BYTES", 20 * 32 * 22)
     capped = _pattern_search(recording, starts, 7)
     assert max(block_rows) <= 20
