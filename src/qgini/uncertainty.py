@@ -17,7 +17,7 @@ import numpy as np
 from qgini.errors import ValidationError
 from qgini.gini import _weighted_sums, gini_cap, gini_weights
 from qgini.qsystem import (
-    QuantumSystem, StateVector, _check_integer, _moduli_squared, _trusted, check_budget, check_dimension
+    QuantumSystem, StateVector, _check_integer, _distribution_rows, _trusted, check_budget, check_dimension
 )
 from qgini.sampling import split_seed
 
@@ -142,8 +142,9 @@ def _combined_gini_objective(system: QuantumSystem):
     (Re a_0, Im a_0, Re a_1, ...) of a unit-norm amplitude vector; callers
     keep candidates on the unit sphere. Returns the m sums of both indices in
     the weighted-sort form of :func:`qgini.gini.gini_weights`, so one call
-    scores a whole block of candidates. Momenta are the orthonormal FFT of
-    each row, as qsystem._momentum_rows takes them, so F is never built.
+    scores a whole block of candidates. Both distributions come from
+    qsystem._distribution_rows, the kernel every report takes them from:
+    momenta are the orthonormal FFT of each row, so F is never built.
 
     The FFT transforms each row on its own and the weighted sums are per-row
     dot products, never one matrix-matrix product, so a row rounds exactly
@@ -155,15 +156,10 @@ def _combined_gini_objective(system: QuantumSystem):
     w, scale = gini_weights(d)
 
     def objective(block: np.ndarray) -> np.ndarray:
-        psi = block.view(np.complex128)
-        # positions and momenta of each row side by side: one square, sort and sum
-        both = np.empty((len(psi), 2, d), dtype=np.complex128)
-        both[:, 0] = psi
-        np.fft.fft(psi, norm="ortho", out=both[:, 1])
-        p = _moduli_squared(both)
-        p.sort(axis=-1)
-        s = _weighted_sums(p, w)
-        return 2.0 - scale * (s[:, 0] + s[:, 1])
+        px, pp = _distribution_rows(block.view(np.complex128), True)
+        px.sort(axis=-1)
+        pp.sort(axis=-1)
+        return 2.0 - scale * (_weighted_sums(px, w) + _weighted_sums(pp, w))
 
     return objective
 
@@ -202,9 +198,10 @@ def _pattern_search(objective, starts, max_sweeps):
     x = np.array(starts, dtype=np.float64)
     x /= _row_norms(x)
     count, n = x.shape
-    # a block row is 8n bytes; the objective's temporaries take up to 5x more:
-    # 2x its complex (2, d) buffer, 1x each for the two squares and their sum
-    max_rows = max(1, _ROUND_BYTES // (48 * n))
+    # a block row is 8n bytes; the objective's temporaries take about 3x more:
+    # the row's FFT (1x), then the position moduli and the FFT's two squares
+    # and their sum (0.5x each)
+    max_rows = max(1, _ROUND_BYTES // (32 * n))
     best = np.concatenate([objective(x[i : i + max_rows]) for i in range(0, count, max_rows)])
     probe = min(PROBE_ROWS, max_rows)
     per_round = max_rows // probe

@@ -371,8 +371,7 @@ def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
     free_rows = max(block_rows[1:])  # the first call scores the starts
     free_estimate = estimate_sup_gini(system, restarts=9, iterations=2000, seed=3)
 
-    # room for at most 20 rows at d = 11 (the objective takes at least 32
-    # bytes per real); the 9 first windows take 108
+    # room for 20 rows at d = 11 (32 bytes per real); the 9 first windows take 108
     ceiling = 20 * 32 * 22
     monkeypatch.setattr(uncertainty, "_ROUND_BYTES", ceiling)
     block_rows.clear()
@@ -417,8 +416,7 @@ def test_starts_are_scored_under_the_round_ceiling(monkeypatch):
         block_rows.append(len(block))
         return objective(block)
 
-    # room for at most 20 rows at d = 11 (the objective takes at least 32
-    # bytes per real), fewer than the 30 starts
+    # room for 20 rows at d = 11 (32 bytes per real), fewer than the 30 starts
     monkeypatch.setattr(uncertainty, "_ROUND_BYTES", 20 * 32 * 22)
     capped = _pattern_search(recording, starts, 7)
     assert max(block_rows) <= 20
