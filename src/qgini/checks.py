@@ -11,7 +11,7 @@ chunk by chunk, so memory stays bounded by _STACK_BYTES whatever the sample
 count. Reference states (the maximally mixed state, a displaced state's
 original, the coherent fiducial) are scored by the same kernels, which round
 each state exactly as a lone one, so the margins are bit-identical to a
-state-by-state loop.
+state-by-state loop. Displaced states are gathered by index and phase.
 """
 
 import itertools
@@ -200,9 +200,7 @@ def _check_displacement_invariance(system, samples, rng):
         ref_x, ref_p = _distribution_rows(rho)
         ref_g_xp, ref_lx = _gini_rows(ref_x) + _gini_rows(ref_p), _lorenz_rows(ref_x)
         for chunk in _chunks(_invariance_pairs(system, rng), d * d):
-            # an index-and-phase U^dag rho U is exact but does not round as these products do
-            moved = _conjugated(rho, system._displacements(*np.array(chunk).T))
-            p_x, p_p = _distribution_rows(moved)
+            p_x, p_p = _distribution_rows(system._displaced_densities(rho, *np.array(chunk).T))
             g_xp = _gini_rows(p_x) + _gini_rows(p_p)
             worst = max(
                 worst,

@@ -309,16 +309,8 @@ class QuantumSystem:
         """
         _check_integer("alpha", alpha)
         _check_integer("beta", beta)
-        return _trusted(UnitaryMatrix, dim=self.d, entries=self._displacements(alpha, beta))
-
-    def _displacements(self, alpha, beta) -> np.ndarray:
-        """Entries of D(alpha, beta), stacked over 1-D arrays of alpha and beta.
-
-        The displaced rows of the identity are the columns of D, so each
-        matrix is a column-major view, as a lone D is, and a product with
-        it takes the same BLAS path.
-        """
-        return np.moveaxis(self._displaced(np.eye(self.d, dtype=np.complex128), alpha, beta), 0, -1)
+        entries = self._displaced(np.eye(self.d, dtype=np.complex128), alpha, beta).T
+        return _trusted(UnitaryMatrix, dim=self.d, entries=entries)
 
     def _displaced(self, x: np.ndarray, alpha, beta) -> np.ndarray:
         """D(alpha, beta) applied to a vector x or to each row of x, in O(x.size).
@@ -329,12 +321,22 @@ class QuantumSystem:
         and is multiplied by omega**((alpha*r - half_inverse*alpha*beta) % d),
         the exponent reduced mod d before the table lookup. 1-D arrays of
         alpha and beta (either may stay a scalar) displace x once per pair,
-        and the pair index becomes the second-to-last axis.
+        on a new second-to-last axis. Displaced identity rows are D's columns.
         """
         a, b = np.asarray(alpha)[..., None] % self.d, np.asarray(beta)[..., None] % self.d
         ks = np.arange(self.d)
         phases = self._omega_pow[(a * ks - self.half_inverse * a * b) % self.d]
         return phases * x[..., (ks - b) % self.d]
+
+    def _displaced_densities(self, rho: np.ndarray, alpha, beta) -> np.ndarray:
+        """D(alpha, beta)^dag rho D(alpha, beta) per pair of 1-D arrays alpha and beta, on a new first axis.
+
+        D's overall phase cancels: entry (s, t) is omega**(alpha*(t - s)) *
+        rho[(s + beta) % d, (t + beta) % d], one lookup and one gather, no sum.
+        """
+        ks = np.arange(self.d)
+        a, rows = np.asarray(alpha)[:, None, None] % self.d, (ks + np.asarray(beta)[:, None]) % self.d
+        return self._omega_pow[a * (ks - ks[:, None]) % self.d] * rho[rows[..., None], rows[:, None]]
 
     # -- coherent states --
 
@@ -485,5 +487,5 @@ def conjugate(rho: DensityMatrix, u: UnitaryMatrix) -> DensityMatrix:
 
 
 def _conjugated(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """U^dag rho U over the last two axes; stacks of rho or U broadcast, one product pair each."""
+    """U^dag rho U over the last two axes for one U and one rho or a stack of rho (conjugate, Fourier swap)."""
     return u.conj().swapaxes(-1, -2) @ rho @ u

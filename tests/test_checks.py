@@ -5,7 +5,7 @@ from qgini import checks
 from qgini.checks import run_property_checks
 from qgini.gini import _gini_rows, gini_index
 from qgini.lorenz import _lorenz_rows, lorenz_curve
-from qgini.qsystem import QuantumSystem, _conjugated, _distribution_rows, conjugate
+from qgini.qsystem import QuantumSystem, _distribution_rows, conjugate
 from qgini.sampling import random_density_matrix, random_state_vector
 
 from conftest import traced_peak
@@ -161,13 +161,31 @@ def test_displacement_stacks_match_one_displacement_at_a_time(d):
     rho = random_density_matrix(d, rng)
     fid = system.coherent_state(random_state_vector(d, rng), 0, 0)
     a, b = rng.integers(0, d, size=(2, 13))
-    moved = _conjugated(rho.entries, system._displacements(a, b))
+    moved = system._displaced_densities(rho.entries, a, b)
     coherent = system._displaced(fid.amplitudes, a, b)
+    ks = np.arange(d)
     for i in range(len(a)):
-        lone = conjugate(rho, system.displacement(a[i], b[i])).entries
+        lone = system._displaced_densities(rho.entries, a[i : i + 1], b[i : i + 1])[0]
         assert np.array_equal(moved[i].view(np.uint64), lone.view(np.uint64))
+        dense = conjugate(rho, system.displacement(a[i], b[i])).entries
+        assert np.max(np.abs(moved[i] - dense)) <= 1e-15
+        # the diagonal is only permuted: its phase is omega**0 = 1
+        shifted = rho.entries.diagonal()[(ks + b[i]) % d]
+        assert np.array_equal(np.diagonal(moved[i]).copy().view(np.uint64), shifted.view(np.uint64))
         own = system.coherent_state(fid, a[i], b[i]).amplitudes
         assert np.array_equal(coherent[i].view(np.uint64), own.view(np.uint64))
+
+
+@pytest.mark.parametrize("d", [5, 13])
+def test_displacement_invariance_takes_no_matrix_product(monkeypatch, d):
+    # d = 5 runs every pair, d = 13 draws 100; neither builds D nor conjugates by it
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense displacement product")
+
+    monkeypatch.setattr(checks, "_conjugated", refuse)
+    monkeypatch.setattr(QuantumSystem, "displacement", refuse)
+    passed, detail = checks._check_displacement_invariance(QuantumSystem(d), 100, np.random.default_rng(d))
+    assert passed, detail
 
 
 def test_suite_memory_does_not_grow_with_the_sample_count(monkeypatch):
