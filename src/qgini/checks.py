@@ -8,9 +8,13 @@ pipeline, and reports a verdict with the worst observed margin. Identical
 Suites draw their states in the order of a state-by-state loop (density
 states through sampling's draw kernels) and build and score them in stacks,
 chunk by chunk, so memory stays bounded by _STACK_BYTES whatever the sample
-count. Reference states (the maximally mixed state, a displaced state's
-original, the coherent fiducial) are scored by the same kernels, which round
-each state exactly as a lone one, so the margins are bit-identical to a
+count. Both measurement profiles of a stack come as one (..., 2, d) array,
+and the states a suite compares within a chunk (a mixture and its two
+parts, a Fourier-swapped state and its original) share one stack, so each
+kernel runs once per chunk for both bases and every compared state.
+Reference states (the maximally mixed state, a displaced state's original,
+the coherent fiducial) are scored by the same kernels, which round each
+state exactly as a lone one, so the margins are bit-identical to a
 state-by-state loop. Displaced states are gathered by index and phase.
 """
 
@@ -78,8 +82,7 @@ def _check_lorenz_bound(system, samples, rng):
     line = np.arange(1, d + 1) / d
     worst = -np.inf
     for rho in _density_stacks(d, samples, rng):
-        for p in _distribution_rows(rho):
-            worst = max(worst, float(np.max(_lorenz_rows(p) - line)))
+        worst = max(worst, float(np.max(_lorenz_rows(_distribution_rows(rho)) - line)))
     return worst <= INEQ_SLACK, f"max excess over the uniform line {worst:.2e}"
 
 
@@ -87,10 +90,9 @@ def _check_superadditive(system, samples, rng):
     """Lorenz values of a mixture dominate the mixture of Lorenz values."""
     worst = np.inf
     for rho, sigma, lam, tau in _mixture_stacks(system.d, samples, rng):
-        w = lam[:, None]
-        mixed, first, second = ([_lorenz_rows(p) for p in _distribution_rows(x)] for x in (tau, rho, sigma))
-        for combined, a, b in zip(mixed, first, second):
-            worst = min(worst, float(np.min(combined - (w * a + (1 - w) * b))))
+        w = lam[:, None, None]
+        mixed, a, b = _lorenz_rows(_distribution_rows(np.stack((tau, rho, sigma))))
+        worst = min(worst, float(np.min(mixed - (w * a + (1 - w) * b))))
     return worst >= -INEQ_SLACK, f"min mixture margin {worst:.2e}"
 
 
@@ -125,14 +127,12 @@ def _check_basis_extremes(system, samples, rng):
     cap = gini_cap(d)
     ks = np.arange(d)
     worst = 0.0
-    for chunk in _chunks(range(d), d):
+    for chunk in _chunks(range(d), 2 * d):
         r = np.array(chunk)
         # position states r, then momentum states r: rows r of the symmetric F
-        for amps in ((ks == r[:, None]).astype(np.complex128), system.fourier.entries[r]):
-            g_x, g_p = _ginis(amps, pure=True)
-            worst = max(worst, float(np.max(np.abs(g_x + g_p - cap))))
-    flat = np.stack(_ginis(system.maximally_mixed().entries))
-    worst = max(worst, float(np.max(flat)))
+        amps = np.stack(((ks == r[:, None]).astype(np.complex128), system._fourier_rows(r)))
+        worst = max(worst, float(np.max(np.abs(_ginis(amps, pure=True).sum(axis=-1) - cap))))
+    worst = max(worst, float(np.max(_ginis(system.maximally_mixed().entries))))
     return worst <= CONJ_TOL, f"max deviation from the extreme values {worst:.2e}"
 
 
@@ -141,7 +141,7 @@ def _check_gini_range(system, samples, rng):
     cap = gini_cap(system.d)
     worst = -np.inf
     for rho in _density_stacks(system.d, samples, rng):
-        g = np.stack(_ginis(rho))
+        g = _ginis(rho)
         worst = max(worst, float(np.max(np.maximum(-g, g - cap))))
     return worst <= INEQ_SLACK, f"max range violation {worst:.2e}"
 
@@ -161,9 +161,11 @@ def _check_subadditive(system, samples, rng):
     """Each index, and their sum, is convex under mixing."""
     worst = -np.inf
     for rho, sigma, lam, tau in _mixture_stacks(system.d, samples, rng):
-        (mx, mp), (ax, ap), (bx, bp) = (_ginis(x) for x in (tau, rho, sigma))
-        for m, a, b in ((mx, ax, bx), (mp, ap, bp), (mx + mp, ax + ap, bx + bp)):
-            worst = max(worst, float(np.max(m - (lam * a + (1 - lam) * b))))
+        w = lam[:, None]
+        g = _ginis(np.stack((tau, rho, sigma)))
+        # columns g_x, g_p and g_xp of tau, rho and sigma
+        m, a, b = np.concatenate((g, g.sum(axis=-1, keepdims=True)), axis=-1)
+        worst = max(worst, float(np.max(m - (w * a + (1 - w) * b))))
     return worst <= INEQ_SLACK, f"max convexity excess {worst:.2e}"
 
 
@@ -177,8 +179,7 @@ def _check_position_mixture_cap(system, samples, rng):
     for chunk in _chunks((rng.dirichlet(np.ones(d)) for _ in range(samples)), d * d):
         rho = np.zeros((len(chunk), d, d), dtype=np.complex128)
         rho[:, ks, ks] = chunk
-        g_x, g_p = _ginis(rho)
-        worst = max(worst, float(np.max(g_x + g_p - cap)))
+        worst = max(worst, float(np.max(_ginis(rho).sum(axis=-1) - cap)))
     return worst <= INEQ_SLACK, f"max excess of g_xp over the single-basis cap {worst:.2e}"
 
 
@@ -197,15 +198,14 @@ def _check_displacement_invariance(system, samples, rng):
     worst = 0.0
     for _ in range(states):
         rho = _density_entries([_density_draw(d, rng)])[0]
-        ref_x, ref_p = _distribution_rows(rho)
-        ref_g_xp, ref_lx = _gini_rows(ref_x) + _gini_rows(ref_p), _lorenz_rows(ref_x)
+        ref = _distribution_rows(rho)
+        ref_g_xp, ref_lx = _gini_rows(ref).sum(axis=-1), _lorenz_rows(ref[0])
         for chunk in _chunks(_invariance_pairs(system, rng), d * d):
-            p_x, p_p = _distribution_rows(system._displaced_densities(rho, *np.array(chunk).T))
-            g_xp = _gini_rows(p_x) + _gini_rows(p_p)
+            p = _distribution_rows(system._displaced_densities(rho, *np.array(chunk).T))
             worst = max(
                 worst,
-                float(np.max(np.abs(g_xp - ref_g_xp))),
-                float(np.max(np.abs(_lorenz_rows(p_x) - ref_lx))),
+                float(np.max(np.abs(_gini_rows(p).sum(axis=-1) - ref_g_xp))),
+                float(np.max(np.abs(_lorenz_rows(p[:, 0]) - ref_lx))),
             )
     return worst <= CONJ_TOL, f"max drift under displacements {worst:.2e}"
 
@@ -214,13 +214,13 @@ def _check_fourier_swap(system, samples, rng):
     """Conjugating by F trades the two distributions and preserves g_xp."""
     worst = 0.0
     for rho in _density_stacks(system.d, max(samples // 10, 1), rng):
-        swapped = _conjugated(rho, system.fourier.entries)
-        (sx, sp), (rx, rp) = (_distribution_rows(x) for x in (swapped, rho))
-        g_swapped = _gini_rows(sx) + _gini_rows(sp)
+        p = _distribution_rows(np.stack((_conjugated(rho, system.fourier.entries), rho)))
+        g_swapped, g_xp = _gini_rows(p).sum(axis=-1)
+        # the swapped states' positions are the states' momenta
         worst = max(
             worst,
-            float(np.max(np.abs(sx - rp))),
-            float(np.max(np.abs(g_swapped - (_gini_rows(rx) + _gini_rows(rp))))),
+            float(np.max(np.abs(p[0, :, 0] - p[1, :, 1]))),
+            float(np.max(np.abs(g_swapped - g_xp))),
         )
     return worst <= CONJ_TOL, f"max swap mismatch {worst:.2e}"
 
@@ -230,15 +230,14 @@ def _check_coherent_equality(system, samples, rng):
     d = system.d
     # coherent_state checks the fiducial once; a Haar draw is far from both bases
     fid = system.coherent_state(random_state_vector(d, rng), 0, 0).amplitudes
-    ref_x, ref_p = _ginis(fid, pure=True)
+    ref = _ginis(fid, pure=True)
     worst = 0.0
     for chunk in _chunks(_invariance_pairs(system, rng), d):
-        g_x, g_p = _ginis(system._displaced(fid, *np.array(chunk).T), pure=True)
+        g = _ginis(system._displaced(fid, *np.array(chunk).T), pure=True)
         worst = max(
             worst,
-            float(np.max(np.abs(g_x - ref_x))),
-            float(np.max(np.abs(g_p - ref_p))),
-            float(np.max(np.abs(g_x + g_p - (ref_x + ref_p)))),
+            float(np.max(np.abs(g - ref))),
+            float(np.max(np.abs(g.sum(axis=-1) - ref.sum()))),
         )
     return worst <= CONJ_TOL, f"max spread across the coherent family {worst:.2e}"
 

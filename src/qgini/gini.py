@@ -44,10 +44,9 @@ def _gini_rows(p: np.ndarray) -> np.ndarray:
     return np.maximum(1.0 - scale * _weighted_sums(np.sort(p, axis=-1), weights), 0.0)
 
 
-def _ginis(x: np.ndarray, pure: bool = False):
-    """Position and momentum Gini indices of a stack of density matrices (or amplitude rows)."""
-    p_x, p_p = _distribution_rows(x, pure)
-    return _gini_rows(p_x), _gini_rows(p_p)
+def _ginis(x: np.ndarray, pure: bool = False) -> np.ndarray:
+    """Position and momentum Gini indices of density matrices (or amplitude rows), as one (..., 2) array."""
+    return _gini_rows(_distribution_rows(x, pure))
 
 
 def _weighted_sums(ascending: np.ndarray, weights: np.ndarray) -> np.ndarray:

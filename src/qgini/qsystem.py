@@ -47,10 +47,10 @@ PROB_CLIP = 1e-12       # probabilities in [-PROB_CLIP, 0) clamp to 0
 OVERLAP_TOL = 1e-9      # fiducial overlap moduli must stay below 1 - OVERLAP_TOL
 
 # Largest supported dimension. F is a dense complex d x d matrix (16 d^2
-# bytes, about 0.26 GB at 4001), built only for two property checks; a density
-# matrix, and the temporaries of its distributions, cost as much again. A pure
-# state's distributions need O(d) memory, and one round of the search at most
-# 32 MiB. Larger requests are refused before any allocation, not inside numpy.
+# bytes, about 0.26 GB at 4001), built only for the Fourier swap check or on
+# request; a density matrix, and the temporaries of its distributions, cost as
+# much again. A pure state's distributions need O(d) memory, and one round of
+# the search at most 32 MiB. Larger requests are refused before any allocation, not inside numpy.
 MAX_DIM = 4001
 
 # Below this norm the squared moduli leave the normal float range and lose
@@ -277,9 +277,11 @@ class QuantumSystem:
 
     @functools.cached_property
     def fourier(self) -> UnitaryMatrix:
-        ks = np.arange(self.d)
-        entries = self._omega_pow[np.outer(ks, ks) % self.d] / np.sqrt(self.d)
-        return _trusted(UnitaryMatrix, dim=self.d, entries=entries)
+        return _trusted(UnitaryMatrix, dim=self.d, entries=self._fourier_rows(np.arange(self.d)))
+
+    def _fourier_rows(self, r) -> np.ndarray:
+        """Row r of F, or one row per entry of a 1-D array r, for r in 0..d-1: omega**(r*k mod d) / sqrt(d)."""
+        return self._omega_pow[np.asarray(r)[..., None] * np.arange(self.d) % self.d] / np.sqrt(self.d)
 
     def __repr__(self):
         return f"QuantumSystem(d={self.d})"
@@ -296,8 +298,7 @@ class QuantumSystem:
     def momentum_state(self, r: int) -> StateVector:
         """Fourier image of the r-th position state, i.e. column r of F."""
         _check_integer("r", r)
-        column = self._omega_pow[np.arange(self.d) * (r % self.d) % self.d] / np.sqrt(self.d)
-        return _trusted(StateVector, dim=self.d, amplitudes=column)
+        return _trusted(StateVector, dim=self.d, amplitudes=self._fourier_rows(r % self.d))
 
     # -- operators --
 
@@ -325,8 +326,8 @@ class QuantumSystem:
         """
         a, b = np.asarray(alpha)[..., None] % self.d, np.asarray(beta)[..., None] % self.d
         ks = np.arange(self.d)
-        phases = self._omega_pow[(a * ks - self.half_inverse * a * b) % self.d]
-        return phases * x[..., (ks - b) % self.d]
+        # the phase table must stay the left, unnamed operand, so stacks of 256 KiB or more round as lone rows
+        return self._omega_pow[(a * ks - self.half_inverse * a * b) % self.d] * x[..., (ks - b) % self.d]
 
     def _displaced_densities(self, rho: np.ndarray, alpha, beta) -> np.ndarray:
         """D(alpha, beta)^dag rho D(alpha, beta) per pair of 1-D arrays alpha and beta, on a new first axis.
@@ -336,6 +337,7 @@ class QuantumSystem:
         """
         ks = np.arange(self.d)
         a, rows = np.asarray(alpha)[:, None, None] % self.d, (ks + np.asarray(beta)[:, None]) % self.d
+        # the phase table must stay the left, unnamed operand (see _displaced)
         return self._omega_pow[a * (ks - ks[:, None]) % self.d] * rho[rows[..., None], rows[:, None]]
 
     # -- coherent states --
@@ -361,7 +363,7 @@ class QuantumSystem:
         if f.dim != self.d:
             raise DimensionMismatch(f"dimension mismatch: system is {self.d}, fiducial is {f.dim}")
         pos = float(np.max(np.abs(f.amplitudes)))
-        mom = float(np.max(np.abs(momentum_amplitudes(f))))
+        mom = float(np.max(np.abs(np.fft.fft(f.amplitudes, norm="ortho"))))
         if max(pos, mom) >= 1.0 - OVERLAP_TOL:
             raise DegenerateFiducial(
                 f"fiducial coincides with a basis state: max position overlap {pos:.9f}, "
@@ -401,18 +403,9 @@ class QuantumSystem:
         return state.entries, False
 
 
-def momentum_amplitudes(state: StateVector) -> np.ndarray:
-    """Momentum-basis amplitudes F^dag psi of a state, by FFT.
-
-    (F^dag psi)[r] = sum_s omega**(-r*s) psi[s] / sqrt(d), which is numpy's
-    forward transform with orthonormal scaling.
-    """
-    return np.fft.fft(state.amplitudes, norm="ortho")
-
-
-def _distribution_rows(x: np.ndarray, pure: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Position and momentum distributions of amplitude rows (pure) or density matrices, over the last axes."""
-    return _position_rows(x, pure), _momentum_rows(x, pure)
+def _distribution_rows(x: np.ndarray, pure: bool = False) -> np.ndarray:
+    """Positions, then momenta, of amplitude rows (pure) or density matrices, as one (..., 2, d) array."""
+    return np.stack((_position_rows(x, pure), _momentum_rows(x, pure)), axis=-2)
 
 
 def _position_rows(x: np.ndarray, pure: bool) -> np.ndarray:

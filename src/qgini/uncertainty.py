@@ -17,7 +17,8 @@ import numpy as np
 from qgini.errors import ValidationError
 from qgini.gini import _weighted_sums, gini_cap, gini_weights
 from qgini.qsystem import (
-    QuantumSystem, StateVector, _check_integer, _distribution_rows, _trusted, check_budget, check_dimension
+    QuantumSystem, StateVector, _check_integer, _momentum_rows, _position_rows, _trusted,
+    check_budget, check_dimension,
 )
 from qgini.sampling import split_seed
 
@@ -142,9 +143,10 @@ def _combined_gini_objective(system: QuantumSystem):
     (Re a_0, Im a_0, Re a_1, ...) of a unit-norm amplitude vector; callers
     keep candidates on the unit sphere. Returns the m sums of both indices in
     the weighted-sort form of :func:`qgini.gini.gini_weights`, so one call
-    scores a whole block of candidates. Both distributions come from
-    qsystem._distribution_rows, the kernel every report takes them from:
-    momenta are the orthonormal FFT of each row, so F is never built.
+    scores a whole block of candidates. Both distributions come from the
+    same two kernels every report takes them from (qsystem._position_rows and
+    _momentum_rows): momenta are the orthonormal FFT of each row, so F is
+    never built.
 
     The FFT transforms each row on its own and the weighted sums are per-row
     dot products, never one matrix-matrix product, so a row rounds exactly
@@ -156,7 +158,8 @@ def _combined_gini_objective(system: QuantumSystem):
     w, scale = gini_weights(d)
 
     def objective(block: np.ndarray) -> np.ndarray:
-        px, pp = _distribution_rows(block.view(np.complex128), True)
+        z = block.view(np.complex128)
+        px, pp = _position_rows(z, True), _momentum_rows(z, True)
         px.sort(axis=-1)
         pp.sort(axis=-1)
         return 2.0 - scale * (_weighted_sums(px, w) + _weighted_sums(pp, w))
@@ -210,7 +213,6 @@ def _pattern_search(objective, starts, max_sweeps):
     step = np.full(count, INITIAL_STEP)
     start = [0] * count  # next candidate of each search's current sweep
     improved = [False] * count
-    converged = [False] * count
     sweeps = [1] * count
     live = list(range(count))
     while live:
@@ -238,8 +240,7 @@ def _pattern_search(objective, starts, max_sweeps):
             if start[r] == 2 * n:
                 if not improved[r]:
                     step[r] *= 0.5
-                    converged[r] = bool(step[r] < MIN_STEP)
-                if converged[r] or sweeps[r] == max_sweeps:
+                if step[r] < MIN_STEP or sweeps[r] == max_sweeps:
                     ended.append(r)
                 else:
                     sweeps[r] += 1
@@ -247,7 +248,7 @@ def _pattern_search(objective, starts, max_sweeps):
                     improved[r] = False
         if ended:
             live = [r for r in live if r not in ended]
-    return [(x[r], best[r], converged[r], sweeps[r]) for r in range(count)]
+    return [(x[r], best[r], bool(step[r] < MIN_STEP), sweeps[r]) for r in range(count)]
 
 
 def _gauge_fixed(x: np.ndarray) -> StateVector:

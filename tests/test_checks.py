@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qgini import checks
+from qgini import checks, qsystem
 from qgini.checks import run_property_checks
 from qgini.gini import _gini_rows, gini_index
 from qgini.lorenz import _lorenz_rows, lorenz_curve
@@ -74,9 +74,12 @@ def test_stacked_kernels_match_the_public_path_bit_for_bit(monkeypatch, d, pure,
         assert [len(c) for c in chunks] == [4, 4, 3]
     scored = []
     for chunk in chunks:
-        p_x, p_p = _distribution_rows(np.array(chunk), pure)
-        scored.append((p_x, p_p, _gini_rows(p_x), _gini_rows(p_p), _lorenz_rows(p_x), _lorenz_rows(p_p)))
-    p_x, p_p, g_x, g_p, l_x, l_p = (np.concatenate(column) for column in zip(*scored))
+        # both bases on one axis, each kernel called once per chunk
+        p = _distribution_rows(np.array(chunk), pure)
+        scored.append((p, _gini_rows(p), _lorenz_rows(p)))
+    p, g, lorenz = (np.concatenate(column) for column in zip(*scored))
+    assert p.shape == (count, 2, d) and g.shape == (count, 2)
+    (p_x, p_p), (g_x, g_p), (l_x, l_p) = (np.moveaxis(x, 1, 0) for x in (p, g, lorenz))
     for i, state in enumerate(states):
         px, pp = system.position_probs(state), system.momentum_probs(state)
         assert np.array_equal(bits(p_x[i]), bits(px.probs))
@@ -174,6 +177,56 @@ def test_displacement_stacks_match_one_displacement_at_a_time(d):
         assert np.array_equal(np.diagonal(moved[i]).copy().view(np.uint64), shifted.view(np.uint64))
         own = system.coherent_state(fid, a[i], b[i]).amplitudes
         assert np.array_equal(coherent[i].view(np.uint64), own.view(np.uint64))
+
+
+# numpy computes a product of 256 KiB or more in a temporary operand's
+# buffer; stacks that large must still round each row as a lone call does.
+# The resolution-of-identity block at d = 401 takes 2.5 MiB
+def test_resolution_block_rounds_as_lone_shifts():
+    system = QuantumSystem(401)
+    fid = system.coherent_state(random_state_vector(401, np.random.default_rng(401)), 0, 0).amplitudes
+    block = system._displaced(fid, 3, np.arange(401))
+    assert block.nbytes >= 2**18
+    assert np.array_equal(bits(block), bits(np.stack([system._displaced(fid, 3, b) for b in range(401)])))
+
+
+# 200 coherent pairs at d = 101 take 316 KiB, 11 displaced density states at
+# d = 41 take 289 KiB
+def test_large_pair_stacks_round_as_lone_pairs():
+    system = QuantumSystem(101)
+    rng = np.random.default_rng(101)
+    fid = system.coherent_state(random_state_vector(101, rng), 0, 0).amplitudes
+    a, b = rng.integers(0, 101, size=(2, 200))
+    pairs = system._displaced(fid, a, b)
+    assert pairs.nbytes >= 2**18
+    assert np.array_equal(bits(pairs), bits(np.stack([system._displaced(fid, a[i], b[i]) for i in range(200)])))
+
+    system = QuantumSystem(41)
+    rng = np.random.default_rng(41)
+    rho = random_density_matrix(41, rng).entries
+    a, b = rng.integers(0, 41, size=(2, 11))
+    moved = system._displaced_densities(rho, a, b)
+    assert moved.nbytes >= 2**18
+    lone = [system._displaced_densities(rho, a[i : i + 1], b[i : i + 1])[0] for i in range(11)]
+    assert np.array_equal(bits(moved), bits(np.stack(lone)))
+
+
+# the mixture suites score tau, rho and sigma of a chunk as one stack: one
+# wrapped-diagonal gather (one _momentum_rows call) per chunk of 4 draws
+@pytest.mark.parametrize("suite", ["_check_superadditive", "_check_subadditive"])
+def test_mixture_suites_take_one_momentum_call_per_chunk(monkeypatch, suite):
+    monkeypatch.setattr(checks, "_STACK_BYTES", 4 * 16 * 5 * 5)
+    calls = []
+    kernel = qsystem._momentum_rows
+
+    def counting(x, pure):
+        calls.append(x.shape)
+        return kernel(x, pure)
+
+    monkeypatch.setattr(qsystem, "_momentum_rows", counting)
+    passed, detail = getattr(checks, suite)(QuantumSystem(5), 20, np.random.default_rng(5))
+    assert passed, detail
+    assert calls == [(3, 4, 5, 5)] * 5
 
 
 @pytest.mark.parametrize("d", [5, 13])

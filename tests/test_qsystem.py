@@ -37,7 +37,7 @@ from qgini import (
 )
 from qgini import cli
 from qgini.checks import run_property_checks
-from qgini.qsystem import MAX_DIM, momentum_amplitudes
+from qgini.qsystem import MAX_DIM
 
 from conftest import reference_fourier
 
@@ -513,7 +513,7 @@ def test_state_path_matches_density_path(d):
     rng = np.random.default_rng(700 + d)
     for label, state in _pure_states(system, rng):
         rho = pure_density(state)
-        phi = momentum_amplitudes(state)
+        phi = np.fft.fft(state.amplitudes, norm="ortho")
         assert np.max(np.abs(phi - system.fourier.entries.conj() @ state.amplitudes)) <= 1e-12, label
         for pick in (system.position_probs, system.momentum_probs):
             fast, dense = pick(state), pick(rho)

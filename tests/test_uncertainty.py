@@ -257,10 +257,10 @@ def test_objective_rows_equal_the_distribution_kernel_bit_for_bit(d):
     for rows in (1, 7, 25):
         z = rng.standard_normal((rows, d)) + 1j * rng.standard_normal((rows, d))
         z /= np.linalg.norm(z, axis=1)[:, None]
-        px, pp = _distribution_rows(z, True)
-        px.sort(axis=1)
-        pp.sort(axis=1)
-        expected = 2.0 - scale * (_weighted_sums(px, w) + _weighted_sums(pp, w))
+        p = _distribution_rows(z, True)
+        p.sort(axis=-1)
+        sums = _weighted_sums(p, w)
+        expected = 2.0 - scale * (sums[:, 0] + sums[:, 1])
         assert np.array_equal(objective(np.ascontiguousarray(z).view(np.float64)), expected)
     assert "fourier" not in vars(system)
 
