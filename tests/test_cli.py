@@ -466,7 +466,8 @@ def test_estimate_report_rescores_the_best_state_within_4_ulp(path):
 # coherent_state call per pair. d = 11 is the largest dimension where both
 # suites run every displacement pair; d = 41 pins the 100 drawn pairs. The
 # default 200 samples at d = 11 score several chunks per sampled suite,
-# 20 Fourier-swap states and 4 displacement states.
+# 20 Fourier-swap states and 4 displacement states; 200 samples at d = 41
+# score 4 displacement states of 100 drawn pairs, each over several chunks.
 @pytest.mark.parametrize(
     "argv, name",
     [
@@ -474,6 +475,7 @@ def test_estimate_report_rescores_the_best_state_within_4_ulp(path):
         (["check", "--dim", "11", "--samples", "20", "--seed", "7"], "check-d11-n20-s7.json"),
         (["check", "--dim", "41", "--samples", "20", "--seed", "7"], "check-d41-n20-s7.json"),
         (["check", "--dim", "11", "--seed", "7"], "check-d11-n200-s7.json"),
+        (["check", "--dim", "41", "--samples", "200", "--seed", "7"], "check-d41-n200-s7.json"),
     ],
 )
 def test_checks_print_the_saved_bytes(capsys, argv, name):
