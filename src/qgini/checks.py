@@ -15,7 +15,8 @@ kernel runs once per chunk for both bases and every compared state.
 Reference states (the maximally mixed state, a displaced state's original,
 the coherent fiducial) are scored by the same kernels, which round each
 state exactly as a lone one, so the margins are bit-identical to a
-state-by-state loop. Displaced states are gathered by index and phase.
+state-by-state loop. Displaced density states are gathered from strided
+windows of the state and multiplied by Toeplitz views of the phases.
 """
 
 import itertools
@@ -37,8 +38,11 @@ CONJ_TOL = 1e-10      # identities that pass through basis rotations
 MAX_SAMPLES = 100_000
 
 # Ceiling on the bytes of one stack of states (and of each temporary of the
-# same shape) that a suite scores at once.
-_STACK_BYTES = 64 * 2**10
+# same shape) that a suite scores at once. A chunk counts every state it
+# stacks: 3 per mixture sample (the mixture and its two parts), 2 per
+# Fourier-swap state, 2 d x d blocks per resolution alpha (the coherent rows
+# and their product). At d = 41 a stack holds 9 density states.
+_STACK_BYTES = 256 * 2**10
 
 
 @dataclass
@@ -51,8 +55,10 @@ class CheckResult:
 def _chunks(items, size: int):
     """Lists of consecutive items, each stacking to at most _STACK_BYTES.
 
-    An item stacks to `size` complex entries; a chunk holds at least one
-    item. A generator of draws is consumed chunk by chunk, in draw order.
+    An item stacks to `size` complex entries, counting every state the
+    caller stacks for it; a chunk holds at least one item, even one larger
+    than the ceiling. A generator of draws is consumed chunk by chunk, in
+    draw order.
     """
     rows = max(1, _STACK_BYTES // (16 * size))
     items = iter(items)
@@ -60,16 +66,20 @@ def _chunks(items, size: int):
         yield chunk
 
 
-def _density_stacks(d: int, samples: int, rng):
-    """Stacks of `samples` random density matrices, drawn one by one and built a chunk at a time."""
-    for chunk in _chunks((_density_draw(d, rng) for _ in range(samples)), d * d):
+def _density_stacks(d: int, samples: int, rng, stacked: int = 1):
+    """Stacks of `samples` random density matrices, drawn one by one and built a chunk at a time.
+
+    The caller stacks `stacked` d x d states per draw, and the chunks count them all.
+    """
+    for chunk in _chunks((_density_draw(d, rng) for _ in range(samples)), stacked * d * d):
         yield _density_entries(chunk)
 
 
 def _mixture_stacks(d: int, samples: int, rng):
     """Stacks of (rho, sigma, lam, lam * rho + (1 - lam) * sigma), drawn rho, sigma, lam per sample."""
     draws = ((_density_draw(d, rng), _density_draw(d, rng), rng.uniform()) for _ in range(samples))
-    for chunk in _chunks(draws, d * d):
+    # tau, rho and sigma are scored as one stack
+    for chunk in _chunks(draws, 3 * d * d):
         rho, sigma, lam = zip(*chunk)
         rho, sigma, lam = _density_entries(rho), _density_entries(sigma), np.array(lam)
         w = lam[:, None, None]
@@ -213,7 +223,7 @@ def _check_displacement_invariance(system, samples, rng):
 def _check_fourier_swap(system, samples, rng):
     """Conjugating by F trades the two distributions and preserves g_xp."""
     worst = 0.0
-    for rho in _density_stacks(system.d, max(samples // 10, 1), rng):
+    for rho in _density_stacks(system.d, max(samples // 10, 1), rng, stacked=2):
         p = _distribution_rows(np.stack((_conjugated(rho, system.fourier.entries), rho)))
         g_swapped, g_xp = _gini_rows(p).sum(axis=-1)
         # the swapped states' positions are the states' momenta
@@ -242,15 +252,25 @@ def _check_coherent_equality(system, samples, rng):
     return worst <= CONJ_TOL, f"max spread across the coherent family {worst:.2e}"
 
 
+def _projector_sums(system, fid, alphas) -> np.ndarray:
+    """Per alpha, the transposed sum over beta of |D(alpha, beta) f><D(alpha, beta) f|.
+
+    One displacement call builds every alpha's block of d coherent rows;
+    one stacked matmul takes one gemm per block, as a lone block's product.
+    """
+    amps = system._displaced(fid, np.asarray(alphas)[:, None], np.arange(system.d))
+    return amps.swapaxes(-1, -2) @ amps.conj()
+
+
 def _check_resolution_of_identity(system, samples, rng):
     """Coherent projectors of any admissible fiducial average to the identity."""
     d = system.d
     fid = system.coherent_state(system.default_fiducial(), 0, 0).amplitudes
     total = np.zeros((d, d), dtype=np.complex128)
-    for a in range(d):
-        # one block of d coherent rows per alpha keeps the memory at O(d^2)
-        amps = system._displaced(fid, a, np.arange(d))
-        total += amps.T @ amps.conj()
+    # an alpha holds its block of d coherent rows and the block's product
+    for chunk in _chunks(range(d), 2 * d * d):
+        for block in _projector_sums(system, fid, chunk):
+            total += block
     residual = float(np.max(np.abs(total / d - np.eye(d))))
     return residual <= CONJ_TOL, f"max residual of the averaged projectors {residual:.2e}"
 

@@ -333,12 +333,25 @@ class QuantumSystem:
         """D(alpha, beta)^dag rho D(alpha, beta) per pair of 1-D arrays alpha and beta, on a new first axis.
 
         D's overall phase cancels: entry (s, t) is omega**(alpha*(t - s)) *
-        rho[(s + beta) % d, (t + beta) % d], one lookup and one gather, no sum.
+        rho[(s + beta) % d, (t + beta) % d], one product and no sum. A pair's
+        shifted rho gathers rows (s + beta) % d of the length-d windows of rho
+        doubled along its columns, each starting at column beta; its phases
+        are a Toeplitz view, one row of the 2d - 1 powers omega**(alpha*k),
+        k = 1 - d..d - 1, read from k = -s. No index array is (n, d, d).
         """
-        ks = np.arange(self.d)
-        a, rows = np.asarray(alpha)[:, None, None] % self.d, (ks + np.asarray(beta)[:, None]) % self.d
-        # the phase table must stay the left, unnamed operand (see _displaced)
-        return self._omega_pow[a * (ks - ks[:, None]) % self.d] * rho[rows[..., None], rows[:, None]]
+        d = self.d
+        ks = np.arange(d)
+        a, b = np.asarray(alpha)[:, None] % d, np.asarray(beta)[:, None] % d
+        # strided views built by the ndarray constructor: sliding_window_view
+        # costs about 20 us a call and keeps a small block traced per call
+        doubled = np.concatenate((rho, rho), axis=-1)
+        step = doubled.itemsize
+        windows = np.ndarray((d, d + 1, d), doubled.dtype, doubled, 0, (doubled.strides[0], step, step))
+        shifted = windows[(ks + b) % d, b]
+        table = self._omega_pow[a * np.arange(1 - d, d) % d]
+        phases = np.ndarray(shifted.shape, table.dtype, table, step * (d - 1), (table.strides[0], -step, step))
+        # the phases must stay the left operand, or the product rounds differently (see _displaced)
+        return np.multiply(phases, shifted, out=shifted)
 
     # -- coherent states --
 
@@ -421,17 +434,26 @@ def _momentum_rows(x: np.ndarray, pure: bool) -> np.ndarray:
     Pure rows take the orthonormal FFT. Entry k of the diagonal of F^dag rho F
     is (1/d) sum_t c_t omega**(t*k), one inverse DFT of the wrapped-diagonal
     sums c_t = sum_r rho[r, (r+t) mod d]: no F and no BLAS product, so a stack
-    rounds each state as a lone one, at any thread count.
+    rounds each state as a lone one, at any thread count. The sums gather
+    rho through one flat index per d, built on the first call and cached.
     """
     if pure:
         return _moduli_squared(np.fft.fft(x, norm="ortho"))
     d = x.shape[-1]
-    # numpy casts the int32 flat indices r*d + (r+t) % d in buffers, so the peak
-    # is the gathered stack and a quarter more. A stack's sums come out with the
-    # state axis innermost; in C order they sort and score as lone states' do
-    r = np.arange(d, dtype=np.int32)[:, None]
-    c = x.reshape(*x.shape[:-2], d * d)[..., (r + r.T) % d + d * r].sum(axis=-2)
+    # numpy casts the int32 flat indices in buffers, so the peak is the gathered
+    # stack and a quarter more. A stack's sums come out with the state axis
+    # innermost; in C order they sort and score as lone states' do
+    c = x.reshape(*x.shape[:-2], d * d)[..., _wrapped_diagonals(d)].sum(axis=-2)
     return _clamped(np.fft.ifft(np.ascontiguousarray(c)).real)
+
+
+@functools.lru_cache(maxsize=4)
+def _wrapped_diagonals(d: int) -> np.ndarray:
+    """Read-only int32 flat indices r*d + (r+t) % d at [r, t] into a d x d matrix, built once per d."""
+    r = np.arange(d, dtype=np.int32)[:, None]
+    index = (r + r.T) % d + d * r
+    index.setflags(write=False)
+    return index
 
 
 def _moduli_squared(amplitudes: np.ndarray) -> np.ndarray:

@@ -211,11 +211,69 @@ def test_large_pair_stacks_round_as_lone_pairs():
     assert np.array_equal(bits(moved), bits(np.stack(lone)))
 
 
+# the resolution suite takes a chunk of alphas' coherent blocks in one
+# displacement call and one stacked matmul; each alpha's product must keep
+# the bits of its own block and gemm: a chunk of 4 at d = 41 as the suite
+# takes it, and stacks of 1.1 MiB (d = 41) and 5 MiB (d = 401)
+@pytest.mark.parametrize("d, alphas", [(41, range(4)), (41, range(41)), (401, (3, 400))])
+def test_stacked_projector_sums_match_one_alpha_at_a_time(d, alphas):
+    system = QuantumSystem(d)
+    fid = system.coherent_state(system.default_fiducial(), 0, 0).amplitudes
+    sums = checks._projector_sums(system, fid, list(alphas))
+    assert sums.shape == (len(alphas), d, d)
+    for a, got in zip(alphas, sums):
+        amps = system._displaced(fid, a, np.arange(d))
+        assert np.array_equal(bits(got), bits(amps.T @ amps.conj()))
+
+
+# the bytes of every stack a suite scores: the input of each scoring kernel,
+# the displaced density states, and the coherent blocks with their products
+SCORING_KERNELS = ("_distribution_rows", "_ginis", "_gini_rows", "_lorenz_rows", "_conjugated")
+
+
+def recorded_stacks(monkeypatch, suite, d, ceiling):
+    stacks = []
+
+    def recording(name, kernel, nbytes):
+        def call(*args, **kwargs):
+            out = kernel(*args, **kwargs)
+            stacks.append((name, nbytes(args, out)))
+            return out
+
+        return call
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "_STACK_BYTES", ceiling)
+        for name in SCORING_KERNELS:
+            patch.setattr(checks, name, recording(name, getattr(checks, name), lambda args, out: args[0].nbytes))
+        patch.setattr(checks, "_projector_sums", recording("blocks", checks._projector_sums, lambda args, out: 2 * out.nbytes))
+        moved = recording("moved", QuantumSystem._displaced_densities, lambda args, out: out.nbytes)
+        patch.setattr(QuantumSystem, "_displaced_densities", moved)
+        passed, detail = getattr(checks, suite)(QuantumSystem(d), 20, np.random.default_rng(d))
+    assert passed, detail
+    return stacks
+
+
+# each stack stays within the ceiling unless one item alone exceeds it; a
+# 1-byte ceiling makes every chunk one item and gives the items' bytes
+@pytest.mark.parametrize("suite", [func.__name__ for _, func in checks._CHECKS])
+@pytest.mark.parametrize("d", [5, 11, 41])
+def test_every_scored_stack_stays_within_the_ceiling(monkeypatch, d, suite):
+    item = {}
+    for name, nbytes in recorded_stacks(monkeypatch, suite, d, 1):
+        item[name] = max(item.get(name, 0), nbytes)
+    for ceiling in (checks._STACK_BYTES, 2 * 16 * d * d):
+        stacks = recorded_stacks(monkeypatch, suite, d, ceiling)
+        assert stacks and {name for name, _ in stacks} == set(item)
+        assert all(nbytes <= max(ceiling, item[name]) for name, nbytes in stacks), (ceiling, stacks)
+
+
 # the mixture suites score tau, rho and sigma of a chunk as one stack: one
-# wrapped-diagonal gather (one _momentum_rows call) per chunk of 4 draws
+# wrapped-diagonal gather (one _momentum_rows call) per chunk of 4 draws,
+# each counted as its three states
 @pytest.mark.parametrize("suite", ["_check_superadditive", "_check_subadditive"])
 def test_mixture_suites_take_one_momentum_call_per_chunk(monkeypatch, suite):
-    monkeypatch.setattr(checks, "_STACK_BYTES", 4 * 16 * 5 * 5)
+    monkeypatch.setattr(checks, "_STACK_BYTES", 4 * 3 * 16 * 5 * 5)
     calls = []
     kernel = qsystem._momentum_rows
 
@@ -243,8 +301,8 @@ def test_displacement_invariance_takes_no_matrix_product(monkeypatch, d):
 
 def test_suite_memory_does_not_grow_with_the_sample_count(monkeypatch):
     # states are drawn and scored in chunks of at most _STACK_BYTES, 4
-    # density matrices here, so 20 and 200 samples peak alike (the first
-    # run fills numpy's caches)
+    # density matrices here (one mixture sample with its two parts), so 20
+    # and 200 samples peak alike (the first run fills numpy's caches)
     monkeypatch.setattr(checks, "_STACK_BYTES", 4 * 16 * 5 * 5)
     run_property_checks(5, samples=20, seed=3)
     _, small = traced_peak(lambda: run_property_checks(5, samples=20, seed=3))

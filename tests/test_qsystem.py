@@ -35,7 +35,7 @@ from qgini import (
     split_seed,
     validate_density,
 )
-from qgini import cli
+from qgini import cli, qsystem
 from qgini.checks import run_property_checks
 from qgini.qsystem import MAX_DIM
 
@@ -357,6 +357,36 @@ def test_displaced_shift_array_gives_the_coherent_rows(d):
             assert np.array_equal(system.displacement(a, b).entries, _dense_displacement(d, a, b))
 
 
+def reference_displaced_densities(system, rho, alpha, beta):
+    # the index formula the window and Toeplitz views replace: an (n, d, d)
+    # phase index and an (n, d, d) gather of rho's rows and columns
+    d = system.d
+    ks = np.arange(d)
+    a, rows = np.asarray(alpha)[:, None, None] % d, (ks + np.asarray(beta)[:, None]) % d
+    return system._omega_pow[a * (ks - ks[:, None]) % d] * rho[rows[..., None], rows[:, None]]
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+# 1 pair, 13 pairs and at least 256 KiB of pairs (numpy's product changes
+# buffers there), with negative and out-of-range alpha and beta
+@pytest.mark.parametrize("d", [3, 5, 11, 41, 101])
+def test_displaced_densities_keep_the_bits_of_the_index_formula(d):
+    system = new_system(d)
+    rng = np.random.default_rng(1500 + d)
+    rho = random_density_matrix(d, rng).entries
+    edges = np.array([[-1, d, -d - 2, 3 * d + 1], [d + 2, -1, 2 * d, -3 * d - 1]])
+    counts = (13, max(13, -(-(2**18) // (16 * d * d))))
+    drawn = [np.hstack((edges, rng.integers(-3 * d, 3 * d, size=(2, n - 4)))) for n in counts]
+    for pairs in (edges[:, :1], *drawn):
+        got = system._displaced_densities(rho, *pairs)
+        assert got.shape == (pairs.shape[1], d, d)
+        assert np.array_equal(bits(got), bits(reference_displaced_densities(system, rho, *pairs)))
+    assert got.nbytes >= 2**18
+
+
 # ---- state vectors and density matrices ----
 
 
@@ -477,6 +507,29 @@ def test_momentum_probs_match_reference_rotation():
         want = np.diagonal(f.conj().T @ rho.entries @ f).real
         got = new_system(d).momentum_probs(rho).probs
         assert np.max(np.abs(got - want)) < 1e-12, d
+
+
+def reference_density_momenta(x):
+    # the momentum kernel with its wrapped-diagonal index built on every call
+    d = x.shape[-1]
+    r = np.arange(d, dtype=np.int32)[:, None]
+    c = x.reshape(*x.shape[:-2], d * d)[..., (r + r.T) % d + d * r].sum(axis=-2)
+    return qsystem._clamped(np.fft.ifft(np.ascontiguousarray(c)).real)
+
+
+@pytest.mark.parametrize("d", [3, 5, 41, 101])
+def test_density_momenta_keep_the_bits_of_a_fresh_index(d):
+    index = qsystem._wrapped_diagonals(d)
+    r = np.arange(d)[:, None]
+    assert index.dtype == np.int32 and not index.flags.writeable
+    assert np.array_equal(index, (r + r.T) % d + d * r)
+    assert qsystem._wrapped_diagonals(d) is index
+    with pytest.raises(ValueError):
+        index[0, 0] = 1
+    rng = np.random.default_rng(1600 + d)
+    stack = np.stack([random_density_matrix(d, rng).entries for _ in range(9)])
+    for x in (stack[0], stack):
+        assert np.array_equal(bits(qsystem._momentum_rows(x, False)), bits(reference_density_momenta(x)))
 
 
 def test_momentum_projector_probs(sys3):
