@@ -209,13 +209,14 @@ def _check_displacement_invariance(system, samples, rng):
     for _ in range(states):
         rho = _density_entries([_density_draw(d, rng)])[0]
         ref = _distribution_rows(rho)
-        ref_g_xp, ref_lx = _gini_rows(ref).sum(axis=-1), _lorenz_rows(ref[0])
+        ref_g_xp, ref_lorenz = _gini_rows(ref).sum(axis=-1), _lorenz_rows(ref)
         for chunk in _chunks(_invariance_pairs(system, rng), d * d):
             p = _distribution_rows(system._displaced_densities(rho, *np.array(chunk).T))
+            # Lorenz values of both bases, positions and momenta
             worst = max(
                 worst,
                 float(np.max(np.abs(_gini_rows(p).sum(axis=-1) - ref_g_xp))),
-                float(np.max(np.abs(_lorenz_rows(p[:, 0]) - ref_lx))),
+                float(np.max(np.abs(_lorenz_rows(p) - ref_lorenz))),
             )
     return worst <= CONJ_TOL, f"max drift under displacements {worst:.2e}"
 

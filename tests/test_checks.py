@@ -299,6 +299,22 @@ def test_displacement_invariance_takes_no_matrix_product(monkeypatch, d):
     assert passed, detail
 
 
+def test_displacement_invariance_compares_the_momentum_lorenz_values(monkeypatch):
+    # a drift confined to the displaced states' momentum Lorenz values fails
+    # the suite; the reference state's (2, d) values stay as they are
+    lorenz = checks._lorenz_rows
+
+    def drifting(p):
+        values = lorenz(p)
+        if values.ndim == 3:
+            values[:, 1, 0] += 1e-9
+        return values
+
+    monkeypatch.setattr(checks, "_lorenz_rows", drifting)
+    passed, detail = checks._check_displacement_invariance(QuantumSystem(5), 20, np.random.default_rng(5))
+    assert (passed, detail) == (False, "max drift under displacements 1.00e-09")
+
+
 def test_suite_memory_does_not_grow_with_the_sample_count(monkeypatch):
     # states are drawn and scored in chunks of at most _STACK_BYTES, 4
     # density matrices here (one mixture sample with its two parts), so 20
