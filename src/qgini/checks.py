@@ -212,7 +212,6 @@ def _check_displacement_invariance(system, samples, rng):
         ref_g_xp, ref_lorenz = _gini_rows(ref).sum(axis=-1), _lorenz_rows(ref)
         for chunk in _chunks(_invariance_pairs(system, rng), d * d):
             p = _distribution_rows(system._displaced_densities(rho, *np.array(chunk).T))
-            # Lorenz values of both bases, positions and momenta
             worst = max(
                 worst,
                 float(np.max(np.abs(_gini_rows(p).sum(axis=-1) - ref_g_xp))),
@@ -254,7 +253,7 @@ def _check_coherent_equality(system, samples, rng):
 
 
 def _projector_sums(system, fid, alphas) -> np.ndarray:
-    """Per alpha, the transposed sum over beta of |D(alpha, beta) f><D(alpha, beta) f|.
+    """Per alpha, the sum over beta of the coherent projectors |D(alpha, beta) f><D(alpha, beta) f|.
 
     One displacement call builds every alpha's block of d coherent rows;
     one stacked matmul takes one gemm per block, as a lone block's product.
@@ -272,6 +271,8 @@ def _check_resolution_of_identity(system, samples, rng):
     for chunk in _chunks(range(d), 2 * d * d):
         for block in _projector_sums(system, fid, chunk):
             total += block
+        # frees the chunk's products before the next chunk's blocks are built
+        del block
     residual = float(np.max(np.abs(total / d - np.eye(d))))
     return residual <= CONJ_TOL, f"max residual of the averaged projectors {residual:.2e}"
 

@@ -234,7 +234,7 @@ SCORING_KERNELS = ("_distribution_rows", "_ginis", "_gini_rows", "_lorenz_rows",
 def recorded_stacks(monkeypatch, suite, d, ceiling):
     stacks = []
 
-    def recording(name, kernel, nbytes):
+    def recording(name, kernel, nbytes=lambda args, out: args[0].nbytes):
         def call(*args, **kwargs):
             out = kernel(*args, **kwargs)
             stacks.append((name, nbytes(args, out)))
@@ -245,8 +245,9 @@ def recorded_stacks(monkeypatch, suite, d, ceiling):
     with monkeypatch.context() as patch:
         patch.setattr(checks, "_STACK_BYTES", ceiling)
         for name in SCORING_KERNELS:
-            patch.setattr(checks, name, recording(name, getattr(checks, name), lambda args, out: args[0].nbytes))
-        patch.setattr(checks, "_projector_sums", recording("blocks", checks._projector_sums, lambda args, out: 2 * out.nbytes))
+            patch.setattr(checks, name, recording(name, getattr(checks, name)))
+        blocks = recording("blocks", checks._projector_sums, lambda args, out: 2 * out.nbytes)
+        patch.setattr(checks, "_projector_sums", blocks)
         moved = recording("moved", QuantumSystem._displaced_densities, lambda args, out: out.nbytes)
         patch.setattr(QuantumSystem, "_displaced_densities", moved)
         passed, detail = getattr(checks, suite)(QuantumSystem(d), 20, np.random.default_rng(d))
