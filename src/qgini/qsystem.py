@@ -345,11 +345,11 @@ class QuantumSystem:
         # strided views built by the ndarray constructor: sliding_window_view
         # costs about 20 us a call and keeps a small block traced per call
         doubled = np.concatenate((rho, rho), axis=-1)
-        step = doubled.itemsize
-        windows = np.ndarray((d, d + 1, d), doubled.dtype, doubled, 0, (doubled.strides[0], step, step))
-        shifted = windows[(ks + b) % d, b]
+        row, entry = doubled.strides
+        shifted = np.ndarray((d, d + 1, d), doubled.dtype, doubled, 0, (row, entry, entry))[(ks + b) % d, b]
         table = self._omega_pow[a * np.arange(1 - d, d) % d]
-        phases = np.ndarray(shifted.shape, table.dtype, table, step * (d - 1), (table.strides[0], -step, step))
+        row, entry = table.strides
+        phases = np.ndarray(shifted.shape, table.dtype, table, entry * (d - 1), (row, -entry, entry))
         # the phases must stay the left operand, or the product rounds differently (see _displaced)
         return np.multiply(phases, shifted, out=shifted)
 
