@@ -23,16 +23,12 @@ from qgini.errors import (
     NotPositive,
     TraceNotOne,
     ValidationError,
-    WeightOutOfRange,
 )
 from qgini.qsystem import (
     DensityMatrix,
     ProbabilityDistribution,
     QuantumSystem,
     StateVector,
-    UnitaryMatrix,
-    conjugate,
-    mix,
     new_system,
     pure_density,
     validate_density,
@@ -79,11 +75,8 @@ __all__ = [
     "QuantumSystem",
     "StateVector",
     "TraceNotOne",
-    "UnitaryMatrix",
     "ValidationError",
-    "WeightOutOfRange",
     "comonotonic",
-    "conjugate",
     "estimate_sup_gini",
     "example_gini_closed_form",
     "example_state",
@@ -92,7 +85,6 @@ __all__ = [
     "gini_report",
     "load_state_file",
     "lorenz_curve",
-    "mix",
     "new_system",
     "pure_density",
     "random_density_matrix",

@@ -224,7 +224,7 @@ def _check_fourier_swap(system, samples, rng):
     """Conjugating by F trades the two distributions and preserves g_xp."""
     worst = 0.0
     for rho in _density_stacks(system.d, max(samples // 10, 1), rng, stacked=2):
-        p = _distribution_rows(np.stack((_conjugated(rho, system.fourier.entries), rho)))
+        p = _distribution_rows(np.stack((_conjugated(rho, system.fourier), rho)))
         g_swapped, g_xp = _gini_rows(p).sum(axis=-1)
         # the swapped states' positions are the states' momenta
         worst = max(

@@ -27,6 +27,7 @@ from qgini.errors import ValidationError
 from qgini.gini import GiniReport, gini_index, gini_report
 from qgini.lorenz import lorenz_curve
 from qgini.qsystem import check_dimension, new_system
+from qgini.sampling import check_seed
 from qgini.serialize import _scalar_list_text, scalar_text, to_json
 from qgini.statefile import load_state_file
 from qgini.uncertainty import BoundSet, check_search_budget, estimate_sup_gini, example_state
@@ -194,6 +195,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     for dim in args.dims:
         check_dimension(dim)
     check_search_budget(args.restarts, args.iters)
+    check_seed(args.seed)
     rows = []
     for dim in args.dims:
         print(f"sweep: dimension {dim}", file=sys.stderr)

@@ -47,10 +47,6 @@ class NotPositive(ValidationError):
     """An eigenvalue or probability is negative beyond round-off tolerance."""
 
 
-class WeightOutOfRange(ValidationError):
-    """A mixing weight lies outside the closed interval [0, 1]."""
-
-
 class DegenerateFiducial(ValidationError):
     """A coherent-state fiducial coincides with a position or momentum state."""
 

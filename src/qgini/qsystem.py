@@ -33,12 +33,10 @@ from qgini.errors import (
     NotPositive,
     TraceNotOne,
     ValidationError,
-    WeightOutOfRange,
 )
 
 # ---- tolerances ------------------------------------------------------------
 
-UNITARY_TOL = 1e-12     # max entrywise |U U^dag - 1|
 NORM_TOL = 1e-10        # |sum of amplitude moduli squared - 1|, |sum p - 1|
 HERMITIAN_TOL = 1e-10   # max entrywise |M - M^dag|
 TRACE_TOL = 1e-10       # |tr M - 1|
@@ -95,10 +93,9 @@ def _trusted(cls, **fields):
 
     Validation happens once, at the boundary: the public constructors, state
     files and the CLI. Results that satisfy a class's invariants by
-    construction (the Fourier and displacement matrices, basis and coherent
-    states, projectors of validated states, mixtures, conjugations and
-    measurement distributions) are wrapped here instead. Arrays are frozen
-    as the constructors freeze them.
+    construction (basis and coherent states, projectors of validated states,
+    the maximally mixed state and measurement distributions) are wrapped
+    here instead. Arrays are frozen as the constructors freeze them.
     """
     obj = cls.__new__(cls)
     for name, value in fields.items():
@@ -159,29 +156,6 @@ class StateVector:
 
     def __repr__(self):
         return f"StateVector(dim={self.dim})"
-
-
-class UnitaryMatrix:
-    """A square matrix U with max |U U^dag - 1| below UNITARY_TOL."""
-
-    def __init__(self, entries):
-        m = np.array(entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"unitary must be square, got shape {m.shape}")
-        _check_finite(m, "unitary")
-        dev = float(np.max(np.abs(m @ m.conj().T - np.eye(m.shape[0]))))
-        if not dev <= UNITARY_TOL:
-            raise ValidationError(f"matrix is not unitary: max |U U^dag - 1| = {dev:.3e}")
-        m.setflags(write=False)
-        self.dim = int(m.shape[0])
-        self.entries = m
-
-    def dagger(self) -> "UnitaryMatrix":
-        """Conjugate transpose, itself unitary."""
-        return _trusted(UnitaryMatrix, dim=self.dim, entries=self.entries.conj().T)
-
-    def __repr__(self):
-        return f"UnitaryMatrix(dim={self.dim})"
 
 
 class DensityMatrix:
@@ -258,9 +232,10 @@ class QuantumSystem:
         Hilbert-space dimension, odd and at least 3.
     half_inverse : int
         Inverse of 2 in Z_d, equal to (d + 1) / 2.
-    fourier : UnitaryMatrix
-        F[r, s] = omega**(r*s) / sqrt(d) with omega = exp(2*pi*i/d); maps
-        position to momentum basis. Built on first access and kept.
+    fourier : np.ndarray
+        Read-only d x d complex array F[r, s] = omega**(r*s) / sqrt(d) with
+        omega = exp(2*pi*i/d); maps position to momentum basis. Built on
+        first access and kept.
 
     Neither the distributions nor the search touch F: both take momenta by
     FFT (see _momentum_rows).
@@ -276,8 +251,10 @@ class QuantumSystem:
         self._omega_pow = omega_pow
 
     @functools.cached_property
-    def fourier(self) -> UnitaryMatrix:
-        return _trusted(UnitaryMatrix, dim=self.d, entries=self._fourier_rows(np.arange(self.d)))
+    def fourier(self) -> np.ndarray:
+        f = self._fourier_rows(np.arange(self.d))
+        f.setflags(write=False)
+        return f
 
     def _fourier_rows(self, r) -> np.ndarray:
         """Row r of F, or one row per entry of a 1-D array r, for r in 0..d-1: omega**(r*k mod d) / sqrt(d)."""
@@ -301,17 +278,6 @@ class QuantumSystem:
         return _trusted(StateVector, dim=self.d, amplitudes=self._fourier_rows(r % self.d))
 
     # -- operators --
-
-    def displacement(self, alpha: int, beta: int) -> UnitaryMatrix:
-        """Phase-space displacement D(alpha, beta) as a dense matrix.
-
-        Every entry is an exact root of unity or zero. alpha and beta are
-        taken mod d; D(alpha, beta).dagger() equals D(-alpha, -beta) exactly.
-        """
-        _check_integer("alpha", alpha)
-        _check_integer("beta", beta)
-        entries = self._displaced(np.eye(self.d, dtype=np.complex128), alpha, beta).T
-        return _trusted(UnitaryMatrix, dim=self.d, entries=entries)
 
     def _displaced(self, x: np.ndarray, alpha, beta) -> np.ndarray:
         """D(alpha, beta) applied to a vector x or to each row of x, in O(x.size).
@@ -484,23 +450,6 @@ def validate_density(entries) -> DensityMatrix:
     return DensityMatrix(entries)
 
 
-def mix(rho: DensityMatrix, sigma: DensityMatrix, lambda1: float) -> DensityMatrix:
-    """Convex combination lambda1 * rho + (1 - lambda1) * sigma."""
-    lam = float(lambda1)
-    if not 0.0 <= lam <= 1.0:
-        raise WeightOutOfRange(f"mixing weight must lie in [0, 1], got {lambda1!r}")
-    if rho.dim != sigma.dim:
-        raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    return _trusted(DensityMatrix, dim=rho.dim, entries=lam * rho.entries + (1.0 - lam) * sigma.entries)
-
-
-def conjugate(rho: DensityMatrix, u: UnitaryMatrix) -> DensityMatrix:
-    """U^dag rho U, a density matrix again since U is unitary."""
-    if rho.dim != u.dim:
-        raise DimensionMismatch(f"dimension mismatch: {rho.dim} vs {u.dim}")
-    return _trusted(DensityMatrix, dim=rho.dim, entries=_conjugated(rho.entries, u.entries))
-
-
 def _conjugated(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """U^dag rho U over the last two axes for one U and one rho or a stack of rho (conjugate, Fourier swap)."""
+    """U^dag rho U over the last two axes for one U and one rho or a stack of rho (the Fourier swap check)."""
     return u.conj().swapaxes(-1, -2) @ rho @ u

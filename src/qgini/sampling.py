@@ -13,20 +13,29 @@ bits of a lone draw.
 
 import numpy as np
 
+from qgini.errors import ValidationError
 from qgini.qsystem import DensityMatrix, StateVector, _check_integer, _trusted, check_dimension
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
 
+def check_seed(seed: int) -> None:
+    """Reject a master seed that is not an integer in [0, 2**64), rather than wrap it mod 2**64."""
+    _check_integer("seed", seed)
+    if not 0 <= int(seed) <= _MASK64:
+        raise ValidationError(f"seed must lie in [0, 2**64), got {seed}")
+
+
 def split_seed(master: int, index: int) -> int:
     """Derive an independent 64-bit child seed from a master seed and an index.
 
     splitmix64: the child is the splitmix64 finalizer applied to master +
-    (index + 1) * golden-ratio constant, all mod 2**64; a float is refused, not
-    truncated. Children are decorrelated even when master seeds are tiny.
+    (index + 1) * golden-ratio constant, all mod 2**64. The master must lie in
+    [0, 2**64) (see check_seed); a float is refused, not truncated. Children
+    are decorrelated even when master seeds are tiny.
     """
-    _check_integer("seed", master)
+    check_seed(master)
     _check_integer("index", index)
     z = (int(master) + (int(index) + 1) * _GOLDEN) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64

@@ -20,7 +20,7 @@ from qgini.qsystem import (
     QuantumSystem, StateVector, _check_integer, _momentum_rows, _position_rows, _trusted,
     check_budget, check_dimension,
 )
-from qgini.sampling import split_seed
+from qgini.sampling import check_seed, split_seed
 
 INITIAL_STEP = 0.3
 MIN_STEP = 1e-7
@@ -284,7 +284,7 @@ def estimate_sup_gini(
     restarts, ties resolved toward the lowest restart index.
     """
     check_search_budget(restarts, iterations)
-    _check_integer("seed", seed)
+    check_seed(seed)
     d = system.d
     objective = _combined_gini_objective(system)
     bound_set = BoundSet(d)

@@ -28,6 +28,11 @@ def reference_fourier(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.multiply.outer(ks, ks) / d) / np.sqrt(d)
 
 
+def displacement_matrix(system, alpha, beta) -> np.ndarray:
+    """D(alpha, beta) as a dense matrix: the displaced rows of the identity are its columns."""
+    return system._displaced(np.eye(system.d, dtype=complex), alpha, beta).T
+
+
 def pair_document(state):
     """The document of [re, im] float pairs, in the array's own nesting, that a state file holds."""
     kind, field = ("pure", "amplitudes") if hasattr(state, "amplitudes") else ("density", "entries")

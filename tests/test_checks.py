@@ -5,10 +5,10 @@ from qgini import checks, qsystem
 from qgini.checks import run_property_checks
 from qgini.gini import _gini_rows, gini_index
 from qgini.lorenz import _lorenz_rows, lorenz_curve
-from qgini.qsystem import QuantumSystem, _distribution_rows, conjugate
+from qgini.qsystem import QuantumSystem, _conjugated, _distribution_rows
 from qgini.sampling import random_density_matrix, random_state_vector
 
-from conftest import traced_peak
+from conftest import displacement_matrix, traced_peak
 
 
 def test_all_checks_pass_on_small_samples():
@@ -170,7 +170,7 @@ def test_displacement_stacks_match_one_displacement_at_a_time(d):
     for i in range(len(a)):
         lone = system._displaced_densities(rho.entries, a[i : i + 1], b[i : i + 1])[0]
         assert np.array_equal(moved[i].view(np.uint64), lone.view(np.uint64))
-        dense = conjugate(rho, system.displacement(a[i], b[i])).entries
+        dense = _conjugated(rho.entries, displacement_matrix(system, a[i], b[i]))
         assert np.max(np.abs(moved[i] - dense)) <= 1e-15
         # the diagonal is only permuted: its phase is omega**0 = 1
         shifted = rho.entries.diagonal()[(ks + b[i]) % d]
@@ -290,12 +290,11 @@ def test_mixture_suites_take_one_momentum_call_per_chunk(monkeypatch, suite):
 
 @pytest.mark.parametrize("d", [5, 13])
 def test_displacement_invariance_takes_no_matrix_product(monkeypatch, d):
-    # d = 5 runs every pair, d = 13 draws 100; neither builds D nor conjugates by it
+    # d = 5 runs every pair, d = 13 draws 100; neither conjugates by a dense D
     def refuse(*args, **kwargs):
         raise AssertionError("dense displacement product")
 
     monkeypatch.setattr(checks, "_conjugated", refuse)
-    monkeypatch.setattr(QuantumSystem, "displacement", refuse)
     passed, detail = checks._check_displacement_invariance(QuantumSystem(d), 100, np.random.default_rng(d))
     assert passed, detail
 

@@ -231,6 +231,36 @@ def test_oversize_budget_is_refused_before_any_work(monkeypatch, capsys, argv, n
     assert err == f"error: {name} must be at most {ceiling}, got {ceiling + 1}\n"
 
 
+SEED_COMMANDS = {
+    "estimate": ["estimate", "--dim", "3", "--restarts", "1", "--iters", "1"],
+    "sweep": ["sweep", "--dims", "3,5", "--restarts", "1", "--iters", "1"],
+    "check": ["check", "--dim", "3", "--samples", "2"],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+def test_seed_outside_64_bits_is_refused_before_any_work(monkeypatch, capsys, command, seed):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the seed check")
+
+    monkeypatch.setattr(uncertainty, "_combined_gini_objective", refuse)
+    monkeypatch.setattr(cli, "_sweep_row", refuse)
+    monkeypatch.setattr(checks, "_CHECKS", (("refuse", refuse),))
+    code, out, err = run_cli(capsys, *SEED_COMMANDS[command], "--seed", seed)
+    assert code == 1 and out == ""
+    assert err == f"error: seed must lie in [0, 2**64), got {seed}\n"
+
+
+@pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+@pytest.mark.parametrize("command", SEED_COMMANDS)
+def test_seeds_at_the_64_bit_edges_run(capsys, command, seed):
+    code, out, _ = run_cli(capsys, *SEED_COMMANDS[command], "--seed", seed)
+    assert code == 0
+    if command != "sweep":
+        assert json.loads(out)["seed"] == int(seed)
+
+
 # ---- probe and example ----
 
 
@@ -468,6 +498,8 @@ def test_estimate_report_rescores_the_best_state_within_4_ulp(path):
 # default 200 samples at d = 11 score several chunks per sampled suite,
 # 20 Fourier-swap states and 4 displacement states; 200 samples at d = 41
 # score 4 displacement states of 100 drawn pairs, each over several chunks.
+# d = 101 pins the Fourier swap's dense F products at a size where BLAS
+# blocks them differently; it printed the same bytes at one and two threads.
 @pytest.mark.parametrize(
     "argv, name",
     [
@@ -476,6 +508,7 @@ def test_estimate_report_rescores_the_best_state_within_4_ulp(path):
         (["check", "--dim", "41", "--samples", "20", "--seed", "7"], "check-d41-n20-s7.json"),
         (["check", "--dim", "11", "--seed", "7"], "check-d11-n200-s7.json"),
         (["check", "--dim", "41", "--samples", "200", "--seed", "7"], "check-d41-n200-s7.json"),
+        (["check", "--dim", "101", "--samples", "20", "--seed", "7"], "check-d101-n20-s7.json"),
     ],
 )
 def test_checks_print_the_saved_bytes(capsys, argv, name):

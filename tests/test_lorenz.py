@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgini import (
+    DensityMatrix,
     DimensionMismatch,
     LorenzCurve,
     OrderingPermutation,
@@ -13,7 +14,6 @@ from qgini import (
     pure_density,
     random_density_matrix,
     random_state_vector,
-    mix,
     new_system,
 )
 from qgini.lorenz import _comonotonic_rows
@@ -122,7 +122,7 @@ def test_lorenz_superadditive_under_mixing():
         rho = random_density_matrix(5, rng)
         sigma = random_density_matrix(5, rng)
         lam = float(rng.uniform())
-        tau = mix(rho, sigma, lam)
+        tau = DensityMatrix(lam * rho.entries + (1.0 - lam) * sigma.entries)
         for probs_of in (system.position_probs, system.momentum_probs):
             mixed = lorenz_curve(probs_of(tau)).values
             parts = lam * lorenz_curve(probs_of(rho)).values + (1 - lam) * lorenz_curve(probs_of(sigma)).values

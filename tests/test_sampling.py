@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from qgini import StateVector, random_density_matrix, random_state_vector, split_seed
+from qgini import (
+    StateVector,
+    ValidationError,
+    estimate_sup_gini,
+    new_system,
+    random_density_matrix,
+    random_state_vector,
+    split_seed,
+)
 from qgini.errors import EvenDimension
 
 
@@ -41,6 +49,26 @@ def test_split_seed_properties():
     # the published splitmix64 test vector: first output from state 0
     assert split_seed(0, 0) == 0xE220A8397B1DCDAF
     assert isinstance(split_seed(2**63, 5), int)
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["-1", "2**64"])
+def test_seeds_outside_64_bits_are_refused_not_wrapped(seed):
+    # mod 2**64, -1 would run as 2**64 - 1 and 2**64 as 0. A single restart
+    # draws no child seed, so the estimate checks its seed itself
+    calls = [lambda: split_seed(seed, 0)]
+    calls += [lambda n=n: estimate_sup_gini(new_system(3), restarts=n, iterations=1, seed=seed) for n in (1, 2)]
+    for call in calls:
+        with pytest.raises(ValidationError) as info:
+            call()
+        assert type(info.value) is ValidationError
+        assert str(info.value) == f"seed must lie in [0, 2**64), got {seed}"
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["0", "2**64-1"])
+def test_seeds_at_the_64_bit_edges_are_accepted(seed):
+    assert 0 <= split_seed(seed, 0) < 2**64
+    for restarts in (1, 2):
+        assert estimate_sup_gini(new_system(3), restarts=restarts, iterations=1, seed=seed).seed == seed
 
 
 def _looped_state(d, gen):
