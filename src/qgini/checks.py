@@ -7,11 +7,13 @@ pipeline, and reports a verdict with the worst observed margin. Identical
 
 Suites draw their states in the order of a state-by-state loop (density
 states through sampling's draw kernels) and build and score them in stacks,
-chunk by chunk, so memory stays bounded by _STACK_BYTES whatever the sample
-count. Both measurement profiles of a stack come as one (..., 2, d) array,
-and the states a suite compares within a chunk (a mixture and its two
-parts, a Fourier-swapped state and its original) share one stack, so each
-kernel runs once per chunk for both bases and every compared state.
+chunk by chunk, so memory stays bounded whatever the sample count by
+qsystem._STACK_BYTES, the 256 KiB ceiling that the density momentum kernel
+also streams its blocks under. Both measurement profiles of a stack come as
+one (..., 2, d) array, and the states a suite compares within a chunk (a
+mixture and its two parts, a Fourier-swapped state and its original) share
+one stack, so each kernel runs once per chunk for both bases and every
+compared state.
 Reference states (the maximally mixed state, a displaced state's original,
 the coherent fiducial) are scored by the same kernels, which round each
 state exactly as a lone one, so the margins are bit-identical to a
@@ -26,7 +28,7 @@ import numpy as np
 
 from qgini.gini import _gini_rows, _ginis, gini_cap
 from qgini.lorenz import _comonotonic_rows, _lorenz_rows
-from qgini.qsystem import QuantumSystem, _conjugated, _distribution_rows, check_budget
+from qgini.qsystem import _STACK_BYTES, QuantumSystem, _conjugated, _distribution_rows, check_budget
 from qgini.sampling import _density_draw, _density_entries, random_state_vector, split_seed
 
 EQ_TOL = 1e-12        # algebraic identities evaluated in floats
@@ -36,13 +38,6 @@ CONJ_TOL = 1e-10      # identities that pass through basis rotations
 # Largest sample count per suite, far above the default of 200; a larger
 # request is refused before any work.
 MAX_SAMPLES = 100_000
-
-# Ceiling on the bytes of one stack of states (and of each temporary of the
-# same shape) that a suite scores at once. A chunk counts every state it
-# stacks: 3 per mixture sample (the mixture and its two parts), 2 per
-# Fourier-swap state, 2 d x d blocks per resolution alpha (the coherent rows
-# and their product). At d = 41 a stack holds 9 density states.
-_STACK_BYTES = 256 * 2**10
 
 
 @dataclass
@@ -56,9 +51,12 @@ def _chunks(items, size: int):
     """Lists of consecutive items, each stacking to at most _STACK_BYTES.
 
     An item stacks to `size` complex entries, counting every state the
-    caller stacks for it; a chunk holds at least one item, even one larger
-    than the ceiling. A generator of draws is consumed chunk by chunk, in
-    draw order.
+    caller stacks for it: 3 per mixture sample (the mixture and its two
+    parts), 2 per Fourier-swap state, 2 d x d blocks per resolution alpha
+    (the coherent rows and their product). At d = 41 a stack holds 9
+    density states, which the momentum kernel gathers at once. A chunk
+    holds at least one item, even one larger than the ceiling. A generator
+    of draws is consumed chunk by chunk, in draw order.
     """
     rows = max(1, _STACK_BYTES // (16 * size))
     items = iter(items)

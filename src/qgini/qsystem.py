@@ -46,10 +46,17 @@ OVERLAP_TOL = 1e-9      # fiducial overlap moduli must stay below 1 - OVERLAP_TO
 
 # Largest supported dimension. F is a dense complex d x d matrix (16 d^2
 # bytes, about 0.26 GB at 4001), built only for the Fourier swap check or on
-# request; a density matrix, and the temporaries of its distributions, cost as
-# much again. A pure state's distributions need O(d) memory, and one round of
-# the search at most 32 MiB. Larger requests are refused before any allocation, not inside numpy.
+# request; a density matrix costs as much again, but the temporaries of its
+# distributions stay under _STACK_BYTES plus O(d). A pure state's distributions
+# need O(d) memory, and one round of the search at most 32 MiB. Larger
+# requests are refused before any allocation, not inside numpy.
 MAX_DIM = 4001
+
+# Ceiling on the bytes of one stack of states, or of one block of a stack,
+# that a kernel holds at once: the density momentum kernel streams larger
+# stacks in blocks of rows under it, and the property checks score their
+# samples in chunks under it.
+_STACK_BYTES = 256 * 2**10
 
 # Below this norm the squared moduli leave the normal float range and lose
 # precision, so a vector scaled by it need not come out normalized.
@@ -285,15 +292,23 @@ class QuantumSystem:
         D multiplies the m-th position amplitude by omega**(alpha*m), shifts
         position indices by beta, and fixes the overall phase with the factor
         omega**(-half_inverse*alpha*beta): entry s moves to r = (s + beta) % d
-        and is multiplied by omega**((alpha*r - half_inverse*alpha*beta) % d),
-        the exponent reduced mod d before the table lookup. 1-D arrays of
-        alpha and beta (either may stay a scalar) displace x once per pair,
-        on a new second-to-last axis. Displaced identity rows are D's columns.
+        and is multiplied by omega**((alpha*r - half_inverse*alpha*beta) % d).
+        That is entry o + r, o = (-half_inverse*beta) % d, of alpha's row of
+        the 2d - 1 powers omega**(alpha*k % d), the same table entry: the
+        phases gather length-d windows of the alphas' rows, so a chunk of
+        alphas builds no (n, d, d) index. 1-D arrays of alpha and beta (either
+        may stay a scalar, or broadcast against the other) displace x once per
+        pair, on a new second-to-last axis. Displaced identity rows are D's
+        columns.
         """
-        a, b = np.asarray(alpha)[..., None] % self.d, np.asarray(beta)[..., None] % self.d
-        ks = np.arange(self.d)
-        # the phase table must stay the left, unnamed operand, so stacks of 256 KiB or more round as lone rows
-        return self._omega_pow[(a * ks - self.half_inverse * a * b) % self.d] * x[..., (ks - b) % self.d]
+        d = self.d
+        a, b = np.asarray(alpha) % d, np.asarray(beta) % d
+        table = self._omega_pow[a.reshape(-1, 1) * np.arange(2 * d - 1) % d]
+        row, entry = table.strides
+        windows = np.ndarray((a.size, d, d), table.dtype, table, 0, (row, entry, entry))
+        moved = x[..., (np.arange(d) - b[..., None]) % d]
+        # the phases must stay the left, unnamed operand, so stacks of 256 KiB or more round as lone rows
+        return windows[np.arange(a.size).reshape(a.shape), -self.half_inverse * b % d] * moved
 
     def _displaced_densities(self, rho: np.ndarray, alpha, beta) -> np.ndarray:
         """D(alpha, beta)^dag rho D(alpha, beta) per pair of 1-D arrays alpha and beta, on a new first axis.
@@ -399,23 +414,60 @@ def _momentum_rows(x: np.ndarray, pure: bool) -> np.ndarray:
 
     Pure rows take the orthonormal FFT. Entry k of the diagonal of F^dag rho F
     is (1/d) sum_t c_t omega**(t*k), one inverse DFT of the wrapped-diagonal
-    sums c_t = sum_r rho[r, (r+t) mod d]: no F and no BLAS product, so a stack
-    rounds each state as a lone one, at any thread count. The sums gather
-    rho through one flat index per d, built on the first call and cached.
+    sums c_t = sum_r rho[r, (r+t) mod d] (see _wrapped_diagonal_sums): no F
+    and no BLAS product, so a stack rounds each state as a lone one, at any
+    thread count, and its temporaries stay under _STACK_BYTES plus O(d).
     """
     if pure:
         return _moduli_squared(np.fft.fft(x, norm="ortho"))
+    return _clamped(np.fft.ifft(_wrapped_diagonal_sums(x)).real)
+
+
+def _wrapped_diagonal_sums(x: np.ndarray) -> np.ndarray:
+    """c_t = sum_r x[..., r, (r+t) % d] over the last two axes, C-contiguous, adding the rows r in order.
+
+    A stack of at most _STACK_BYTES is gathered at once through its d's
+    cached flat index. A larger one is streamed in blocks of rows, each
+    block under _STACK_BYTES: the rows are laid twice side by side, so row
+    r's wrapped diagonal entries are d consecutive entries from column r, a
+    strided view whose row step is one entry longer than the block's. Row 0
+    of every block carries the sums so far (zeros for the first), and numpy
+    adds a non-innermost axis sequentially from 0, so the sums keep the bits
+    of the one gather.
+    """
     d = x.shape[-1]
-    # numpy casts the int32 flat indices in buffers, so the peak is the gathered
-    # stack and a quarter more. A stack's sums come out with the state axis
-    # innermost; in C order they sort and score as lone states' do
-    c = x.reshape(*x.shape[:-2], d * d)[..., _wrapped_diagonals(d)].sum(axis=-2)
-    return _clamped(np.fft.ifft(np.ascontiguousarray(c)).real)
+    lead = x.shape[:-2]
+    if x.nbytes <= _STACK_BYTES:
+        # numpy casts the int32 flat indices in buffers, so the peak is the
+        # gathered stack and a quarter more. A stack's sums come out with the
+        # state axis innermost; in C order they sort and score as lone states' do
+        c = x.reshape(*lead, d * d)[..., _wrapped_diagonals(d)].sum(axis=-2)
+        return np.ascontiguousarray(c)
+    # block rows hold 2d + 1 entries: a row's two copies fill columns 1..2d,
+    # so the sums carried in row 0 can start at column `start`, 0 included
+    rows = max(2, _STACK_BYTES // (x.size // (d * d) * (2 * d + 1) * x.itemsize))
+    block = np.empty((*lead, rows, 2 * d + 1), dtype=x.dtype)
+    *steps, row, entry = block.strides
+    c = np.zeros((*lead, d), dtype=x.dtype)
+    for start in range(0, d, rows - 1):
+        end = min(start + rows - 1, d)
+        block[..., 1 : end - start + 1, 1 : d + 1] = x[..., start:end, :]
+        block[..., 1 : end - start + 1, d + 1 :] = x[..., start:end, :]
+        block[..., 0, start : start + d] = c
+        # entry [i, t] of the view is block[i, start + i + t]: the carried c_t
+        # at i = 0, then x[r, (r + t) % d] for r = start + i - 1
+        view = np.ndarray((*lead, end - start + 1, d), x.dtype, block, start * entry, (*steps, row + entry, entry))
+        c = view.sum(axis=-2)
+    return c
 
 
 @functools.lru_cache(maxsize=4)
 def _wrapped_diagonals(d: int) -> np.ndarray:
-    """Read-only int32 flat indices r*d + (r+t) % d at [r, t] into a d x d matrix, built once per d."""
+    """Read-only int32 flat indices r*d + (r+t) % d at [r, t] into a d x d matrix, built once per d.
+
+    Only a d x d matrix of at most _STACK_BYTES is gathered through it, so
+    no cached index exceeds a quarter of the ceiling.
+    """
     r = np.arange(d, dtype=np.int32)[:, None]
     index = (r + r.T) % d + d * r
     index.setflags(write=False)

@@ -82,18 +82,23 @@ def _density_draw(d: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndar
 def _density_entries(draws) -> np.ndarray:
     """The (n, d, d) stack of density matrices of n draws of one dimension.
 
-    The Haar rows of all draws are normalized, weighted and conjugated
-    together, elementwise, as one draw's rows are; each matrix is then its
-    own (d, k) @ (k, d) product, so it rounds as a lone draw's does.
+    The draws' normals are written straight into the real and imaginary
+    parts of one complex array of Haar rows, which is normalized, weighted
+    and conjugated, elementwise, as one draw's rows are; each matrix is then
+    its own (d, k) @ (k, d) product, so it rounds as a lone draw's does.
+    Besides the draws, the peak holds the rows twice (the weighted copy, and
+    the rows conjugated in place) and the stack.
     """
     weights, parts = zip(*draws)
-    amps = _haar_rows(np.concatenate(parts))
+    d = parts[0].shape[-1]
+    bounds = np.cumsum([0, *map(len, weights)])
+    amps = np.empty((bounds[-1], d), dtype=np.complex128)
+    # (k, 2, d) blocks land in a view of amps whose axis 1 is real, imaginary
+    np.concatenate(parts, out=amps.view(np.float64).reshape(-1, d, 2).swapaxes(1, 2))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
     scaled = amps * np.concatenate(weights)[:, None]
-    conj = amps.conj()
-    d = amps.shape[1]
+    np.conjugate(amps, out=amps)
     stack = np.empty((len(weights), d, d), dtype=np.complex128)
-    end = 0
-    for i, w in enumerate(weights):
-        start, end = end, end + len(w)
-        np.matmul(scaled[start:end].T, conj[start:end], out=stack[i])
+    for i, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        np.matmul(scaled[start:end].T, amps[start:end], out=stack[i])
     return stack

@@ -17,7 +17,7 @@ import numpy as np
 from qgini.errors import ValidationError
 from qgini.gini import _weighted_sums, gini_cap, gini_weights
 from qgini.qsystem import (
-    QuantumSystem, StateVector, _check_integer, _momentum_rows, _position_rows, _trusted,
+    QuantumSystem, StateVector, _momentum_rows, _position_rows, _trusted,
     check_budget, check_dimension,
 )
 from qgini.sampling import check_seed, split_seed
@@ -99,13 +99,13 @@ class EtaEstimate:
     FFT, but the report clamps and adds the gauge-fixed state's two indices,
     so its g_xp may differ from g_sup_estimate in the last few ulp. converged
     records whether the winning restart's step size shrank below MIN_STEP
-    before the sweep budget ran out. restarts, iterations and seed must be integers, the first
-    two within the search budget.
+    before the sweep budget ran out. restarts and iterations must be integers
+    within the search budget, and seed an integer in [0, 2**64).
     """
 
     def __init__(self, g_sup_estimate, bound_set, best_state, restarts, iterations, seed, converged):
         check_search_budget(restarts, iterations)
-        _check_integer("seed", seed)
+        check_seed(seed)
         g = float(g_sup_estimate)
         if g < bound_set.g_lower - BRACKET_SLACK:
             raise ValidationError(

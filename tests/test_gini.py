@@ -1,3 +1,6 @@
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from qgini import (
     random_density_matrix,
     random_state_vector,
 )
+from qgini import qsystem
 from qgini.qsystem import _conjugated
 
 from conftest import displacement_matrix, traced_peak
@@ -105,6 +109,35 @@ def test_density_report_keeps_no_copy_of_the_fourier_matrix():
     rho = pure_density(random_state_vector(d, 3))
     _, peak = traced_peak(lambda: gini_report(system, rho))
     assert peak < 1.5 * 16 * d * d
+
+
+def test_density_report_streams_its_momenta_under_the_stack_ceiling():
+    # a d = 1001 projector takes 16 MB; its wrapped-diagonal sums are
+    # streamed in blocks of at most the 256 KiB ceiling, and everything
+    # else the report holds is a few arrays of d entries
+    d = 1001
+    system = new_system(d)
+    rho = pure_density(random_state_vector(d, 5))
+    report, peak = traced_peak(lambda: gini_report(system, rho))
+    assert peak <= qsystem._STACK_BYTES + 64 * d
+    saved = Path(__file__).parent / "data" / "report-pure-density-d1001-s5.txt"
+    assert f"{report.g_x!r} {report.g_p!r}\n" == saved.read_text()
+
+
+def test_density_report_leaves_no_cached_array_above_the_stack_ceiling():
+    # only a d whose matrix fits the ceiling caches its gather index, a
+    # quarter of the matrix's bytes
+    qsystem._wrapped_diagonals.cache_clear()
+    for d in (101, 1001):
+        system = new_system(d)
+        rho = pure_density(random_state_vector(d, 5))
+        tracemalloc.start()
+        try:
+            gini_report(system, rho)
+            left = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert left < qsystem._STACK_BYTES, d
 
 
 def test_subadditivity_under_mixing():

@@ -124,8 +124,8 @@ def test_numpy_integers_count_as_integers():
 
 def test_result_types_and_indices_take_numpy_and_negative_integers(sys5):
     b = BoundSet(3)
-    est = EtaEstimate(b.g_lower, b, None, np.int64(2), np.int16(5), np.int64(-4), True)
-    assert (est.dim, est.restarts, est.iterations, est.seed) == (3, 2, 5, -4)
+    est = EtaEstimate(b.g_lower, b, None, np.int64(2), np.int16(5), np.uint64(2**64 - 1), True)
+    assert (est.dim, est.restarts, est.iterations, est.seed) == (3, 2, 5, 2**64 - 1)
     assert type(est.restarts) is int and type(est.seed) is int
     assert GiniReport(np.int64(5), 0.1, 0.2).dim == 5
     assert np.array_equal(sys5.position_state(np.int8(-1)).amplitudes, sys5.position_state(4).amplitudes)
@@ -351,6 +351,25 @@ def test_displaced_shift_array_gives_the_coherent_rows(d):
             assert np.array_equal(displacement_matrix(system, a, b), _dense_displacement(d, a, b))
 
 
+# the resolution suite displaces a fiducial by chunks of 4 alphas against
+# every shift in one call; each row must be the lone coherent state, bit for
+# bit, and keep the bits of the (n, d, d) phase index formula
+@pytest.mark.parametrize("d", [5, 41, 101])
+def test_chunks_of_alphas_give_the_lone_coherent_states(d):
+    system = new_system(d)
+    fid = system.default_fiducial()
+    ks = np.arange(d)
+    for chunk in (np.arange(4), np.array([d - 1, 2, -3, d + 4])):
+        rows = system._displaced(fid.amplitudes, chunk[:, None], ks)
+        assert rows.shape == (4, d, d)
+        a, b = chunk[:, None, None] % d, ks[:, None]
+        phases = system._omega_pow[(a * ks - system.half_inverse * a * b) % d]
+        assert np.array_equal(bits(rows), bits(np.multiply(phases, fid.amplitudes[(ks - b) % d])))
+        for alpha, block in zip(chunk, rows):
+            for beta, row in enumerate(block):
+                assert np.array_equal(bits(row), bits(system.coherent_state(fid, int(alpha), beta).amplitudes))
+
+
 def reference_displaced_densities(system, rho, alpha, beta):
     # the index formula the window and Toeplitz views replace: an (n, d, d)
     # phase index and an (n, d, d) gather of rho's rows and columns
@@ -479,19 +498,41 @@ def reference_density_momenta(x):
     return qsystem._clamped(np.fft.ifft(np.ascontiguousarray(c)).real)
 
 
-@pytest.mark.parametrize("d", [3, 5, 41, 101])
+# stacks of at most the 256 KiB ceiling are gathered through the cached
+# index; a lone state from d = 201 and 9 states from d = 101 cross it and
+# are streamed in blocks of rows
+@pytest.mark.parametrize("d", [3, 5, 41, 101, 201, 1001])
 def test_density_momenta_keep_the_bits_of_a_fresh_index(d):
-    index = qsystem._wrapped_diagonals(d)
-    r = np.arange(d)[:, None]
-    assert index.dtype == np.int32 and not index.flags.writeable
-    assert np.array_equal(index, (r + r.T) % d + d * r)
-    assert qsystem._wrapped_diagonals(d) is index
-    with pytest.raises(ValueError):
-        index[0, 0] = 1
+    if 16 * d * d <= qsystem._STACK_BYTES:
+        index = qsystem._wrapped_diagonals(d)
+        r = np.arange(d)[:, None]
+        assert index.dtype == np.int32 and not index.flags.writeable
+        assert np.array_equal(index, (r + r.T) % d + d * r)
+        assert qsystem._wrapped_diagonals(d) is index
+        with pytest.raises(ValueError):
+            index[0, 0] = 1
     rng = np.random.default_rng(1600 + d)
-    stack = np.stack([random_density_matrix(d, rng).entries for _ in range(9)])
+    # two 16 MB states at d = 1001 already cross the ceiling
+    stack = np.stack([random_density_matrix(d, rng).entries for _ in range(9 if d <= 201 else 2)])
     for x in (stack[0], stack):
         assert np.array_equal(bits(qsystem._momentum_rows(x, False)), bits(reference_density_momenta(x)))
+
+
+# blocks of 2 rows (the carried sums and one row, the smallest, which a
+# 1-byte ceiling gives), 5 and 15 rows (a last block cut short), for a lone
+# state and stacks with one and two leading axes
+@pytest.mark.parametrize("d, rows", [(3, 2), (5, 2), (41, 2), (41, 5), (41, 15)])
+def test_streamed_density_momenta_keep_the_bits_of_one_gather(monkeypatch, d, rows):
+    rng = np.random.default_rng(1700 + d)
+    stack = np.stack([random_density_matrix(d, rng).entries for _ in range(6)])
+    for x in (stack[0], stack, stack.reshape(2, 3, d, d)):
+        want = reference_density_momenta(x)
+        ceiling = 1 if rows == 2 else x.size // (d * d) * rows * (2 * d + 1) * 16
+        assert ceiling < x.nbytes
+        monkeypatch.setattr(qsystem, "_STACK_BYTES", ceiling)
+        assert np.array_equal(bits(qsystem._momentum_rows(x, False)), bits(want))
+        assert qsystem._wrapped_diagonal_sums(x).flags.c_contiguous
+        monkeypatch.undo()
 
 
 def test_momentum_projector_probs(sys3):

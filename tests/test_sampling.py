@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from qgini import (
+    BoundSet,
+    EtaEstimate,
     StateVector,
     ValidationError,
     estimate_sup_gini,
@@ -10,7 +12,10 @@ from qgini import (
     random_state_vector,
     split_seed,
 )
+from qgini import sampling
 from qgini.errors import EvenDimension
+
+from conftest import traced_peak
 
 
 def test_state_sampling_is_deterministic():
@@ -64,6 +69,15 @@ def test_seeds_outside_64_bits_are_refused_not_wrapped(seed):
         assert str(info.value) == f"seed must lie in [0, 2**64), got {seed}"
 
 
+@pytest.mark.parametrize("seed", [-4, 2**64], ids=["-4", "2**64"])
+def test_hand_built_estimates_refuse_seeds_outside_64_bits(seed):
+    # an estimate must not carry a seed that no rerun accepts
+    b = BoundSet(3)
+    with pytest.raises(ValidationError) as info:
+        EtaEstimate(b.g_lower, b, None, 2, 5, seed, True)
+    assert str(info.value) == f"seed must lie in [0, 2**64), got {seed}"
+
+
 @pytest.mark.parametrize("seed", [0, 2**64 - 1], ids=["0", "2**64-1"])
 def test_seeds_at_the_64_bit_edges_are_accepted(seed):
     assert 0 <= split_seed(seed, 0) < 2**64
@@ -100,3 +114,38 @@ def test_density_sampling_matches_the_per_component_recipe(d):
     for seed in range(20):
         got = random_density_matrix(d, seed).entries
         assert np.max(np.abs(got - _looped_density(d, seed))) <= 1e-14
+
+
+def concatenated_density_entries(draws):
+    # the stack formula before the normals were written in place: the
+    # blocks concatenated, then new arrays for the rows, their norms,
+    # weights and conjugates
+    weights, parts = zip(*draws)
+    blocks = np.concatenate(parts)
+    amps = blocks[:, 0] + 1j * blocks[:, 1]
+    amps = amps / np.linalg.norm(amps, axis=1, keepdims=True)
+    scaled, conj = amps * np.concatenate(weights)[:, None], amps.conj()
+    bounds = np.cumsum([0, *map(len, weights)])
+    return np.stack([scaled[i:j].T @ conj[i:j] for i, j in zip(bounds, bounds[1:])])
+
+
+def bits(values):
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@pytest.mark.parametrize("d, count", [(3, 1), (5, 7), (11, 135), (41, 9), (101, 2)])
+def test_density_stacks_keep_the_bits_of_the_concatenated_formula(d, count):
+    rng = np.random.default_rng(1800 + d)
+    draws = [sampling._density_draw(d, rng) for _ in range(count)]
+    assert np.array_equal(bits(sampling._density_entries(draws)), bits(concatenated_density_entries(draws)))
+
+
+def test_density_stack_peak_stays_within_two_and_a_half_stacks():
+    # the first chunk of 9 draws of `check --dim 41 --seed 7` (242 KB): the
+    # rows, their weighted copy and the stack, with no concatenated copy
+    rng = np.random.default_rng(split_seed(7, 0))
+    draws = [sampling._density_draw(41, rng) for _ in range(9)]
+    sampling._density_entries(draws)
+    stack, peak = traced_peak(lambda: sampling._density_entries(draws))
+    assert stack.shape == (9, 41, 41)
+    assert peak <= 2.5 * stack.nbytes
