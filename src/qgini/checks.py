@@ -19,6 +19,8 @@ the coherent fiducial) are scored by the same kernels, which round each
 state exactly as a lone one, so the margins are bit-identical to a
 state-by-state loop. Displaced density states are gathered from strided
 windows of the state and multiplied by Toeplitz views of the phases.
+A Fourier-swapped state F^dag rho F is two FFTs of the whole matrix, a route
+to the momenta independent of the momentum kernel's wrapped-diagonal sums.
 """
 
 import itertools
@@ -28,7 +30,7 @@ import numpy as np
 
 from qgini.gini import _gini_rows, _ginis, gini_cap
 from qgini.lorenz import _comonotonic_rows, _lorenz_rows
-from qgini.qsystem import _STACK_BYTES, QuantumSystem, _conjugated, _distribution_rows, check_budget
+from qgini.qsystem import _STACK_BYTES, QuantumSystem, _distribution_rows, _fourier_conjugated, check_budget
 from qgini.sampling import _density_draw, _density_entries, random_state_vector, split_seed
 
 EQ_TOL = 1e-12        # algebraic identities evaluated in floats
@@ -91,6 +93,8 @@ def _check_lorenz_bound(system, samples, rng):
     worst = -np.inf
     for rho in _density_stacks(d, samples, rng):
         worst = max(worst, float(np.max(_lorenz_rows(_distribution_rows(rho)) - line)))
+        # frees the stack before the next chunk is drawn and built
+        del rho
     return worst <= INEQ_SLACK, f"max excess over the uniform line {worst:.2e}"
 
 
@@ -151,6 +155,8 @@ def _check_gini_range(system, samples, rng):
     for rho in _density_stacks(system.d, samples, rng):
         g = _ginis(rho)
         worst = max(worst, float(np.max(np.maximum(-g, g - cap))))
+        # frees the stack before the next chunk is drawn and built
+        del rho
     return worst <= INEQ_SLACK, f"max range violation {worst:.2e}"
 
 
@@ -222,7 +228,7 @@ def _check_fourier_swap(system, samples, rng):
     """Conjugating by F trades the two distributions and preserves g_xp."""
     worst = 0.0
     for rho in _density_stacks(system.d, max(samples // 10, 1), rng, stacked=2):
-        p = _distribution_rows(np.stack((_conjugated(rho, system.fourier), rho)))
+        p = _distribution_rows(np.stack((_fourier_conjugated(rho), rho)))
         g_swapped, g_xp = _gini_rows(p).sum(axis=-1)
         # the swapped states' positions are the states' momenta
         worst = max(

@@ -44,9 +44,8 @@ EIGEN_TOL = 1e-10       # smallest admissible eigenvalue is -EIGEN_TOL
 PROB_CLIP = 1e-12       # probabilities in [-PROB_CLIP, 0) clamp to 0
 OVERLAP_TOL = 1e-9      # fiducial overlap moduli must stay below 1 - OVERLAP_TOL
 
-# Largest supported dimension. F is a dense complex d x d matrix (16 d^2
-# bytes, about 0.26 GB at 4001), built only for the Fourier swap check or on
-# request; a density matrix costs as much again, but the temporaries of its
+# Largest supported dimension. A density matrix is a dense complex d x d
+# array (16 d^2 bytes, about 0.26 GB at 4001), but the temporaries of its
 # distributions stay under _STACK_BYTES plus O(d). A pure state's distributions
 # need O(d) memory, and one round of the search at most 32 MiB. Larger
 # requests are refused before any allocation, not inside numpy.
@@ -231,7 +230,7 @@ class ProbabilityDistribution:
 
 
 class QuantumSystem:
-    """The arena for one odd dimension d: roots of unity, Fourier, bases.
+    """The arena for one odd dimension d: roots of unity, Fourier rows, bases.
 
     Attributes
     ----------
@@ -239,13 +238,9 @@ class QuantumSystem:
         Hilbert-space dimension, odd and at least 3.
     half_inverse : int
         Inverse of 2 in Z_d, equal to (d + 1) / 2.
-    fourier : np.ndarray
-        Read-only d x d complex array F[r, s] = omega**(r*s) / sqrt(d) with
-        omega = exp(2*pi*i/d); maps position to momentum basis. Built on
-        first access and kept.
 
-    Neither the distributions nor the search touch F: both take momenta by
-    FFT (see _momentum_rows).
+    Nothing builds the dense F: momenta and F^dag rho F are FFTs (see
+    _momentum_rows, _fourier_conjugated); basis states take rows of F.
     """
 
     def __init__(self, d: int):
@@ -256,12 +251,6 @@ class QuantumSystem:
         omega_pow = np.exp(2j * np.pi * ks / self.d)
         omega_pow.setflags(write=False)
         self._omega_pow = omega_pow
-
-    @functools.cached_property
-    def fourier(self) -> np.ndarray:
-        f = self._fourier_rows(np.arange(self.d))
-        f.setflags(write=False)
-        return f
 
     def _fourier_rows(self, r) -> np.ndarray:
         """Row r of F, or one row per entry of a 1-D array r, for r in 0..d-1: omega**(r*k mod d) / sqrt(d)."""
@@ -502,6 +491,10 @@ def validate_density(entries) -> DensityMatrix:
     return DensityMatrix(entries)
 
 
-def _conjugated(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """U^dag rho U over the last two axes for one U and one rho or a stack of rho (the Fourier swap check)."""
-    return u.conj().swapaxes(-1, -2) @ rho @ u
+def _fourier_conjugated(rho: np.ndarray) -> np.ndarray:
+    """F^dag rho F over the last two axes, for one rho or a stack (the Fourier swap check).
+
+    rho F is the orthonormal inverse FFT of each row, and F^dag of that the
+    forward FFT of each column: no F is built, and F's sign and scale stay here.
+    """
+    return np.fft.fft(np.fft.ifft(rho, axis=-1, norm="ortho"), axis=-2, norm="ortho")

@@ -48,17 +48,21 @@ def _as_generator(rng) -> np.random.Generator:
     return rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
 
-def _haar_rows(parts: np.ndarray) -> np.ndarray:
-    """Haar unit rows of (k, 2, d) standard normal blocks: real and imaginary parts, normalized."""
-    amps = parts[:, 0] + 1j * parts[:, 1]
-    return amps / np.linalg.norm(amps, axis=1, keepdims=True)
+def _haar_rows(parts) -> np.ndarray:
+    """Haar unit rows of a sequence of (k, 2, d) standard normal blocks, as one complex array normalized in place."""
+    d = parts[0].shape[-1]
+    amps = np.empty((sum(map(len, parts)), d), dtype=np.complex128)
+    # (k, 2, d) blocks land in a view of amps whose axis 1 is real, imaginary
+    np.concatenate(parts, out=amps.view(np.float64).reshape(-1, d, 2).swapaxes(1, 2))
+    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    return amps
 
 
 def random_state_vector(d: int, rng) -> StateVector:
     """Draw a Haar-distributed pure state: complex standard normal, normalized."""
     check_dimension(d)
     parts = _as_generator(rng).standard_normal((1, 2, d))
-    return _trusted(StateVector, dim=d, amplitudes=_haar_rows(parts)[0])
+    return _trusted(StateVector, dim=d, amplitudes=_haar_rows([parts])[0])
 
 
 def random_density_matrix(d: int, rng) -> DensityMatrix:
@@ -82,8 +86,7 @@ def _density_draw(d: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndar
 def _density_entries(draws) -> np.ndarray:
     """The (n, d, d) stack of density matrices of n draws of one dimension.
 
-    The draws' normals are written straight into the real and imaginary
-    parts of one complex array of Haar rows, which is normalized, weighted
+    The draws' Haar rows (one complex array, see _haar_rows) are weighted
     and conjugated, elementwise, as one draw's rows are; each matrix is then
     its own (d, k) @ (k, d) product, so it rounds as a lone draw's does.
     Besides the draws, the peak holds the rows twice (the weighted copy, and
@@ -92,10 +95,7 @@ def _density_entries(draws) -> np.ndarray:
     weights, parts = zip(*draws)
     d = parts[0].shape[-1]
     bounds = np.cumsum([0, *map(len, weights)])
-    amps = np.empty((bounds[-1], d), dtype=np.complex128)
-    # (k, 2, d) blocks land in a view of amps whose axis 1 is real, imaginary
-    np.concatenate(parts, out=amps.view(np.float64).reshape(-1, d, 2).swapaxes(1, 2))
-    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    amps = _haar_rows(parts)
     scaled = amps * np.concatenate(weights)[:, None]
     np.conjugate(amps, out=amps)
     stack = np.empty((len(weights), d, d), dtype=np.complex128)

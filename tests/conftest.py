@@ -28,6 +28,11 @@ def reference_fourier(d: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.multiply.outer(ks, ks) / d) / np.sqrt(d)
 
 
+def conjugated(rho: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """U^dag rho U over the last two axes, by dense products, for one rho or a stack."""
+    return u.conj().swapaxes(-1, -2) @ rho @ u
+
+
 def displacement_matrix(system, alpha, beta) -> np.ndarray:
     """D(alpha, beta) as a dense matrix: the displaced rows of the identity are its columns."""
     return system._displaced(np.eye(system.d, dtype=complex), alpha, beta).T

@@ -29,9 +29,8 @@ from qgini import (
     random_state_vector,
 )
 from qgini.cli import run as cli_run
-from qgini.qsystem import _conjugated
 
-from conftest import displacement_matrix
+from conftest import conjugated, displacement_matrix, reference_fourier
 
 
 def verdict(num: int, label: str, ok: bool, detail: str = "") -> None:
@@ -189,7 +188,7 @@ def test_criterion_07_invariance():
             ref_lp = lorenz_curve(system.momentum_probs(rho)).values
             for a in range(d):
                 for b in range(d):
-                    moved = DensityMatrix(_conjugated(rho.entries, displacement_matrix(system, a, b)))
+                    moved = DensityMatrix(conjugated(rho.entries, displacement_matrix(system, a, b)))
                     rep = gini_report(system, moved)
                     worst = max(
                         worst,
@@ -197,7 +196,7 @@ def test_criterion_07_invariance():
                         float(np.max(np.abs(lorenz_curve(system.position_probs(moved)).values - ref_lx))),
                         float(np.max(np.abs(lorenz_curve(system.momentum_probs(moved)).values - ref_lp))),
                     )
-            swapped = DensityMatrix(_conjugated(rho.entries, system.fourier))
+            swapped = DensityMatrix(conjugated(rho.entries, reference_fourier(d)))
             worst = max(worst, abs(gini_report(system, swapped).g_xp - ref.g_xp))
     coherent_worst = 0.0
     for d in (3, 5, 7):

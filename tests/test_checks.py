@@ -5,10 +5,10 @@ from qgini import checks, qsystem
 from qgini.checks import run_property_checks
 from qgini.gini import _gini_rows, gini_index
 from qgini.lorenz import _lorenz_rows, lorenz_curve
-from qgini.qsystem import QuantumSystem, _conjugated, _distribution_rows
-from qgini.sampling import random_density_matrix, random_state_vector
+from qgini.qsystem import QuantumSystem, _distribution_rows
+from qgini.sampling import random_density_matrix, random_state_vector, split_seed
 
-from conftest import displacement_matrix, traced_peak
+from conftest import conjugated, displacement_matrix, traced_peak
 
 
 def test_all_checks_pass_on_small_samples():
@@ -170,7 +170,7 @@ def test_displacement_stacks_match_one_displacement_at_a_time(d):
     for i in range(len(a)):
         lone = system._displaced_densities(rho.entries, a[i : i + 1], b[i : i + 1])[0]
         assert np.array_equal(moved[i].view(np.uint64), lone.view(np.uint64))
-        dense = _conjugated(rho.entries, displacement_matrix(system, a[i], b[i]))
+        dense = conjugated(rho.entries, displacement_matrix(system, a[i], b[i]))
         assert np.max(np.abs(moved[i] - dense)) <= 1e-15
         # the diagonal is only permuted: its phase is omega**0 = 1
         shifted = rho.entries.diagonal()[(ks + b[i]) % d]
@@ -228,7 +228,7 @@ def test_stacked_projector_sums_match_one_alpha_at_a_time(d, alphas):
 
 # the bytes of every stack a suite scores: the input of each scoring kernel,
 # the displaced density states, and the coherent blocks with their products
-SCORING_KERNELS = ("_distribution_rows", "_ginis", "_gini_rows", "_lorenz_rows", "_conjugated")
+SCORING_KERNELS = ("_distribution_rows", "_ginis", "_gini_rows", "_lorenz_rows", "_fourier_conjugated")
 
 
 def recorded_stacks(monkeypatch, suite, d, ceiling):
@@ -290,11 +290,12 @@ def test_mixture_suites_take_one_momentum_call_per_chunk(monkeypatch, suite):
 
 @pytest.mark.parametrize("d", [5, 13])
 def test_displacement_invariance_takes_no_matrix_product(monkeypatch, d):
-    # d = 5 runs every pair, d = 13 draws 100; neither conjugates by a dense D
+    # d = 5 runs every pair, d = 13 draws 100; neither conjugates by a
+    # dense D, nor by F, the one conjugation the suites take
     def refuse(*args, **kwargs):
-        raise AssertionError("dense displacement product")
+        raise AssertionError("conjugation of a displaced state")
 
-    monkeypatch.setattr(checks, "_conjugated", refuse)
+    monkeypatch.setattr(checks, "_fourier_conjugated", refuse)
     passed, detail = checks._check_displacement_invariance(QuantumSystem(d), 100, np.random.default_rng(d))
     assert passed, detail
 
@@ -313,6 +314,36 @@ def test_displacement_invariance_compares_the_momentum_lorenz_values(monkeypatch
     monkeypatch.setattr(checks, "_lorenz_rows", drifting)
     passed, detail = checks._check_displacement_invariance(QuantumSystem(5), 20, np.random.default_rng(5))
     assert (passed, detail) == (False, "max drift under displacements 1.00e-09")
+
+
+@pytest.mark.parametrize("d", [5, 41])
+def test_fourier_swap_builds_no_row_of_the_fourier_matrix(monkeypatch, d):
+    # the swap transforms each whole matrix by FFT, independently of the
+    # momentum kernel, and takes no row of F
+    def refuse(*args, **kwargs):
+        raise AssertionError("a row of the Fourier matrix")
+
+    monkeypatch.setattr(QuantumSystem, "_fourier_rows", refuse)
+    passed, detail = checks._check_fourier_swap(QuantumSystem(d), 20, np.random.default_rng(d))
+    assert passed, detail
+
+
+# a suite drops each stack before its generator draws and builds the next,
+# so at most two stacks of 9 density states (242,064 bytes at d = 41) and
+# the scoring temporaries of one are live at once; traced with each suite's
+# own child stream of `check --dim 41 --samples 20 --seed 7`
+@pytest.mark.parametrize("suite", ["_check_lorenz_bound", "_check_gini_range"])
+def test_density_suites_free_each_stack_before_the_next_draw(suite):
+    index = [func.__name__ for _, func in checks._CHECKS].index(suite)
+    system = QuantumSystem(41)
+
+    def run():
+        return getattr(checks, suite)(system, 20, np.random.default_rng(split_seed(7, index)))
+
+    run()
+    (passed, detail), peak = traced_peak(run)
+    assert passed, detail
+    assert peak < 3.25 * 9 * 16 * 41**2
 
 
 def test_suite_memory_does_not_grow_with_the_sample_count(monkeypatch):

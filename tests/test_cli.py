@@ -280,14 +280,19 @@ def test_example_record(capsys):
 def test_pure_reports_never_build_the_fourier_matrix(monkeypatch, capsys, tmp_path):
     # a pure state's momentum distribution is an FFT, and a density matrix's
     # an inverse FFT of its wrapped-diagonal sums; the search scores its
-    # candidates by the same FFT, so no command here needs F
-    def fourier(self):
-        raise AssertionError("a report or search built the Fourier matrix")
+    # candidates by the same FFT, so no command here needs F; the basis
+    # states take single rows
+    rows = QuantumSystem._fourier_rows
+
+    def fourier_rows(self, r):
+        if np.ndim(r):
+            raise AssertionError("a report or search built rows of the Fourier matrix")
+        return rows(self, r)
 
     path, density = tmp_path / "pure.json", tmp_path / "density.json"
     save_state_file(path, random_state_vector(41, 5))
     save_state_file(density, random_density_matrix(41, 5))
-    monkeypatch.setattr(QuantumSystem, "fourier", property(fourier))
+    monkeypatch.setattr(QuantumSystem, "_fourier_rows", fourier_rows)
     # one dense d x d complex matrix would take 16 d^2 bytes
     code, peak = traced_peak(lambda: run(["example", "--dim", "4001"]))
     assert code == 0

@@ -20,9 +20,8 @@ from qgini import (
     random_state_vector,
 )
 from qgini import qsystem
-from qgini.qsystem import _conjugated
 
-from conftest import displacement_matrix, traced_peak
+from conftest import conjugated, displacement_matrix, reference_fourier, traced_peak
 
 
 def weighted_gini_reference(p: np.ndarray) -> float:
@@ -209,7 +208,7 @@ def test_displacement_invariance_exhaustive(d):
         ref_lp = lorenz_curve(system.momentum_probs(rho)).values
         for a in range(d):
             for b in range(d):
-                moved = DensityMatrix(_conjugated(rho.entries, displacement_matrix(system, a, b)))
+                moved = DensityMatrix(conjugated(rho.entries, displacement_matrix(system, a, b)))
                 rep = gini_report(system, moved)
                 assert abs(rep.g_xp - ref.g_xp) <= 1e-10
                 assert np.max(np.abs(lorenz_curve(system.position_probs(moved)).values - ref_lx)) <= 1e-10
@@ -220,7 +219,7 @@ def test_fourier_conjugation_preserves_combined_index(sys5):
     rng = np.random.default_rng(75)
     for _ in range(20):
         rho = random_density_matrix(5, rng)
-        swapped = DensityMatrix(_conjugated(rho.entries, sys5.fourier))
+        swapped = DensityMatrix(conjugated(rho.entries, reference_fourier(5)))
         rep, ref = gini_report(sys5, swapped), gini_report(sys5, rho)
         assert abs(rep.g_x - ref.g_p) <= 1e-10
         assert abs(rep.g_xp - ref.g_xp) <= 1e-10

@@ -33,9 +33,9 @@ from qgini import (
 )
 from qgini import cli, qsystem
 from qgini.checks import run_property_checks
-from qgini.qsystem import MAX_DIM, _conjugated
+from qgini.qsystem import MAX_DIM, _fourier_conjugated
 
-from conftest import displacement_matrix, reference_fourier, traced_peak
+from conftest import conjugated, displacement_matrix, reference_fourier, traced_peak
 
 
 # ---- construction and constants ----
@@ -148,18 +148,18 @@ def test_omega_is_primitive_root(d):
 
 def test_fourier_matches_reference(sys3, sys5):
     for system in (sys3, sys5):
-        assert np.max(np.abs(system.fourier - reference_fourier(system.d))) < 1e-12
+        assert np.max(np.abs(system._fourier_rows(np.arange(system.d)) - reference_fourier(system.d))) < 1e-12
 
 
 def test_fourier_first_row_flat(sys3):
-    assert np.max(np.abs(sys3.fourier[0] - 0.5773503)) < 1e-7
+    assert np.max(np.abs(sys3._fourier_rows(np.arange(3))[0] - 0.5773503)) < 1e-7
 
 
 def test_basis_states(sys5):
     e2 = sys5.position_state(2)
     assert e2.amplitudes[2] == 1.0 and np.count_nonzero(e2.amplitudes) == 1
     m1 = sys5.momentum_state(1)
-    assert np.max(np.abs(m1.amplitudes - sys5.fourier[:, 1])) == 0.0
+    assert np.max(np.abs(m1.amplitudes - sys5._fourier_rows(np.arange(5))[:, 1])) == 0.0
 
 
 # ---- displacements ----
@@ -257,7 +257,7 @@ def test_coherent_guard_matches_the_exact_overlaps(d):
             fiducials.append(np.cos(t) * base.amplitudes + np.sin(t) * noise / np.linalg.norm(noise))
     for values in fiducials:
         f = StateVector.normalized(values)
-        exact = max(np.max(np.abs(f.amplitudes)), np.max(np.abs(system.fourier.conj() @ f.amplitudes)))
+        exact = max(np.max(np.abs(f.amplitudes)), np.max(np.abs(reference_fourier(d).conj() @ f.amplitudes)))
         if exact >= limit:
             with pytest.raises(DegenerateFiducial):
                 system.coherent_state(f, 1, 1)
@@ -273,7 +273,7 @@ def test_coherent_dimension_mismatch(sys3):
 def test_default_fiducial_is_admissible(sys5):
     fid = sys5.default_fiducial()
     assert np.max(np.abs(fid.amplitudes)) < 1.0 - 1e-9
-    assert np.max(np.abs(sys5.fourier.conj() @ fid.amplitudes)) < 1.0 - 1e-9
+    assert np.max(np.abs(reference_fourier(5).conj() @ fid.amplitudes)) < 1.0 - 1e-9
 
 
 @pytest.mark.parametrize("d", [3, 5])
@@ -570,7 +570,7 @@ def test_state_path_matches_density_path(d):
     for label, state in _pure_states(system, rng):
         rho = pure_density(state)
         phi = np.fft.fft(state.amplitudes, norm="ortho")
-        assert np.max(np.abs(phi - system.fourier.conj() @ state.amplitudes)) <= 1e-12, label
+        assert np.max(np.abs(phi - reference_fourier(d).conj() @ state.amplitudes)) <= 1e-12, label
         for pick in (system.position_probs, system.momentum_probs):
             fast, dense = pick(state), pick(rho)
             assert np.max(np.abs(fast.probs - dense.probs)) <= 1e-12, label
@@ -586,19 +586,10 @@ def test_state_path_matches_density_path(d):
             assert abs(getattr(rep_fast, attr) - getattr(rep_dense, attr)) <= 1e-12, (label, attr)
 
 
-def test_fourier_is_built_on_first_use_and_kept():
-    system = new_system(7)
-    state = random_state_vector(7, 3)
-    system.position_probs(state)
-    system.momentum_probs(state)
-    system.coherent_state(system.default_fiducial(), 1, 2)
-    system.momentum_state(3)
-    assert "fourier" not in vars(system)
-    f = system.fourier
-    assert system.fourier is f
-    assert not f.flags.writeable
-    assert np.array_equal(f, system._fourier_rows(np.arange(7)))
-    # the search takes F^dag as f.conj(), which needs F to be exactly symmetric
+def test_fourier_rows_are_symmetric():
+    # momentum_state and the basis_extremes suite take column r of F as
+    # row r, which needs F to be exactly symmetric
+    f = new_system(7)._fourier_rows(np.arange(7))
     assert np.array_equal(f, f.T)
 
 
@@ -619,27 +610,35 @@ def test_distribution_dimension_guard(sys3):
 # ---- conjugation ----
 
 
-def test_conjugate_by_identity(sys3):
-    rho = random_density_matrix(3, 21)
-    same = _conjugated(rho.entries, np.eye(3))
-    assert np.max(np.abs(same - rho.entries)) == 0.0
-
-
 def test_conjugate_by_fourier_swaps_distributions(sys5):
     rho = random_density_matrix(5, 22)
-    swapped = DensityMatrix(_conjugated(rho.entries, sys5.fourier))
+    swapped = DensityMatrix(conjugated(rho.entries, reference_fourier(5)))
     assert np.max(np.abs(sys5.position_probs(swapped).probs - sys5.momentum_probs(rho).probs)) < 1e-12
 
 
 def test_conjugate_fourier_flattens_position_projector(sys3):
-    rho = DensityMatrix(_conjugated(pure_density(sys3.position_state(0)).entries, sys3.fourier))
+    rho = DensityMatrix(conjugated(pure_density(sys3.position_state(0)).entries, reference_fourier(3)))
     assert np.max(np.abs(sys3.position_probs(rho).probs - 1.0 / 3.0)) < 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 5, 41, 101, 201])
+def test_fourier_conjugation_matches_the_dense_product(d):
+    # F^dag rho F by two FFTs, for a lone state and for stacks with one and
+    # two leading axes; a stacked state keeps its lone bits
+    rng = np.random.default_rng(800 + d)
+    f = reference_fourier(d)
+    rho = np.stack([random_density_matrix(d, rng).entries for _ in range(6)]).reshape(2, 3, d, d)
+    for x in (rho[0, 0], rho[1], rho):
+        assert np.max(np.abs(_fourier_conjugated(x) - conjugated(x, f))) <= 1e-12
+    stacked = _fourier_conjugated(rho)
+    for i, j in np.ndindex(2, 3):
+        assert np.array_equal(stacked[i, j].view(np.uint64), _fourier_conjugated(rho[i, j]).view(np.uint64))
 
 
 def test_conjugate_fixes_maximally_mixed(sys3):
     rho = sys3.maximally_mixed()
-    for u in (sys3.fourier, displacement_matrix(sys3, 1, 2)):
-        assert np.max(np.abs(_conjugated(rho.entries, u) - rho.entries)) < 1e-12
+    for u in (reference_fourier(3), displacement_matrix(sys3, 1, 2)):
+        assert np.max(np.abs(conjugated(rho.entries, u) - rho.entries)) < 1e-12
 
 
 def test_maximally_mixed_is_flat_everywhere(sys7):
@@ -700,8 +699,7 @@ def test_trusted_results_pass_the_public_validators(d):
     a, b = (int(v) for v in rng.integers(0, d, size=2))
     shift = displacement_matrix(system, a, b)
     # F and D are unitary within the 1e-12 the dense unitary check allowed
-    assert not system.fourier.flags.writeable
-    for u in (system.fourier, shift, shift.conj().T):
+    for u in (reference_fourier(d), shift, shift.conj().T):
         assert np.max(np.abs(u @ u.conj().T - np.eye(d))) <= 1e-12
     pure = pure_density(random_state_vector(d, rng))
     lam = float(rng.uniform())
@@ -710,8 +708,8 @@ def test_trusted_results_pass_the_public_validators(d):
         pure,
         rho,
         DensityMatrix(lam * rho.entries + (1.0 - lam) * sigma.entries),
-        DensityMatrix(_conjugated(rho.entries, shift)),
-        DensityMatrix(_conjugated(rho.entries, system.fourier)),
+        DensityMatrix(conjugated(rho.entries, shift)),
+        DensityMatrix(_fourier_conjugated(rho.entries)),
     ]
     for r in densities:
         assert not r.entries.flags.writeable

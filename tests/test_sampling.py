@@ -140,6 +140,20 @@ def test_density_stacks_keep_the_bits_of_the_concatenated_formula(d, count):
     assert np.array_equal(bits(sampling._density_entries(draws)), bits(concatenated_density_entries(draws)))
 
 
+def two_part_state(d, seed):
+    # the state formula before the row was written in place: the real
+    # parts plus 1j times the imaginary parts, over the row's norm
+    parts = np.random.default_rng(seed).standard_normal((1, 2, d))
+    amps = parts[:, 0] + 1j * parts[:, 1]
+    return (amps / np.linalg.norm(amps, axis=1, keepdims=True))[0]
+
+
+@pytest.mark.parametrize("d", [3, 5, 41, 1001])
+def test_state_vectors_keep_the_bits_of_the_two_part_formula(d):
+    for seed in range(100):
+        assert np.array_equal(bits(random_state_vector(d, seed).amplitudes), bits(two_part_state(d, seed)))
+
+
 def test_density_stack_peak_stays_within_two_and_a_half_stacks():
     # the first chunk of 9 draws of `check --dim 41 --seed 7` (242 KB): the
     # rows, their weighted copy and the stack, with no concatenated copy
