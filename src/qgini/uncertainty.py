@@ -6,7 +6,8 @@ combined index g_x + g_p stays strictly below twice the single-basis cap
 all states is the uncertainty coefficient of the dimension. The supremum has
 no known closed form; this module brackets it from below by the value of an
 explicit superposition state and sharpens the bracket with derivative-free
-search over pure states.
+search over pure states, each search finished by a matrix-free eigen-solve
+of the ordering operator of the state's own orderings.
 """
 
 import bisect
@@ -17,19 +18,29 @@ import numpy as np
 from qgini.errors import ValidationError
 from qgini.gini import _weighted_sums, gini_cap, gini_weights
 from qgini.qsystem import (
-    QuantumSystem, StateVector, _momentum_rows, _position_rows, _trusted,
-    check_budget, check_dimension,
+    QuantumSystem, StateVector, _distribution_rows, _moduli_squared, _momentum_rows, _position_rows,
+    _trusted, check_budget, check_dimension,
 )
 from qgini.sampling import check_seed, split_seed
 
 INITIAL_STEP = 0.3
-MIN_STEP = 1e-7
+# a restart's coordinate search hands over to the ordering operator once its
+# step drops below MIN_STEP; the operator's eigen-solve finds the last digits
+MIN_STEP = 1e-5
 BRACKET_SLACK = 1e-9
 # candidates one search probes per round
-PROBE_ROWS = 12
+PROBE_ROWS = 24
 # ceiling on the memory of one round of the lockstep search: its candidate
 # block and the objective's temporaries
 _ROUND_BYTES = 32 * 2**20
+# the finish: an eigen-solve stops once its residual is at most _RESIDUAL_TOL
+# (certified) or after _SOLVE_ITERATIONS, and a restart re-ranks and solves
+# at most _ASCENTS times
+_RESIDUAL_TOL = 1e-9
+_SOLVE_ITERATIONS = 200
+_ASCENTS = 32
+# bytes a finishing row takes per unit of d, its solver's temporaries included
+_FINISH_ROW_BYTES = 1024
 
 # Budget ceilings, far above the defaults (32 restarts, 2000 sweeps): a
 # larger request is refused before any work rather than left to run for
@@ -98,9 +109,12 @@ class EtaEstimate:
     is the state found, gauge-fixed; search and report both take momenta by
     FFT, but the report clamps and adds the gauge-fixed state's two indices,
     so its g_xp may differ from g_sup_estimate in the last few ulp. converged
-    records whether the winning restart's step size shrank below MIN_STEP
-    before the sweep budget ran out. restarts and iterations must be integers
-    within the search budget, and seed an integer in [0, 2**64).
+    records whether the winning restart handed over (its step shrank below
+    MIN_STEP before the sweep budget ran out) and its finish on the ordering
+    operator ended certified: the state then attains 2 - 2/(d+1) times the
+    least eigenvalue of the operator of its own orderings, to rounding.
+    restarts and iterations must be integers within the search budget, and
+    seed an integer in [0, 2**64).
     """
 
     def __init__(self, g_sup_estimate, bound_set, best_state, restarts, iterations, seed, converged):
@@ -185,7 +199,8 @@ def _pattern_search(objective, starts, max_sweeps):
     first that improves on the best value; the sweep then resumes at the
     next coordinate. A sweep without any accepted move halves the step,
     which starts at INITIAL_STEP. A search stops when its step drops below
-    MIN_STEP (converged) or its sweep budget is spent.
+    MIN_STEP (handed over, reported as converged; _finished takes it on) or
+    its sweep budget is spent.
 
     The searches advance in rounds. Each round stacks the next PROBE_ROWS
     candidates (fewer at the end of a sweep) of the first live searches into
@@ -251,6 +266,174 @@ def _pattern_search(objective, starts, max_sweeps):
     return [(x[r], best[r], bool(step[r] < MIN_STEP), sweeps[r]) for r in range(count)]
 
 
+def _ordering_rows(z: np.ndarray, rx: np.ndarray, rp: np.ndarray) -> np.ndarray:
+    """M z for each row of z, M = diag(rx) + F diag(rp) F^dag the ordering operator.
+
+    One FFT pair per row (F^dag is the forward DFT), no F and no d x d
+    array; rx and rp broadcast against z. With a row's own rank weights,
+    g_x + g_p = 2 - 2/(d+1) * <z|M|z>.
+    """
+    return rx * z + np.fft.ifft(rp * np.fft.fft(z))
+
+
+def _rank_weights(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rank weights of each row's position and momentum distributions, as an (m, 2, d) stack.
+
+    The most probable index gets 1 and the least probable d: weight w[j] of
+    gini_weights goes to the j-th smallest probability (stable order, so
+    ties break toward the lower index).
+    """
+    p = _distribution_rows(z, True)
+    ranks = np.empty_like(p)
+    np.put_along_axis(ranks, p.argsort(axis=-1, kind="stable"), w, axis=-1)
+    return ranks
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a|b> of each row pair over the last axis: elementwise products and a per-row sum, no BLAS."""
+    return (a.conj() * b).sum(axis=-1)
+
+
+def _lengths(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(_moduli_squared(a).sum(axis=-1))
+
+
+def _orthonormal_to(basis: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each row of v made orthogonal to its (k, d) orthonormal basis, twice over, then unit."""
+    for _ in range(2):
+        v = v - (_row_dots(basis, v[:, None])[:, :, None] * basis).sum(axis=1)
+    return v / _lengths(v)[:, None]
+
+
+_NEXT, _AFTER = [1, 2, 0], [2, 0, 1]
+
+
+def _lowest_ritz(a: np.ndarray) -> np.ndarray:
+    """Unit eigenvector of the least eigenvalue of each Hermitian 3 x 3 matrix of the stack a.
+
+    The least root of the characteristic cubic in trigonometric form, then
+    the longest cross product of two rows of a - lambda I, which spans the
+    null space. Elementwise arithmetic only: loading a LAPACK eigensolver
+    alone raised the peak memory of a process running estimates by about 1 MB.
+    """
+    diag = a[:, [0, 1, 2], [0, 1, 2]].real
+    q = diag.sum(axis=1) / 3.0
+    b = diag - q[:, None]
+    off = a[:, [0, 0, 1], [1, 2, 2]]
+    s = _moduli_squared(off)
+    p = np.sqrt(((b * b).sum(axis=1) + 2.0 * s.sum(axis=1)) / 6.0)
+    det = b.prod(axis=1) + 2.0 * (off[:, 0] * off[:, 2] * off[:, 1].conj()).real - (b * s[:, ::-1]).sum(axis=1)
+    angle = np.arccos(np.clip(det / (2.0 * p**3), -1.0, 1.0)) / 3.0
+    n = a - (q + 2.0 * p * np.cos(angle + 2.0 * np.pi / 3.0))[:, None, None] * np.eye(3)
+    u, v = n[:, _NEXT], n[:, _AFTER]
+    cross = u[:, :, _NEXT] * v[:, :, _AFTER] - u[:, :, _AFTER] * v[:, :, _NEXT]
+    norms = _moduli_squared(cross).sum(axis=2)
+    rows, longest = np.arange(len(a)), norms.argmax(axis=1)
+    return cross[rows, longest] / np.sqrt(norms[rows, longest])[:, None]
+
+
+def _bottom_vectors(z: np.ndarray, rx: np.ndarray, rp: np.ndarray):
+    """Bottom eigenvector of each row's ordering operator, by LOBPCG started at the row.
+
+    z holds (m, d) unit rows, rx and rp their (m, d) rank weights. A row
+    whose residual ||Mx - <x|M|x> x|| is at most _RESIDUAL_TOL is certified
+    and frozen; the others move to the bottom Ritz vector of the
+    orthonormalized span[x, residual, previous step] (Knyazev's LOBPCG with
+    one vector). Only per-row FFTs, per-row sums and elementwise arithmetic,
+    so a row rounds exactly as it would alone, at any thread count. Returns
+    the vectors and which are certified (not after _SOLVE_ITERATIONS).
+    """
+    out = z.copy()
+    certified = np.zeros(len(z), dtype=bool)
+    live = np.arange(len(z))
+    x, step = z, np.zeros_like(z)
+    for i in range(_SOLVE_ITERATIONS):
+        mx = _ordering_rows(x, rx, rp)
+        residual = mx - _row_dots(x, mx).real[:, None] * x
+        done = _lengths(residual) <= _RESIDUAL_TOL
+        if done.any():
+            out[live[done]] = x[done]
+            certified[live[done]] = True
+            keep = ~done
+            live, x, mx, residual, step, rx, rp = (a[keep] for a in (live, x, mx, residual, step, rx, rp))
+            if not live.size:
+                return out, certified
+        s = np.stack((x, _orthonormal_to(x[:, None], residual), step), axis=1)
+        if i:
+            s[:, 2] = _orthonormal_to(s[:, :2], step)
+        ms = np.concatenate((mx[:, None], _ordering_rows(s[:, 1:], rx[:, None], rp[:, None])), axis=1)
+        gram = _row_dots(s[:, :, None], ms[:, None])
+        if not i:
+            # no step yet: its zero direction gets a Rayleigh quotient above
+            # M's spectrum, which lies in [2, 2d], so it takes no weight
+            gram[:, 2, 2] = 2.0 * z.shape[1] + 1.0
+        c = _lowest_ritz(gram)[:, :, None]
+        step = (c[:, 1:] * s[:, 1:]).sum(axis=1)
+        x = c[:, 0] * x + step
+        x /= _lengths(x)[:, None]
+    out[live] = x
+    return out, certified
+
+
+def _finish(objective, w: np.ndarray, x: np.ndarray, best: np.ndarray):
+    """Finish handed-over restarts on the ordering operator, by alternating ascent.
+
+    x holds (m, 2d) unit rows of interleaved reals and best their values. A
+    row's own orderings give its operator M, whose bottom eigenvector scores
+    at least 2 - 2/(d+1) * lambda_min(M) >= the row's value. Each step
+    re-ranks the row and solves from it; the row moves only if the objective
+    re-scores the eigenvector above its value, or at it when the orderings
+    are a fixed point, so a value never falls. A row ends certified at a
+    fixed point or at a certified solve without gain (it then attains its
+    own lambda_min to rounding), and uncertified at an uncertified solve or
+    after _ASCENTS steps. Returns the rows, their values and which ended
+    certified.
+    """
+    x, best = x.copy(), best.copy()
+    z = x.view(np.complex128)
+    ranks = _rank_weights(z, w)
+    certified = np.zeros(len(x), dtype=bool)
+    live = np.arange(len(x))
+    for _ in range(_ASCENTS):
+        vectors, solved = _bottom_vectors(z[live], ranks[live, 0], ranks[live, 1])
+        vals = objective(vectors.view(np.float64))
+        own = _rank_weights(vectors, w)
+        fixed = (own == ranks[live]).all(axis=(1, 2))
+        gain = vals > best[live]
+        accept = solved & (gain | (fixed & (vals == best[live])))
+        moved = live[accept]
+        z[moved], best[moved], ranks[moved] = vectors[accept], vals[accept], own[accept]
+        go_on = solved & gain & ~fixed
+        certified[live[solved & ~go_on]] = True
+        live = live[go_on]
+        if not live.size:
+            break
+    return x, best, certified
+
+
+def _finished(objective, d: int, results):
+    """The pattern search's results with every handed-over restart finished by _finish.
+
+    Restarts that ran out of sweeps before the handover step are returned as
+    they are (not converged); a handed-over one is converged if its finish
+    ended certified. Rows are finished in chunks under _ROUND_BYTES; each
+    row's steps are its own, so the chunks do not change any result.
+    """
+    handed = [r for r, result in enumerate(results) if result[2]]
+    if not handed:
+        return results
+    w, _ = gini_weights(d)
+    x = np.array([results[r][0] for r in handed])
+    best = np.array([results[r][1] for r in handed])
+    chunk = max(1, _ROUND_BYTES // (_FINISH_ROW_BYTES * d))
+    finished = list(results)
+    for i in range(0, len(handed), chunk):
+        xs, vals, certified = _finish(objective, w, x[i : i + chunk], best[i : i + chunk])
+        for r, xr, val, ok in zip(handed[i : i + chunk], xs, vals, certified):
+            finished[r] = (xr, val, bool(ok), results[r][3])
+    return finished
+
+
 def _gauge_fixed(x: np.ndarray) -> StateVector:
     """Amplitudes from interleaved reals, first nonzero entry made real positive."""
     psi = x.view(np.complex128).copy()
@@ -273,7 +456,13 @@ def estimate_sup_gini(
     search (one iteration = one full sweep of the 2d coordinates, probing
     +step and -step, halving the step after sweeps without improvement,
     stopping below MIN_STEP); all restarts run in lockstep, their candidates
-    scored together in rounds of bounded memory (see _pattern_search).
+    scored together in rounds of bounded memory (see _pattern_search). A
+    restart that stops below MIN_STEP hands over to the ordering operator
+    M = diag(r_x) + F diag(r_p) F^dag of its own rank weights: it moves to
+    the bottom eigenvector of M, found matrix-free from the handed-over
+    point, re-ranks and solves again until its orderings are a fixed point,
+    never losing value (see _finish). A restart that spends its sweeps first
+    is not finished.
 
     Restart 0 starts from the example superposition state, which pins the
     estimate at or above the closed-form lower bound. Restart r >= 1 starts
@@ -292,7 +481,7 @@ def estimate_sup_gini(
     starts[0] = np.ascontiguousarray(example_state(system).amplitudes).view(np.float64)
     for r in range(1, restarts):
         starts[r] = np.random.default_rng(split_seed(seed, r)).standard_normal(2 * d)
-    results = _pattern_search(objective, starts, iterations)
+    results = _finished(objective, d, _pattern_search(objective, starts, iterations))
     best_x, best_val, best_converged, _ = max(results, key=lambda result: result[1])
     return EtaEstimate(
         g_sup_estimate=float(best_val),

@@ -490,7 +490,7 @@ def test_estimate_report_rescores_the_best_state_within_4_ulp(path):
     # the search and the report both take momenta by FFT, but the report
     # clamps and adds the two indices of the gauge-fixed best state, so its
     # g_xp may differ from g_sup_estimate in the last bits (the saved
-    # documents differ by -1 to +1 ulp)
+    # documents differ by -2 to +1 ulp)
     doc = json.loads(path.read_text())
     ulp_steps = np.array([doc["g_xp"], doc["g_sup_estimate"]]).view(np.int64)
     assert abs(int(ulp_steps[0]) - int(ulp_steps[1])) <= 4

@@ -31,12 +31,15 @@ from qgini.uncertainty import (
     MAX_ITERATIONS,
     MAX_RESTARTS,
     MIN_STEP,
+    _bottom_vectors,
     _combined_gini_objective,
+    _finished,
+    _ordering_rows,
     _pattern_search,
     check_search_budget,
 )
 
-from conftest import traced_peak
+from conftest import reference_fourier, traced_peak
 
 
 def reference_combined_gini(probs_x, probs_p) -> float:
@@ -336,6 +339,7 @@ def test_lockstep_search_matches_each_start_alone(monkeypatch, d, probe_rows):
     starts = search_starts(system, 9)
     for sweeps in (7, 2000):
         alone = [_pattern_search(objective, x0[None, :], sweeps)[0] for x0 in starts]
+        finished_alone = [_finished(objective, d, [own])[0] for own in alone]
         reference = sequential_references(d, sweeps)
         for count in (1, 4, 9):
             results = _pattern_search(objective, starts[:count], sweeps)
@@ -349,11 +353,21 @@ def test_lockstep_search_matches_each_start_alone(monkeypatch, d, probe_rows):
                 assert ran == len(ref_history) - 1
                 assert np.array_equal(x, own[0]) and best == own[1]
                 assert (converged, ran) == own[2:]
+            # each restart is finished as it would be alone, and never loses value
+            for done, own, searched in zip(_finished(objective, d, results), finished_alone, results):
+                assert np.array_equal(done[0], own[0]) and done[1] == own[1]
+                assert done[2:] == own[2:]
+                assert done[1] >= searched[1] and done[3] == searched[3]
         ran = [result[3] for result in alone]
         if sweeps == 7:
             assert ran == [7] * 9  # every search spends the budget
+            # no search reached the handover step, so none is finished
+            assert not any(result[2] for result in alone)
+            assert all(done is own for done, own in zip(_finished(objective, d, alone), alone))
         else:
             assert len(set(ran)) > 1  # the searches stop at different rounds
+            # every search handed over, and every finish is certified
+            assert all(result[2] for result in finished_alone)
 
 
 def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
@@ -394,6 +408,32 @@ def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
     assert capped_peak <= ceiling + full_sweep
 
 
+def test_finish_chunks_stay_under_the_round_ceiling(monkeypatch):
+    system = new_system(11)
+    objective = _combined_gini_objective(system)
+    searched = _pattern_search(objective, search_starts(system, 9), 2000)
+    free, free_peak = traced_peak(lambda: _finished(objective, 11, searched))
+    one = [result for result in searched if result[2]][:1]
+    _, one_peak = traced_peak(lambda: _finished(objective, 11, one))
+    chunks = []
+    finish = uncertainty._finish
+
+    def recording(objective, w, x, best):
+        chunks.append(len(x))
+        return finish(objective, w, x, best)
+
+    # room for three finishing rows at d = 11
+    ceiling = 3 * uncertainty._FINISH_ROW_BYTES * 11
+    monkeypatch.setattr(uncertainty, "_finish", recording)
+    monkeypatch.setattr(uncertainty, "_ROUND_BYTES", ceiling)
+    capped, capped_peak = traced_peak(lambda: _finished(objective, 11, searched))
+    assert chunks == [3, 3, 3]
+    for (x, best, converged, ran), (fx, fbest, fconverged, fran) in zip(capped, free):
+        assert np.array_equal(x, fx) and best == fbest
+        assert (converged, ran) == (fconverged, fran)
+    assert capped_peak <= ceiling + one_peak < free_peak
+
+
 @pytest.mark.parametrize("d", [201, 401])
 def test_search_keeps_no_copy_of_the_fourier_matrix(d):
     # the search scores candidates by FFT: it builds no F, and its peak stays
@@ -421,6 +461,184 @@ def test_starts_are_scored_under_the_round_ceiling(monkeypatch):
     for (x, best, converged, ran), (fx, fbest, fconverged, fran) in zip(capped, free):
         assert np.array_equal(x, fx) and best == fbest
         assert (converged, ran) == (fconverged, fran)
+
+
+# ---- the ordering operator ----
+
+
+def zigzag_ranks(d, sign=1):
+    """Rank weights of the zig-zag ordering: index 0 first, then +1, -1, +2, ... (sign -1 mirrors it)."""
+    order = [0]
+    for k in range(1, d // 2 + 1):
+        order += [(sign * k) % d, (-sign * k) % d]
+    ranks = np.empty(d)
+    ranks[order] = np.arange(1, d + 1)
+    return ranks
+
+
+def own_ranks(p):
+    """Rank weights of a distribution: 1 for the most probable index, d for the least."""
+    ranks = np.empty(len(p))
+    ranks[np.argsort(-p, kind="stable")] = np.arange(1, len(p) + 1)
+    return ranks
+
+
+def dense_ordering_operator(rx, rp):
+    """diag(rx) + A^dag diag(rp) A, with A = F^dag the DFT that gives the momentum amplitudes."""
+    a = reference_fourier(len(rx)).conj()
+    return np.diag(rx) + a.conj().T @ np.diag(rp) @ a
+
+
+@pytest.mark.parametrize("d", [3, 5, 11, 41])
+def test_ordering_kernel_equals_the_dense_operator(d):
+    rng = np.random.default_rng(d)
+    rx = rng.permutation(d) + 1.0
+    rp = rng.permutation(d) + 1.0
+    z = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
+    dense = dense_ordering_operator(rx, rp)
+    assert np.max(np.abs(_ordering_rows(z, rx, rp) - z @ dense.T)) <= 1e-12
+    # with a row's own ranks, 2 - 2/(d+1) <z|M|z> is the combined index the search scores
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    objective = _combined_gini_objective(new_system(d))
+    for row, value in zip(z, objective(np.ascontiguousarray(z).view(np.float64))):
+        own = dense_ordering_operator(own_ranks(np.abs(row) ** 2), own_ranks(np.abs(reference_fourier(d).conj() @ row) ** 2))
+        assert abs(2.0 - 2.0 / (d + 1.0) * np.vdot(row, own @ row).real - value) <= 1e-12
+
+
+@functools.lru_cache(maxsize=None)
+def exact_supremum(d):
+    """2 - 2/(d+1) * the least bottom eigenvalue over all ordering pairs, by brute force.
+
+    Displacements shift position and momentum orderings independently, so
+    index 0 can hold rank 1 on both sides: (d-1)!^2 dense solves of size d.
+    """
+    rest = [np.array((0, *perm)) for perm in itertools.permutations(range(1, d))]
+    lowest = np.inf
+    for sigma in rest:
+        rx = np.empty(d)
+        rx[sigma] = np.arange(1, d + 1)
+        for tau in rest:
+            rp = np.empty(d)
+            rp[tau] = np.arange(1, d + 1)
+            lowest = min(lowest, np.linalg.eigvalsh(dense_ordering_operator(rx, rp))[0])
+    return 2.0 - 2.0 / (d + 1.0) * lowest
+
+
+def test_exact_supremum_at_five_is_the_benchmark_value():
+    assert abs(exact_supremum(5) - 0.992276464632) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [3, 5])
+@pytest.mark.parametrize("budget", [(4, 2000, 7), (1, 2000, 0), (32, 2000, 42)])
+def test_estimate_reaches_the_exact_supremum(d, budget):
+    restarts, iterations, seed = budget
+    est = estimate_sup_gini(new_system(d), restarts=restarts, iterations=iterations, seed=seed)
+    assert abs(est.g_sup_estimate - exact_supremum(d)) <= 1e-12
+    assert est.converged
+
+
+@pytest.mark.parametrize("d", [5, 11, 21])
+def test_finished_estimate_is_certified_by_its_own_orderings(d):
+    # the best state is the bottom eigenvector of the operator of its own
+    # orderings, so its value is 2 - 2/(d+1) * that operator's least eigenvalue
+    est = estimate_sup_gini(new_system(d), restarts=4, iterations=2000, seed=7)
+    psi = est.best_state.amplitudes
+    rx = own_ranks(np.abs(psi) ** 2)
+    rp = own_ranks(np.abs(reference_fourier(d).conj() @ psi) ** 2)
+    lowest = np.linalg.eigvalsh(dense_ordering_operator(rx, rp))[0]
+    # the finish lands within a few ulp; the coordinate search alone stopped 3e-14 to 9e-14 short
+    assert abs(est.g_sup_estimate - (2.0 - 2.0 / (d + 1.0) * lowest)) <= 1e-14
+    assert est.converged
+
+
+@pytest.mark.parametrize("d", [5, 11, 21])
+def test_finish_ascends_from_random_states_to_a_certified_fixed_point(monkeypatch, d):
+    # far from any optimum the ascent takes several re-rank and solve steps;
+    # each row ends at the bottom eigenvector of its own orderings' operator
+    objective = _combined_gini_objective(new_system(d))
+    rng = np.random.default_rng(d)
+    z = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
+    x = np.ascontiguousarray(z / np.linalg.norm(z, axis=1)[:, None]).view(np.float64)
+    start = objective(x)
+    solves = []
+    monkeypatch.setattr(uncertainty, "_bottom_vectors", lambda *args: solves.append(1) or _bottom_vectors(*args))
+    rows, values, certified = uncertainty._finish(objective, gini_weights(d)[0], x, start)
+    assert len(solves) > 1
+    assert certified.all() and np.all(values > start)
+    assert np.array_equal(values, objective(rows))
+    for psi, value in zip(rows.view(np.complex128), values):
+        rx = own_ranks(np.abs(psi) ** 2)
+        rp = own_ranks(np.abs(reference_fourier(d).conj() @ psi) ** 2)
+        lowest = np.linalg.eigvalsh(dense_ordering_operator(rx, rp))[0]
+        assert abs(value - (2.0 - 2.0 / (d + 1.0) * lowest)) <= 1e-13
+
+
+def test_lowest_ritz_vector_matches_a_dense_eigensolver():
+    rng = np.random.default_rng(8)
+    a = rng.standard_normal((200, 3, 3)) + 1j * rng.standard_normal((200, 3, 3))
+    a = a + a.conj().swapaxes(1, 2)
+    # and the nearly converged shape the solver meets: tiny couplings to the iterate
+    a[:100, 0, 1:] *= 1e-9
+    a[:100, 1:, 0] *= 1e-9
+    values, vectors = np.linalg.eigh(a)
+    v = uncertainty._lowest_ritz(a)
+    assert np.allclose(np.linalg.norm(v, axis=1), 1.0, rtol=0.0, atol=1e-14)
+    assert np.max(np.abs(np.einsum("mij,mj->mi", a, v) - values[:, :1] * v)) <= 1e-13
+    assert np.max(np.abs(np.abs(np.einsum("mi,mi->m", vectors[:, :, 0].conj(), v)) - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [5, 21])
+def test_solver_rows_end_as_they_would_alone(d):
+    # rows that certify at different iterations are frozen as they certify:
+    # an already certified eigenvector comes back unchanged, and every row
+    # equals its own lone solve bit for bit
+    rng = np.random.default_rng(d)
+    rx = np.array([rng.permutation(d) + 1.0 for _ in range(4)])
+    rp = np.array([rng.permutation(d) + 1.0 for _ in range(4)])
+    z = rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d))
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    z[0] = _bottom_vectors(z[:1], rx[:1], rp[:1])[0][0]
+    vectors, certified = _bottom_vectors(z, rx, rp)
+    assert certified.all() and np.array_equal(vectors[0], z[0])
+    for row in range(4):
+        alone, alone_certified = _bottom_vectors(z[row : row + 1], rx[row : row + 1], rp[row : row + 1])
+        assert np.array_equal(vectors[row], alone[0]) and alone_certified[0]
+
+
+def test_finish_never_moves_to_a_lower_value():
+    # a row credited with more than its eigenvector scores keeps its point and value
+    d = 11
+    objective = _combined_gini_objective(new_system(d))
+    rng = np.random.default_rng(4)
+    x = rng.standard_normal((3, 2 * d))
+    x /= np.linalg.norm(x, axis=1)[:, None]
+    credited = objective(x) + np.array([0.0, 2.0, 0.0])
+    rows, values, certified = uncertainty._finish(objective, gini_weights(d)[0], x, credited)
+    assert np.array_equal(rows[1], x[1]) and values[1] == credited[1]
+    assert values[0] > credited[0] and values[2] > credited[2]
+    assert certified.all()  # a certified solve without gain ends certified
+
+
+@pytest.mark.parametrize("d, pin", [(41, 1.682741672), (101, 1.806528511)])
+def test_solver_reproduces_the_zigzag_floor(d, pin):
+    # from the example state, the solver finds the bottom of the zig-zag pair
+    # (both relative directions); the floor is 2 - 2/(d+1) * lambda_min
+    system = new_system(d)
+    objective = _combined_gini_objective(system)
+    start = np.asarray(example_state(system).amplitudes)[None, :]
+    floors = []
+    for sign in (1, -1):
+        rx, rp = zigzag_ranks(d)[None, :], zigzag_ranks(d, sign)[None, :]
+        vectors, certified = _bottom_vectors(start, rx, rp)
+        assert certified.all()
+        mv = _ordering_rows(vectors, rx, rp)
+        residual = mv - np.vdot(vectors[0], mv[0]).real * vectors
+        assert np.linalg.norm(residual) <= uncertainty._RESIDUAL_TOL
+        floor = 2.0 - 2.0 / (d + 1.0) * np.vdot(vectors[0], mv[0]).real
+        # the eigenvector keeps the zig-zag orderings, so it scores the floor itself
+        assert abs(objective(vectors.view(np.float64))[0] - floor) <= 1e-12
+        floors.append(floor)
+    assert abs(max(floors) - pin) <= 1e-9
 
 
 def test_eta_estimate_validation():
