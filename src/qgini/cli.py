@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_budget(p):
         p.add_argument("--restarts", type=int, default=32, help="number of search restarts")
-        p.add_argument("--iters", type=int, default=2000, help="coordinate sweeps per restart")
+        p.add_argument("--iters", type=int, default=2000, help="most coordinate sweeps per restart before its finish")
         p.add_argument("--seed", type=int, default=42, help="master seed for the restart starts")
 
     p_probe = sub.add_parser("probe", help="report on a state loaded from a file")

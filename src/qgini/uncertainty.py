@@ -24,8 +24,8 @@ from qgini.qsystem import (
 from qgini.sampling import check_seed, split_seed
 
 INITIAL_STEP = 0.3
-# a restart's coordinate search hands over to the ordering operator once its
-# step drops below MIN_STEP; the operator's eigen-solve finds the last digits
+# a restart's coordinate search stops once its step drops below MIN_STEP or
+# its sweeps run out; the ordering operator's eigen-solve finds the last digits
 MIN_STEP = 1e-5
 BRACKET_SLACK = 1e-9
 # candidates one search probes per round
@@ -109,10 +109,9 @@ class EtaEstimate:
     is the state found, gauge-fixed; search and report both take momenta by
     FFT, but the report clamps and adds the gauge-fixed state's two indices,
     so its g_xp may differ from g_sup_estimate in the last few ulp. converged
-    records whether the winning restart handed over (its step shrank below
-    MIN_STEP before the sweep budget ran out) and its finish on the ordering
-    operator ended certified: the state then attains 2 - 2/(d+1) times the
-    least eigenvalue of the operator of its own orderings, to rounding.
+    records whether the winning restart's finish on the ordering operator
+    ended certified: the state then attains 2 - 2/(d+1) times the least
+    eigenvalue of the operator of its own orderings, to rounding.
     restarts and iterations must be integers within the search budget, and
     seed an integer in [0, 2**64).
     """
@@ -199,8 +198,7 @@ def _pattern_search(objective, starts, max_sweeps):
     first that improves on the best value; the sweep then resumes at the
     next coordinate. A sweep without any accepted move halves the step,
     which starts at INITIAL_STEP. A search stops when its step drops below
-    MIN_STEP (handed over, reported as converged; _finished takes it on) or
-    its sweep budget is spent.
+    MIN_STEP or its sweep budget is spent.
 
     The searches advance in rounds. Each round stacks the next PROBE_ROWS
     candidates (fewer at the end of a sweep) of the first live searches into
@@ -210,8 +208,8 @@ def _pattern_search(objective, starts, max_sweeps):
     round, but a round always takes at least one search. Because the
     objective scores a row the same whatever block it is in, each search
     accepts exactly the moves it would accept run alone with its whole sweep
-    scored at once, whatever the window and the waiting. Returns one (point,
-    value, converged, sweeps run) per start.
+    scored at once, whatever the window and the waiting. Returns the (R, n)
+    points the searches end at and their R values.
     """
     x = np.array(starts, dtype=np.float64)
     x /= _row_norms(x)
@@ -263,7 +261,7 @@ def _pattern_search(objective, starts, max_sweeps):
                     improved[r] = False
         if ended:
             live = [r for r in live if r not in ended]
-    return [(x[r], best[r], bool(step[r] < MIN_STEP), sweeps[r]) for r in range(count)]
+    return x, best
 
 
 def _ordering_rows(z: np.ndarray, rx: np.ndarray, rp: np.ndarray) -> np.ndarray:
@@ -376,7 +374,7 @@ def _bottom_vectors(z: np.ndarray, rx: np.ndarray, rp: np.ndarray):
 
 
 def _finish(objective, w: np.ndarray, x: np.ndarray, best: np.ndarray):
-    """Finish handed-over restarts on the ordering operator, by alternating ascent.
+    """Finish searched restarts on the ordering operator, by alternating ascent.
 
     x holds (m, 2d) unit rows of interleaved reals and best their values. A
     row's own orderings give its operator M, whose bottom eigenvector scores
@@ -411,29 +409,6 @@ def _finish(objective, w: np.ndarray, x: np.ndarray, best: np.ndarray):
     return x, best, certified
 
 
-def _finished(objective, d: int, results):
-    """The pattern search's results with every handed-over restart finished by _finish.
-
-    Restarts that ran out of sweeps before the handover step are returned as
-    they are (not converged); a handed-over one is converged if its finish
-    ended certified. Rows are finished in chunks under _ROUND_BYTES; each
-    row's steps are its own, so the chunks do not change any result.
-    """
-    handed = [r for r, result in enumerate(results) if result[2]]
-    if not handed:
-        return results
-    w, _ = gini_weights(d)
-    x = np.array([results[r][0] for r in handed])
-    best = np.array([results[r][1] for r in handed])
-    chunk = max(1, _ROUND_BYTES // (_FINISH_ROW_BYTES * d))
-    finished = list(results)
-    for i in range(0, len(handed), chunk):
-        xs, vals, certified = _finish(objective, w, x[i : i + chunk], best[i : i + chunk])
-        for r, xr, val, ok in zip(handed[i : i + chunk], xs, vals, certified):
-            finished[r] = (xr, val, bool(ok), results[r][3])
-    return finished
-
-
 def _gauge_fixed(x: np.ndarray) -> StateVector:
     """Amplitudes from interleaved reals, first nonzero entry made real positive."""
     psi = x.view(np.complex128).copy()
@@ -456,13 +431,14 @@ def estimate_sup_gini(
     search (one iteration = one full sweep of the 2d coordinates, probing
     +step and -step, halving the step after sweeps without improvement,
     stopping below MIN_STEP); all restarts run in lockstep, their candidates
-    scored together in rounds of bounded memory (see _pattern_search). A
-    restart that stops below MIN_STEP hands over to the ordering operator
-    M = diag(r_x) + F diag(r_p) F^dag of its own rank weights: it moves to
-    the bottom eigenvector of M, found matrix-free from the handed-over
-    point, re-ranks and solves again until its orderings are a fixed point,
-    never losing value (see _finish). A restart that spends its sweeps first
-    is not finished.
+    scored together in rounds of bounded memory (see _pattern_search). Every
+    restart, whether its step fell below MIN_STEP or its sweeps ran out, is
+    then finished on the ordering operator M = diag(r_x) + F diag(r_p) F^dag
+    of its own rank weights: it moves to the bottom eigenvector of M, found
+    matrix-free from the searched point, re-ranks and solves again until its
+    orderings are a fixed point, never losing value (see _finish). Restarts
+    are finished in chunks under _ROUND_BYTES; each row's steps are its own,
+    so the chunks do not change any result.
 
     Restart 0 starts from the example superposition state, which pins the
     estimate at or above the closed-form lower bound. Restart r >= 1 starts
@@ -481,14 +457,20 @@ def estimate_sup_gini(
     starts[0] = np.ascontiguousarray(example_state(system).amplitudes).view(np.float64)
     for r in range(1, restarts):
         starts[r] = np.random.default_rng(split_seed(seed, r)).standard_normal(2 * d)
-    results = _finished(objective, d, _pattern_search(objective, starts, iterations))
-    best_x, best_val, best_converged, _ = max(results, key=lambda result: result[1])
+    x, best = _pattern_search(objective, starts, iterations)
+    w, _ = gini_weights(d)
+    certified = np.empty(restarts, dtype=bool)
+    chunk = max(1, _ROUND_BYTES // (_FINISH_ROW_BYTES * d))
+    for i in range(0, restarts, chunk):
+        part = slice(i, i + chunk)
+        x[part], best[part], certified[part] = _finish(objective, w, x[part], best[part])
+    r = int(best.argmax())
     return EtaEstimate(
-        g_sup_estimate=float(best_val),
+        g_sup_estimate=float(best[r]),
         bound_set=bound_set,
-        best_state=_gauge_fixed(best_x),
+        best_state=_gauge_fixed(x[r]),
         restarts=restarts,
         iterations=iterations,
         seed=seed,
-        converged=best_converged,
+        converged=certified[r],
     )

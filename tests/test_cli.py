@@ -430,6 +430,10 @@ SEARCH_BUDGET = ["--restarts", "4", "--iters", "2000", "--seed", "7"]
             ["estimate", "--dim", "101", "--restarts", "2", "--iters", "50", "--seed", "7"],
             "estimate-d101-r2-i50-s7.json",
         ),
+        (
+            ["estimate", "--dim", "201", "--restarts", "1", "--iters", "1", "--seed", "7"],
+            "estimate-d201-r1-i1-s7.json",
+        ),
     ],
 )
 def test_search_prints_the_saved_bytes(capsys, argv, name):

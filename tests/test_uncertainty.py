@@ -33,7 +33,7 @@ from qgini.uncertainty import (
     MIN_STEP,
     _bottom_vectors,
     _combined_gini_objective,
-    _finished,
+    _finish,
     _ordering_rows,
     _pattern_search,
     check_search_budget,
@@ -232,7 +232,7 @@ def test_pattern_search_history_is_monotone(sys5):
     x0 = rng.standard_normal(10)
     # a run capped at k sweeps is a prefix of a longer run, so its best value
     # is the history of the uncapped run at sweep k
-    hist = [_pattern_search(objective, x0[None, :], k)[0][1] for k in (1, 2, 3, 5, 10, 30, 100, 300)]
+    hist = [_pattern_search(objective, x0[None, :], k)[1][0] for k in (1, 2, 3, 5, 10, 30, 100, 300)]
     assert np.all(np.diff(hist) >= 0.0)
 
 
@@ -336,38 +336,33 @@ def test_lockstep_search_matches_each_start_alone(monkeypatch, d, probe_rows):
     monkeypatch.setattr(uncertainty, "PROBE_ROWS", probe_rows)
     system = new_system(d)
     objective = _combined_gini_objective(system)
+    w, _ = gini_weights(d)
     starts = search_starts(system, 9)
     for sweeps in (7, 2000):
-        alone = [_pattern_search(objective, x0[None, :], sweeps)[0] for x0 in starts]
-        finished_alone = [_finished(objective, d, [own])[0] for own in alone]
+        alone = [_pattern_search(objective, x0[None, :], sweeps) for x0 in starts]
+        finished_alone = [_finish(objective, w, *own) for own in alone]
         reference = sequential_references(d, sweeps)
         for count in (1, 4, 9):
-            results = _pattern_search(objective, starts[:count], sweeps)
-            assert len(results) == count
-            for result, own, ref in zip(results, alone, reference):
-                x, best, converged, ran = result
-                ref_x, ref_best, ref_converged, ref_history = ref
-                assert abs(best - ref_best) <= 1e-12
-                assert np.max(np.abs(x - ref_x)) <= 1e-12
-                assert converged == ref_converged
-                assert ran == len(ref_history) - 1
-                assert np.array_equal(x, own[0]) and best == own[1]
-                assert (converged, ran) == own[2:]
+            x, best = _pattern_search(objective, starts[:count], sweeps)
+            assert x.shape == (count, 2 * d) and best.shape == (count,)
+            for row, value, own, ref in zip(x, best, alone, reference):
+                ref_x, ref_best, _, _ = ref
+                assert abs(value - ref_best) <= 1e-12
+                assert np.max(np.abs(row - ref_x)) <= 1e-12
+                assert np.array_equal(row, own[0][0]) and value == own[1][0]
             # each restart is finished as it would be alone, and never loses value
-            for done, own, searched in zip(_finished(objective, d, results), finished_alone, results):
-                assert np.array_equal(done[0], own[0]) and done[1] == own[1]
-                assert done[2:] == own[2:]
-                assert done[1] >= searched[1] and done[3] == searched[3]
-        ran = [result[3] for result in alone]
+            rows, values, certified = _finish(objective, w, x, best)
+            for r, (own_rows, own_values, own_certified) in enumerate(finished_alone[:count]):
+                assert np.array_equal(rows[r], own_rows[0]) and values[r] == own_values[0]
+                assert certified[r] == own_certified[0]
+                assert values[r] >= best[r]
+        ran = [len(ref[3]) - 1 for ref in reference]
         if sweeps == 7:
             assert ran == [7] * 9  # every search spends the budget
-            # no search reached the handover step, so none is finished
-            assert not any(result[2] for result in alone)
-            assert all(done is own for done, own in zip(_finished(objective, d, alone), alone))
         else:
             assert len(set(ran)) > 1  # the searches stop at different rounds
-            # every search handed over, and every finish is certified
-            assert all(result[2] for result in finished_alone)
+        # every restart is finished, and every finish is certified
+        assert all(own[2][0] for own in finished_alone)
 
 
 def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
@@ -380,7 +375,7 @@ def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
         block_rows.append(len(block))
         return objective(block)
 
-    free = _pattern_search(recording, starts, 2000)
+    free_x, free_best = _pattern_search(recording, starts, 2000)
     free_rows = max(block_rows[1:])  # the first call scores the starts
     free_estimate = estimate_sup_gini(system, restarts=9, iterations=2000, seed=3)
 
@@ -388,11 +383,9 @@ def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
     ceiling = 20 * 32 * 22
     monkeypatch.setattr(uncertainty, "_ROUND_BYTES", ceiling)
     block_rows.clear()
-    capped = _pattern_search(recording, starts, 2000)
+    capped_x, capped_best = _pattern_search(recording, starts, 2000)
     assert max(block_rows[1:]) <= 20 < free_rows
-    for (x, best, converged, ran), (fx, fbest, fconverged, fran) in zip(capped, free):
-        assert np.array_equal(x, fx) and best == fbest
-        assert (converged, ran) == (fconverged, fran)
+    assert np.array_equal(capped_x, free_x) and np.array_equal(capped_best, free_best)
 
     capped_estimate, capped_peak = traced_peak(
         lambda: estimate_sup_gini(system, restarts=9, iterations=2000, seed=3)
@@ -409,37 +402,61 @@ def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
 
 
 def test_finish_chunks_stay_under_the_round_ceiling(monkeypatch):
+    # the estimate finishes every searched restart in chunks under the round
+    # ceiling; the search's result is replayed so the peak is the finish's
     system = new_system(11)
     objective = _combined_gini_objective(system)
+    w, _ = gini_weights(11)
     searched = _pattern_search(objective, search_starts(system, 9), 2000)
-    free, free_peak = traced_peak(lambda: _finished(objective, 11, searched))
-    one = [result for result in searched if result[2]][:1]
-    _, one_peak = traced_peak(lambda: _finished(objective, 11, one))
-    chunks = []
     finish = uncertainty._finish
+    chunks, outputs = [], []
+
+    def replay(objective, starts, sweeps):
+        return searched[0][: len(starts)].copy(), searched[1][: len(starts)].copy()
 
     def recording(objective, w, x, best):
         chunks.append(len(x))
-        return finish(objective, w, x, best)
+        outputs.append(finish(objective, w, x, best))
+        return outputs[-1]
 
+    monkeypatch.setattr(uncertainty, "_pattern_search", replay)
+    monkeypatch.setattr(uncertainty, "_finish", recording)
+    free, free_peak = traced_peak(lambda: estimate_sup_gini(system, restarts=9, iterations=2000, seed=29))
+    assert chunks == [9]
+    free_rows, free_values, free_certified = outputs[0]
+    _, one_peak = traced_peak(lambda: estimate_sup_gini(system, restarts=1, iterations=2000, seed=29))
+    chunks.clear()
+    outputs.clear()
     # room for three finishing rows at d = 11
     ceiling = 3 * uncertainty._FINISH_ROW_BYTES * 11
-    monkeypatch.setattr(uncertainty, "_finish", recording)
     monkeypatch.setattr(uncertainty, "_ROUND_BYTES", ceiling)
-    capped, capped_peak = traced_peak(lambda: _finished(objective, 11, searched))
+    capped, capped_peak = traced_peak(lambda: estimate_sup_gini(system, restarts=9, iterations=2000, seed=29))
     assert chunks == [3, 3, 3]
-    for (x, best, converged, ran), (fx, fbest, fconverged, fran) in zip(capped, free):
-        assert np.array_equal(x, fx) and best == fbest
-        assert (converged, ran) == (fconverged, fran)
+    rows, values, certified = (np.concatenate(parts) for parts in zip(*outputs))
+    assert np.array_equal(rows, free_rows) and np.array_equal(values, free_values)
+    assert np.array_equal(certified, free_certified)
+    # each finished row equals its lone finish, and no value falls
+    for r in range(9):
+        alone = finish(objective, w, searched[0][r : r + 1], searched[1][r : r + 1])
+        assert np.array_equal(rows[r], alone[0][0]) and values[r] == alone[1][0]
+    assert np.all(values >= searched[1])
+    assert capped.g_sup_estimate == free.g_sup_estimate and capped.converged == free.converged
+    assert np.array_equal(capped.best_state.amplitudes, free.best_state.amplitudes)
     assert capped_peak <= ceiling + one_peak < free_peak
+
+
+@functools.lru_cache(maxsize=None)
+def one_sweep_estimate(d):
+    """estimate_sup_gini at d with 1 restart of 1 sweep, and its traced peak."""
+    system = new_system(d)
+    return traced_peak(lambda: estimate_sup_gini(system, restarts=1, iterations=1))
 
 
 @pytest.mark.parametrize("d", [201, 401])
 def test_search_keeps_no_copy_of_the_fourier_matrix(d):
-    # the search scores candidates by FFT: it builds no F, and its peak stays
-    # below the 16 d^2 bytes of one
-    system = new_system(d)
-    _, peak = traced_peak(lambda: estimate_sup_gini(system, restarts=1, iterations=1))
+    # the search scores candidates by FFT and the finish solves by FFT: no F
+    # is built, and the peak stays below the 16 d^2 bytes of one
+    _, peak = one_sweep_estimate(d)
     assert peak < 16 * d * d
 
 
@@ -447,7 +464,7 @@ def test_starts_are_scored_under_the_round_ceiling(monkeypatch):
     system = new_system(11)
     objective = _combined_gini_objective(system)
     starts = search_starts(system, 30)
-    free = _pattern_search(objective, starts, 7)
+    free_x, free_best = _pattern_search(objective, starts, 7)
     block_rows = []
 
     def recording(block):
@@ -456,11 +473,9 @@ def test_starts_are_scored_under_the_round_ceiling(monkeypatch):
 
     # room for 20 rows at d = 11 (32 bytes per real), fewer than the 30 starts
     monkeypatch.setattr(uncertainty, "_ROUND_BYTES", 20 * 32 * 22)
-    capped = _pattern_search(recording, starts, 7)
+    capped_x, capped_best = _pattern_search(recording, starts, 7)
     assert max(block_rows) <= 20
-    for (x, best, converged, ran), (fx, fbest, fconverged, fran) in zip(capped, free):
-        assert np.array_equal(x, fx) and best == fbest
-        assert (converged, ran) == (fconverged, fran)
+    assert np.array_equal(capped_x, free_x) and np.array_equal(capped_best, free_best)
 
 
 # ---- the ordering operator ----
@@ -639,6 +654,27 @@ def test_solver_reproduces_the_zigzag_floor(d, pin):
         assert abs(objective(vectors.view(np.float64))[0] - floor) <= 1e-12
         floors.append(floor)
     assert abs(max(floors) - pin) <= 1e-9
+
+
+def test_budget_limited_estimate_is_finished_and_certified():
+    # both restarts spend their 50 sweeps before the step falls below
+    # MIN_STEP; finished anyway, the winner lands on the zig-zag floor
+    d = 101
+    est = estimate_sup_gini(new_system(d), restarts=2, iterations=50, seed=7)
+    assert abs(est.g_sup_estimate - 1.806528511) <= 1e-9
+    assert est.converged
+    psi = est.best_state.amplitudes
+    rx = own_ranks(np.abs(psi) ** 2)
+    rp = own_ranks(np.abs(reference_fourier(d).conj() @ psi) ** 2)
+    lowest = np.linalg.eigvalsh(dense_ordering_operator(rx, rp))[0]
+    assert abs(est.g_sup_estimate - (2.0 - 2.0 / (d + 1.0) * lowest)) <= 1e-13
+
+
+@pytest.mark.parametrize("d, pin", [(201, 1.866345764), (401, 1.907226665)])
+def test_one_sweep_from_the_example_state_reaches_the_zigzag_floor(d, pin):
+    est, _ = one_sweep_estimate(d)
+    assert abs(est.g_sup_estimate - pin) <= 1e-9
+    assert est.converged
 
 
 def test_eta_estimate_validation():
