@@ -35,7 +35,6 @@ from qgini.qsystem import (
 )
 from qgini.lorenz import (
     LorenzCurve,
-    OrderingPermutation,
     comonotonic,
     lorenz_curve,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "NotHermitian",
     "NotNormalized",
     "NotPositive",
-    "OrderingPermutation",
     "ProbabilityDistribution",
     "QuantumSystem",
     "StateVector",

@@ -24,9 +24,9 @@ import sys
 from qgini import __version__
 from qgini.checks import run_property_checks
 from qgini.errors import ValidationError
-from qgini.gini import GiniReport, gini_index, gini_report
-from qgini.lorenz import lorenz_curve
-from qgini.qsystem import check_dimension, new_system
+from qgini.gini import GiniReport, _gini_rows, gini_report
+from qgini.lorenz import _lorenz_rows
+from qgini.qsystem import _distribution_rows, check_dimension, new_system
 from qgini.sampling import check_seed
 from qgini.serialize import _scalar_list_text, scalar_text, to_json
 from qgini.statefile import load_state_file
@@ -100,13 +100,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _build_record(system, state, label: str, estimate=None) -> dict:
     """Everything the report commands emit for one state, in output order.
 
-    `state` is a StateVector or a DensityMatrix. The estimator block is
-    present only when `estimate` is given, and the bracket is then the one
-    the estimate was checked against.
+    `state` is a StateVector or a DensityMatrix. Its two distributions are
+    one (2, d) array, scored by the row kernels with the bits of
+    `gini_report`, `lorenz_curve` and `LorenzCurve.order`. The estimator
+    block is present only when `estimate` is given, and the bracket is then
+    the one the estimate was checked against.
     """
-    px, pp = system.position_probs(state), system.momentum_probs(state)
-    rep = GiniReport(system.d, gini_index(px), gini_index(pp))
-    curve_x, curve_p = lorenz_curve(px), lorenz_curve(pp)
+    rows = _distribution_rows(*system._state_array(state))
+    g_x, g_p = _gini_rows(rows)
+    rep = GiniReport(system.d, float(g_x), float(g_p))
+    lorenz_x, lorenz_p = _lorenz_rows(rows).tolist()
+    order_x, order_p = rows.argsort(axis=-1, kind="stable").tolist()
     bound_set = BoundSet(system.d) if estimate is None else estimate.bounds
     record = {
         "dim": system.d,
@@ -114,10 +118,10 @@ def _build_record(system, state, label: str, estimate=None) -> dict:
         "g_x": rep.g_x,
         "g_p": rep.g_p,
         "g_xp": rep.g_xp,
-        "lorenz_x": curve_x.values.tolist(),
-        "lorenz_p": curve_p.values.tolist(),
-        "permutation_x": curve_x.permutation.order.tolist(),
-        "permutation_p": curve_p.permutation.order.tolist(),
+        "lorenz_x": lorenz_x,
+        "lorenz_p": lorenz_p,
+        "permutation_x": order_x,
+        "permutation_p": order_p,
         "gini_cap": bound_set.gini_cap,
         "g_lower": bound_set.g_lower,
         "g_strict_upper": bound_set.g_strict_upper,

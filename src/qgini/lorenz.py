@@ -1,13 +1,14 @@
-"""Ordering permutations, Lorenz values and comonotonicity of distributions.
+"""Lorenz values, their ordering and comonotonicity of distributions.
 
 The Lorenz values of a distribution are the partial sums of its entries in
 ascending order: L(0) is the smallest probability and L(d-1) = 1. A peaked
 distribution hugs zero until the last step, the uniform one climbs along
 (l+1)/d, and no distribution can climb faster than that line.
 
-Both types are derived from a validated ProbabilityDistribution and from
-nothing else, so they hold their invariants by construction and run no
-checks of their own.
+`_lorenz_rows` is the one implementation of the values, for a lone
+distribution or a stack of them. LorenzCurve is derived from a validated
+ProbabilityDistribution and from nothing else, so it holds its invariants
+by construction and runs no checks of its own.
 """
 
 import numpy as np
@@ -16,28 +17,20 @@ from qgini.errors import DimensionMismatch
 from qgini.qsystem import ProbabilityDistribution
 
 
-class OrderingPermutation:
-    """Outcome indices in ascending order of probability; ties keep index order."""
+class LorenzCurve:
+    """Ascending partial sums of a distribution, and the order that sorts it.
+
+    `order` lists the outcome indices in ascending order of probability;
+    ties keep index order. Both arrays are read-only.
+    """
 
     def __init__(self, p: ProbabilityDistribution):
         order = np.argsort(p.probs, kind="stable")
+        values = _lorenz_rows(p.probs)
         order.setflags(write=False)
-        self.dim = p.dim
-        self.order = order
-
-    def __repr__(self):
-        return f"OrderingPermutation({list(self.order)})"
-
-
-class LorenzCurve:
-    """Ascending partial sums of a distribution, with the permutation that sorts it."""
-
-    def __init__(self, p: ProbabilityDistribution):
-        permutation = OrderingPermutation(p)
-        values = np.cumsum(p.probs[permutation.order])
         values.setflags(write=False)
         self.dim = p.dim
-        self.permutation = permutation
+        self.order = order
         self.values = values
 
     def __repr__(self):
@@ -53,7 +46,7 @@ def _lorenz_rows(p: np.ndarray) -> np.ndarray:
     """Lorenz values of each distribution along the last axis of p.
 
     The sequential partial sums of a row round as those of a lone
-    distribution, so a stack gives the values of LorenzCurve row by row.
+    distribution, so a stack gives the values of each row alone.
     """
     return np.cumsum(np.sort(p, axis=-1), axis=-1)
 

@@ -11,6 +11,8 @@ pass, then one (d, k) @ (k, d) product per draw, so each matrix has the
 bits of a lone draw.
 """
 
+from __future__ import annotations
+
 import numpy as np
 
 from qgini.errors import ValidationError

@@ -10,13 +10,19 @@ import numpy as np
 import pytest
 
 from qgini import (
+    LorenzCurve,
     QuantumSystem,
     StateVector,
     checks,
     cli,
+    example_state,
+    gini_index,
     gini_report,
+    load_state_file,
+    lorenz_curve,
     new_system,
     pure_density,
+    qsystem,
     random_density_matrix,
     random_state_vector,
     save_state_file,
@@ -101,14 +107,14 @@ def test_non_finite_state_file_is_validation_error(capsys, tmp_path, text):
     assert err == "error: state file holds the non-finite number NaN\n"
 
 
-def in_fresh_interpreter(*argv):
-    # `python -m <argv>` with the package's source directory on PYTHONPATH,
-    # as an uninstalled checkout runs it
+def in_fresh_interpreter(*argv, flag="-m"):
+    # `python -m <argv>` (or `python -c <argv>`) with the package's source
+    # directory on PYTHONPATH, as an uninstalled checkout runs it
     import qgini
 
     src = os.path.dirname(os.path.dirname(qgini.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", *argv], capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, flag, *argv], capture_output=True, text=True, env=env, timeout=120)
 
 
 def probe_in_fresh_interpreter(path):
@@ -445,8 +451,9 @@ def test_search_prints_the_saved_bytes(capsys, argv, name):
 # saved report stdout: however a report's state and bracket are built, the
 # values are the same arrays, so the bytes must not move. The state files
 # are save_state_file of random_state_vector(5, 7) and
-# random_density_matrix(5, 7). No report's distributions take a BLAS
-# product, so the bytes do not depend on the thread count.
+# random_density_matrix(5, 7). The d = 401 example pins a long record
+# whose tied probabilities keep index order. No report's distributions take
+# a BLAS product, so the bytes do not depend on the thread count.
 @pytest.mark.parametrize(
     "argv, name",
     [
@@ -454,6 +461,8 @@ def test_search_prints_the_saved_bytes(capsys, argv, name):
         (["example", "--dim", "11", "--format", "csv"], "example-d11.csv"),
         (["probe", "--input", str(SAVED_OUTPUT / "pure-d5-s7.json")], "probe-pure-d5-s7.json"),
         (["probe", "--input", str(SAVED_OUTPUT / "density-d5-s7.json")], "probe-density-d5-s7.json"),
+        (["example", "--dim", "401"], "example-d401.json"),
+        (["example", "--dim", "401", "--format", "csv"], "example-d401.csv"),
     ],
 )
 def test_reports_print_the_saved_bytes(capsys, argv, name):
@@ -547,6 +556,83 @@ def test_each_bracket_and_state_is_built_once(monkeypatch, capsys):
     assert run(["example", "--dim", "5"]) == 0
     capsys.readouterr()
     assert built == {"BoundSet": 4, "StateVector": 0}
+
+
+def test_reports_score_one_distribution_array(monkeypatch, capsys, tmp_path):
+    # a report takes both distributions from one (2, d) array: it builds no
+    # LorenzCurve, calls neither position_probs nor momentum_probs and runs
+    # the momentum kernel once. Its values are still those of lorenz_curve,
+    # gini_index and gini_report bit for bit, ties and their order included
+    d11 = new_system(11)
+    states = {"basis.json": d11.position_state(4), "mixed.json": d11.maximally_mixed()}
+    states["density.json"] = random_density_matrix(201, 5)
+    argvs = [["example", "--dim", str(d)] for d in (3, 11, 401)]
+    for name, state in states.items():
+        save_state_file(tmp_path / name, state)
+        argvs.append(["probe", "--input", str(tmp_path / name)])
+    calls = dict.fromkeys(("LorenzCurve", "position_probs", "momentum_probs", "_momentum_rows"), 0)
+
+    def counting(owner, attr, key):
+        original = getattr(owner, attr)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    counting(LorenzCurve, "__init__", "LorenzCurve")
+    counting(QuantumSystem, "position_probs", "position_probs")
+    counting(QuantumSystem, "momentum_probs", "momentum_probs")
+    counting(qsystem, "_momentum_rows", "_momentum_rows")
+    docs = []
+    for argv in argvs:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        docs.append(json.loads(out))
+    assert calls == {"LorenzCurve": 0, "position_probs": 0, "momentum_probs": 0, "_momentum_rows": len(argvs)}
+    monkeypatch.undo()
+
+    def bits(values):
+        return np.asarray(values, dtype=np.float64).tobytes()
+
+    for argv, doc in zip(argvs, docs):
+        if argv[0] == "example":
+            system = new_system(doc["dim"])
+            state = example_state(system)
+        else:
+            state = load_state_file(argv[2])
+            system = new_system(state.dim)
+        rep = gini_report(system, state)
+        for axis, p in (("x", system.position_probs(state)), ("p", system.momentum_probs(state))):
+            curve = lorenz_curve(p)
+            assert bits(doc[f"lorenz_{axis}"]) == bits(curve.values), (argv, axis)
+            assert doc[f"permutation_{axis}"] == curve.order.tolist(), (argv, axis)
+            assert bits(doc[f"g_{axis}"]) == bits(gini_index(p)) == bits(getattr(rep, f"g_{axis}")), (argv, axis)
+        assert bits(doc["g_xp"]) == bits(rep.g_xp), argv
+
+
+def test_reports_leave_numpy_random_unloaded(tmp_path):
+    # no report draws anything, so `import qgini`, `example` and `probe`
+    # need not import numpy.random (about 10 ms and 6 MB of peak RSS);
+    # `estimate` and `check` load it when they draw
+    path = tmp_path / "density.json"
+    save_state_file(path, random_density_matrix(5, 7))
+    script = "\n".join((
+        "import contextlib, io, sys",
+        "import numpy",
+        "preloaded = 'numpy.random' in sys.modules",
+        "from qgini.cli import run",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    codes = run(['example', '--dim', '11']), run(['probe', '--input', sys.argv[1]])",
+        "print(preloaded, codes == (0, 0), 'numpy.random' in sys.modules)",
+    ))
+    proc = in_fresh_interpreter(script, str(path), flag="-c")
+    assert proc.returncode == 0 and proc.stderr == ""
+    preloaded, reported, loaded = proc.stdout.split()
+    if preloaded == "True":
+        pytest.skip("this numpy imports numpy.random on `import numpy`")
+    assert (reported, loaded) == ("True", "False")
 
 
 def test_sweep_json_rows_in_order(capsys):

@@ -7,7 +7,6 @@ from qgini import (
     DensityMatrix,
     DimensionMismatch,
     LorenzCurve,
-    OrderingPermutation,
     ProbabilityDistribution,
     comonotonic,
     lorenz_curve,
@@ -16,23 +15,23 @@ from qgini import (
     random_state_vector,
     new_system,
 )
-from qgini.lorenz import _comonotonic_rows
+from qgini.lorenz import _comonotonic_rows, _lorenz_rows
 
 
 def dist(values) -> ProbabilityDistribution:
     return ProbabilityDistribution(values)
 
 
-# ---- ordering permutations ----
+# ---- orderings ----
 
 
 def test_ordering_simple():
-    assert list(OrderingPermutation(dist([0.5, 0.2, 0.3])).order) == [1, 2, 0]
+    assert list(lorenz_curve(dist([0.5, 0.2, 0.3])).order) == [1, 2, 0]
 
 
 def test_ordering_breaks_ties_by_index():
-    assert list(OrderingPermutation(dist([0.2, 0.2, 0.6])).order) == [0, 1, 2]
-    assert list(OrderingPermutation(dist([0.3, 0.1, 0.3, 0.3])).order) == [1, 0, 2, 3]
+    assert list(lorenz_curve(dist([0.2, 0.2, 0.6])).order) == [0, 1, 2]
+    assert list(lorenz_curve(dist([0.3, 0.1, 0.3, 0.3])).order) == [1, 0, 2, 3]
 
 
 def test_ordering_matches_stable_reference():
@@ -42,7 +41,7 @@ def test_ordering_matches_stable_reference():
         d = int(rng.integers(3, 10))
         raw = rng.integers(0, 4, size=d).astype(float) + 1.0
         p = raw / raw.sum()
-        got = list(OrderingPermutation(dist(p)).order)
+        got = list(lorenz_curve(dist(p)).order)
         want = sorted(range(d), key=p.__getitem__)
         assert got == want
 
@@ -53,17 +52,17 @@ def test_ordering_matches_stable_reference():
     ids=["distinct", "tied-low", "tied-high", "certain", "flat"],
 )
 def test_constructors_derive_from_a_distribution(p):
-    # the classes are the one construction path: same bits as lorenz_curve,
-    # read-only arrays
+    # the class is the one construction path: same bits as lorenz_curve and
+    # as the row kernel, and read-only arrays
     pd = dist(p)
-    perm, curve = OrderingPermutation(pd), LorenzCurve(pd)
-    assert perm.dim == curve.dim == curve.permutation.dim == pd.dim
+    curve = LorenzCurve(pd)
+    assert curve.dim == pd.dim
     order = np.argsort(pd.probs, kind="stable")
-    for got in (perm.order, curve.permutation.order):
+    for got in (curve.order, lorenz_curve(pd).order):
         assert got.tobytes() == order.tobytes()
-    for got in (curve.values, lorenz_curve(pd).values):
+    for got in (curve.values, lorenz_curve(pd).values, _lorenz_rows(pd.probs)):
         assert got.tobytes() == np.cumsum(pd.probs[order]).tobytes()
-    for arr in (perm.order, curve.permutation.order, curve.values):
+    for arr in (curve.order, curve.values):
         assert not arr.flags.writeable
 
 

@@ -29,7 +29,6 @@ def test_the_public_surface_is_pinned():
         "NotHermitian",
         "NotNormalized",
         "NotPositive",
-        "OrderingPermutation",
         "ProbabilityDistribution",
         "QuantumSystem",
         "StateVector",

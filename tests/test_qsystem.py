@@ -579,7 +579,7 @@ def test_state_path_matches_density_path(d):
             # sort orders may differ only among tied probabilities
             gaps = np.diff(np.sort(dense.probs)) > 1e-12
             distinct = np.concatenate(([True], gaps)) & np.concatenate((gaps, [True]))
-            order_fast, order_dense = curve_fast.permutation.order, curve_dense.permutation.order
+            order_fast, order_dense = curve_fast.order, curve_dense.order
             assert np.array_equal(order_fast[distinct], order_dense[distinct]), label
         rep_fast, rep_dense = gini_report(system, state), gini_report(system, rho)
         for attr in ("g_x", "g_p", "g_xp"):
@@ -719,8 +719,8 @@ def test_trusted_results_pass_the_public_validators(d):
             assert not p.probs.flags.writeable and p.probs.min() >= 0.0
             ProbabilityDistribution(p.probs)
             curve = lorenz_curve(p)
-            assert not curve.values.flags.writeable and not curve.permutation.order.flags.writeable
-            assert np.array_equal(np.sort(curve.permutation.order), np.arange(d))
+            assert not curve.values.flags.writeable and not curve.order.flags.writeable
+            assert np.array_equal(np.sort(curve.order), np.arange(d))
             assert np.all(np.diff(curve.values) >= 0.0) and curve.values[0] >= 0.0
             assert np.all(curve.values <= np.arange(1, d + 1) / d + 1e-12)
             assert abs(curve.values[-1] - 1.0) <= 1e-10
