@@ -14,6 +14,12 @@ one (..., 2, d) array, and the states a suite compares within a chunk (a
 mixture and its two parts, a Fourier-swapped state and its original) share
 one stack, so each kernel runs once per chunk for both bases and every
 compared state.
+The suites that read only distributions (the Lorenz bound, the range and
+the two mixture suites) score each density draw from its ensemble, with no
+d x d matrix: a draw's distributions are the weighted sum of its Haar
+rows' pure distributions, and a mixture's are the same mixture of its
+parts' distributions. The displacement and Fourier-swap suites, whose
+properties are about the matrix, build it.
 Reference states (the maximally mixed state, a displaced state's original,
 the coherent fiducial) are scored by the same kernels, which round each
 state exactly as a lone one, so the margins are bit-identical to a
@@ -23,7 +29,6 @@ A Fourier-swapped state F^dag rho F is two FFTs of the whole matrix, a route
 to the momenta independent of the momentum kernel's wrapped-diagonal sums.
 """
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +36,7 @@ import numpy as np
 from qgini.gini import _gini_rows, _ginis, gini_cap
 from qgini.lorenz import _comonotonic_rows, _lorenz_rows
 from qgini.qsystem import _STACK_BYTES, QuantumSystem, _distribution_rows, _fourier_conjugated, check_budget
-from qgini.sampling import _density_draw, _density_entries, random_state_vector, split_seed
+from qgini.sampling import _density_distributions, _density_draw, _density_entries, random_state_vector, split_seed
 
 EQ_TOL = 1e-12        # algebraic identities evaluated in floats
 INEQ_SLACK = 1e-12    # slack granted to inequalities
@@ -49,41 +54,65 @@ class CheckResult:
     detail: str
 
 
-def _chunks(items, size: int):
+def _chunks(items, size):
     """Lists of consecutive items, each stacking to at most _STACK_BYTES.
 
-    An item stacks to `size` complex entries, counting every state the
-    caller stacks for it: 3 per mixture sample (the mixture and its two
-    parts), 2 per Fourier-swap state, 2 d x d blocks per resolution alpha
-    (the coherent rows and their product). At d = 41 a stack holds 9
-    density states, which the momentum kernel gathers at once. A chunk
-    holds at least one item, even one larger than the ceiling. A generator
-    of draws is consumed chunk by chunk, in draw order.
+    An item stacks to `size` complex entries, or to size(item) when size is
+    a function, counting every state the caller stacks for it: 2 per
+    Fourier-swap state, 2 d x d blocks per resolution alpha (the coherent
+    rows and their product), and for a density draw scored from its
+    ensemble, its Haar rows and their distribution rows (see _rows_size).
+    At d = 41 a stack holds 9 displaced density states. A chunk holds at
+    least one item, even one larger than the ceiling. A generator of draws
+    is consumed in draw order, one item ahead of the chunk it closes.
     """
-    rows = max(1, _STACK_BYTES // (16 * size))
-    items = iter(items)
-    while chunk := list(itertools.islice(items, rows)):
+    weigh = size if callable(size) else lambda item: size
+    chunk, total = [], 0
+    for item in items:
+        nbytes = 16 * weigh(item)
+        if chunk and total + nbytes > _STACK_BYTES:
+            yield chunk
+            chunk, total = [], 0
+        chunk.append(item)
+        total += nbytes
+    if chunk:
         yield chunk
 
 
-def _density_stacks(d: int, samples: int, rng, stacked: int = 1):
+def _rows_size(draw) -> int:
+    """A density draw's k Haar rows (k d complex entries) and their (k, 2, d) distribution rows, in complex entries."""
+    return draw[1].size
+
+
+def _density_stacks(d: int, samples: int, rng):
     """Stacks of `samples` random density matrices, drawn one by one and built a chunk at a time.
 
-    The caller stacks `stacked` d x d states per draw, and the chunks count them all.
+    The Fourier-swap suite stacks each with its swapped state, and the chunks count both.
     """
-    for chunk in _chunks((_density_draw(d, rng) for _ in range(samples)), stacked * d * d):
+    for chunk in _chunks((_density_draw(d, rng) for _ in range(samples)), 2 * d * d):
         yield _density_entries(chunk)
 
 
+def _distribution_stacks(d: int, samples: int, rng):
+    """(n, 2, d) distributions of `samples` random density states, drawn one by one and scored a chunk at a time."""
+    for chunk in _chunks((_density_draw(d, rng) for _ in range(samples)), _rows_size):
+        yield _density_distributions(chunk)
+
+
 def _mixture_stacks(d: int, samples: int, rng):
-    """Stacks of (rho, sigma, lam, lam * rho + (1 - lam) * sigma), drawn rho, sigma, lam per sample."""
+    """Pairs of the (3, n, 2, d) distributions of tau, rho, sigma and the n weights lam, drawn rho, sigma, lam per sample.
+
+    tau = lam * rho + (1 - lam) * sigma, and Born's rule is linear, so
+    p(tau) = lam * p(rho) + (1 - lam) * p(sigma).
+    """
     draws = ((_density_draw(d, rng), _density_draw(d, rng), rng.uniform()) for _ in range(samples))
-    # tau, rho and sigma are scored as one stack
-    for chunk in _chunks(draws, 3 * d * d):
+    for chunk in _chunks(draws, lambda sample: _rows_size(sample[0]) + _rows_size(sample[1])):
         rho, sigma, lam = zip(*chunk)
-        rho, sigma, lam = _density_entries(rho), _density_entries(sigma), np.array(lam)
+        # the rho and sigma draws of a chunk are scored in one call
+        a, b = np.split(_density_distributions(rho + sigma), 2)
+        lam = np.array(lam)
         w = lam[:, None, None]
-        yield rho, sigma, lam, w * rho + (1.0 - w) * sigma
+        yield np.stack((w * a + (1.0 - w) * b, a, b)), lam
 
 
 def _check_lorenz_bound(system, samples, rng):
@@ -91,19 +120,17 @@ def _check_lorenz_bound(system, samples, rng):
     d = system.d
     line = np.arange(1, d + 1) / d
     worst = -np.inf
-    for rho in _density_stacks(d, samples, rng):
-        worst = max(worst, float(np.max(_lorenz_rows(_distribution_rows(rho)) - line)))
-        # frees the stack before the next chunk is drawn and built
-        del rho
+    for p in _distribution_stacks(d, samples, rng):
+        worst = max(worst, float(np.max(_lorenz_rows(p) - line)))
     return worst <= INEQ_SLACK, f"max excess over the uniform line {worst:.2e}"
 
 
 def _check_superadditive(system, samples, rng):
     """Lorenz values of a mixture dominate the mixture of Lorenz values."""
     worst = np.inf
-    for rho, sigma, lam, tau in _mixture_stacks(system.d, samples, rng):
+    for p, lam in _mixture_stacks(system.d, samples, rng):
         w = lam[:, None, None]
-        mixed, a, b = _lorenz_rows(_distribution_rows(np.stack((tau, rho, sigma))))
+        mixed, a, b = _lorenz_rows(p)
         worst = min(worst, float(np.min(mixed - (w * a + (1 - w) * b))))
     return worst >= -INEQ_SLACK, f"min mixture margin {worst:.2e}"
 
@@ -152,11 +179,9 @@ def _check_gini_range(system, samples, rng):
     """Both indices stay inside [0, (d-1)/(d+1)]."""
     cap = gini_cap(system.d)
     worst = -np.inf
-    for rho in _density_stacks(system.d, samples, rng):
-        g = _ginis(rho)
+    for p in _distribution_stacks(system.d, samples, rng):
+        g = _gini_rows(p)
         worst = max(worst, float(np.max(np.maximum(-g, g - cap))))
-        # frees the stack before the next chunk is drawn and built
-        del rho
     return worst <= INEQ_SLACK, f"max range violation {worst:.2e}"
 
 
@@ -174,9 +199,9 @@ def _check_dual_form(system, samples, rng):
 def _check_subadditive(system, samples, rng):
     """Each index, and their sum, is convex under mixing."""
     worst = -np.inf
-    for rho, sigma, lam, tau in _mixture_stacks(system.d, samples, rng):
+    for p, lam in _mixture_stacks(system.d, samples, rng):
         w = lam[:, None]
-        g = _ginis(np.stack((tau, rho, sigma)))
+        g = _gini_rows(p)
         # columns g_x, g_p and g_xp of tau, rho and sigma
         m, a, b = np.concatenate((g, g.sum(axis=-1, keepdims=True)), axis=-1)
         worst = max(worst, float(np.max(m - (w * a + (1 - w) * b))))
@@ -227,7 +252,7 @@ def _check_displacement_invariance(system, samples, rng):
 def _check_fourier_swap(system, samples, rng):
     """Conjugating by F trades the two distributions and preserves g_xp."""
     worst = 0.0
-    for rho in _density_stacks(system.d, max(samples // 10, 1), rng, stacked=2):
+    for rho in _density_stacks(system.d, max(samples // 10, 1), rng):
         p = _distribution_rows(np.stack((_fourier_conjugated(rho), rho)))
         g_swapped, g_xp = _gini_rows(p).sum(axis=-1)
         # the swapped states' positions are the states' momenta

@@ -6,9 +6,12 @@ reproduces the exact same states on every platform numpy supports.
 A density draw has two parts. Its generator calls (the component count,
 the Dirichlet weights, one block of Haar normals) run one sample at a time,
 because their order is the seed contract. Its arithmetic runs once for a
-stack of draws: the normalization, the weights and the conjugates in one
-pass, then one (d, k) @ (k, d) product per draw, so each matrix has the
-bits of a lone draw.
+stack of draws, by one of two routes. The matrix route normalizes, weights
+and conjugates the rows in one pass, then takes one (d, k) @ (k, d)
+product per draw. The ensemble route builds no matrix: Born's rule is
+linear in rho, so a draw's two measurement distributions are the weighted
+sum of its Haar rows' pure distributions, all rows scored by one FFT call.
+Either way each draw has the bits of a lone draw.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from qgini.errors import ValidationError
-from qgini.qsystem import DensityMatrix, StateVector, _check_integer, _trusted, check_dimension
+from qgini.qsystem import DensityMatrix, StateVector, _check_integer, _distribution_rows, _trusted, check_dimension
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -104,3 +107,18 @@ def _density_entries(draws) -> np.ndarray:
     for i, (start, end) in enumerate(zip(bounds, bounds[1:])):
         np.matmul(scaled[start:end].T, amps[start:end], out=stack[i])
     return stack
+
+
+def _density_distributions(draws) -> np.ndarray:
+    """The (n, 2, d) position and momentum distributions of n draws of one dimension, with no matrix.
+
+    p(rho) = sum_i w_i p(v_i): the draws' Haar rows (see _haar_rows) take
+    the pure kernel qsystem._distribution_rows in one call, and each draw's
+    weighted rows are added by np.add.reduceat, which starts from the
+    draw's first row and adds the rest by numpy's pairwise sum, so a draw
+    rounds as a lone draw does in any stack, at any thread count.
+    """
+    weights, parts = zip(*draws)
+    p = _distribution_rows(_haar_rows(parts), True)
+    p *= np.concatenate(weights)[:, None, None]
+    return np.add.reduceat(p, np.cumsum([0, *map(len, weights[:-1])]), axis=0)

@@ -100,15 +100,31 @@ def reference_density(d, gen):
     return (amps.T * weights) @ amps.conj()
 
 
+def reference_distributions(d, gen):
+    # the same draw scored from its ensemble: the weighted position and
+    # momentum distributions of its Haar rows, the first row plus numpy's
+    # pairwise sum of the others
+    k = int(gen.integers(1, d + 1))
+    weights = gen.dirichlet(np.ones(k))
+    parts = gen.standard_normal((k, 2, d))
+    amps = parts[:, 0] + 1j * parts[:, 1]
+    amps = amps / np.linalg.norm(amps, axis=1, keepdims=True)
+    momenta = np.fft.fft(amps, norm="ortho")
+    rows = weights[:, None, None] * np.stack((amps.real**2 + amps.imag**2, momenta.real**2 + momenta.imag**2), axis=1)
+    return rows[0] + np.ascontiguousarray(np.moveaxis(rows[1:], 0, -1)).sum(axis=-1)
+
+
 # a density draw's generator calls run per sample and its arithmetic per
-# chunk; each matrix must keep the bits of the one-at-a-time draw, and the
-# generator must end where the one-at-a-time draws leave it
+# chunk; each matrix, and each draw's distributions scored from its
+# ensemble, must keep the bits of the one-at-a-time draw, and the generator
+# must end where the one-at-a-time draws leave it
 @pytest.mark.parametrize("ceiling", ["default", "four-rows", "one-byte"])
 @pytest.mark.parametrize("d", [3, 5, 11, 41])
 def test_density_draws_keep_the_bits_and_the_stream(monkeypatch, d, ceiling):
     if ceiling != "default":
         monkeypatch.setattr(checks, "_STACK_BYTES", 4 * 16 * d * d if ceiling == "four-rows" else 1)
-    rows = max(1, checks._STACK_BYTES // (16 * d * d))
+    # the Fourier-swap suite's matrices count twice, with their swapped states
+    rows = max(1, checks._STACK_BYTES // (2 * 16 * d * d))
     count = 11
     ref, stacked, lone = (np.random.default_rng(d) for _ in range(3))
     want = [reference_density(d, ref) for _ in range(count)]
@@ -121,17 +137,51 @@ def test_density_draws_keep_the_bits_and_the_stream(monkeypatch, d, ceiling):
     assert stacked.bit_generator.state == ref.bit_generator.state
     assert lone.bit_generator.state == ref.bit_generator.state
 
+    ref, stacked = np.random.default_rng(d), np.random.default_rng(d)
+    want = [reference_distributions(d, ref) for _ in range(count)]
+    got = np.concatenate(list(checks._distribution_stacks(d, count, stacked)))
+    assert got.shape == (count, 2, d)
+    for i in range(count):
+        assert np.array_equal(bits(got[i]), bits(want[i]))
+    assert stacked.bit_generator.state == ref.bit_generator.state
+
     # mixtures draw rho, sigma, then the weight, per sample
     ref, stacked = np.random.default_rng(d + 1), np.random.default_rng(d + 1)
     want = []
     for _ in range(count):
-        rho, sigma, lam = reference_density(d, ref), reference_density(d, ref), ref.uniform()
-        want.append((rho, sigma, lam, lam * rho + (1.0 - lam) * sigma))
-    got = [np.concatenate(column) for column in zip(*checks._mixture_stacks(d, count, stacked))]
-    for i, expected in enumerate(want):
+        rho, sigma, lam = reference_distributions(d, ref), reference_distributions(d, ref), ref.uniform()
+        want.append((lam * rho + (1.0 - lam) * sigma, rho, sigma, lam))
+    stacks, lams = zip(*checks._mixture_stacks(d, count, stacked))
+    got, lams = np.concatenate(stacks, axis=1), np.concatenate(lams)
+    assert got.shape == (3, count, 2, d)
+    for i, (*expected, lam) in enumerate(want):
         for column, value in zip(got, expected):
             assert np.array_equal(bits(column[i]), bits(value))
+        assert bits(lams[i]) == bits(lam)
     assert stacked.bit_generator.state == ref.bit_generator.state
+
+
+# a chunk of draws scored from their ensembles counts each draw's Haar rows
+# and their distribution rows, 16 bytes per normal, and holds at least one
+# item: a draw, or a mixture sample's two draws
+@pytest.mark.parametrize("ceiling", [2**18, 4 * 16 * 41 * 41, 1])
+@pytest.mark.parametrize("stacks, per_item", [("_distribution_stacks", 1), ("_mixture_stacks", 2)])
+def test_ensemble_chunks_count_every_draws_rows(monkeypatch, stacks, per_item, ceiling):
+    monkeypatch.setattr(checks, "_STACK_BYTES", ceiling)
+    chunks = []
+    kernel = checks._density_distributions
+
+    def recording(draws):
+        chunks.append([16 * parts.size for _, parts in draws])
+        return kernel(draws)
+
+    monkeypatch.setattr(checks, "_density_distributions", recording)
+    list(getattr(checks, stacks)(41, 40, np.random.default_rng(41)))
+    assert sum(map(len, chunks)) == 40 * per_item and len(chunks) > 1
+    for sizes in chunks:
+        assert sum(sizes) <= ceiling or len(sizes) == per_item, (ceiling, sizes)
+    if ceiling == 1:
+        assert len(chunks) == 40
 
 
 def test_comonotonic_suite_stops_at_a_rejected_pair_in_a_later_chunk(monkeypatch):
@@ -269,23 +319,30 @@ def test_every_scored_stack_stays_within_the_ceiling(monkeypatch, d, suite):
         assert all(nbytes <= max(ceiling, item[name]) for name, nbytes in stacks), (ceiling, stacks)
 
 
-# the mixture suites score tau, rho and sigma of a chunk as one stack: one
-# wrapped-diagonal gather (one _momentum_rows call) per chunk of 4 draws,
-# each counted as its three states
+# the mixture suites score the rho and sigma draws of a chunk from their
+# ensembles: one pure FFT momentum call per chunk, no density momentum
+# kernel, and tau's distributions are mixed from theirs
 @pytest.mark.parametrize("suite", ["_check_superadditive", "_check_subadditive"])
 def test_mixture_suites_take_one_momentum_call_per_chunk(monkeypatch, suite):
     monkeypatch.setattr(checks, "_STACK_BYTES", 4 * 3 * 16 * 5 * 5)
-    calls = []
-    kernel = qsystem._momentum_rows
+    calls, chunks = [], []
+    kernel, stacks = qsystem._momentum_rows, checks._mixture_stacks
 
     def counting(x, pure):
-        calls.append(x.shape)
+        calls.append(pure)
         return kernel(x, pure)
 
+    def chunked(*args):
+        for p, lam in stacks(*args):
+            chunks.append(len(lam))
+            yield p, lam
+
     monkeypatch.setattr(qsystem, "_momentum_rows", counting)
+    monkeypatch.setattr(checks, "_mixture_stacks", chunked)
     passed, detail = getattr(checks, suite)(QuantumSystem(5), 20, np.random.default_rng(5))
     assert passed, detail
-    assert calls == [(3, 4, 5, 5)] * 5
+    assert sum(chunks) == 20 and len(chunks) > 1
+    assert calls == [True] * len(chunks)
 
 
 @pytest.mark.parametrize("d", [5, 13])
@@ -348,10 +405,12 @@ def test_density_suites_free_each_stack_before_the_next_draw(suite):
 
 def test_suite_memory_does_not_grow_with_the_sample_count(monkeypatch):
     # states are drawn and scored in chunks of at most _STACK_BYTES, 4
-    # density matrices here (one mixture sample with its two parts), so 20
-    # and 200 samples peak alike (the first run fills numpy's caches)
+    # density matrices here, so 20 and 200 samples peak alike. Untraced runs
+    # of both counts first fill numpy's caches and CPython's free lists, so
+    # the traced peaks hold only the suites' arrays
     monkeypatch.setattr(checks, "_STACK_BYTES", 4 * 16 * 5 * 5)
     run_property_checks(5, samples=20, seed=3)
+    run_property_checks(5, samples=200, seed=3)
     _, small = traced_peak(lambda: run_property_checks(5, samples=20, seed=3))
     _, large = traced_peak(lambda: run_property_checks(5, samples=200, seed=3))
     assert large < 1.25 * small

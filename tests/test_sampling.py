@@ -14,6 +14,7 @@ from qgini import (
 )
 from qgini import sampling
 from qgini.errors import EvenDimension
+from qgini.qsystem import _distribution_rows
 
 from conftest import traced_peak
 
@@ -138,6 +139,20 @@ def test_density_stacks_keep_the_bits_of_the_concatenated_formula(d, count):
     rng = np.random.default_rng(1800 + d)
     draws = [sampling._density_draw(d, rng) for _ in range(count)]
     assert np.array_equal(bits(sampling._density_entries(draws)), bits(concatenated_density_entries(draws)))
+
+
+# a draw's distributions scored from its ensemble agree with its matrix's,
+# whose momenta take the wrapped-diagonal sums (streamed in blocks at
+# d = 201), and each draw keeps its lone bits in a stack
+@pytest.mark.parametrize("d", [3, 5, 11, 41, 201])
+def test_ensemble_distributions_match_the_density_matrices(d):
+    rng = np.random.default_rng(2100 + d)
+    draws = [sampling._density_draw(d, rng) for _ in range(5)]
+    got = sampling._density_distributions(draws)
+    assert got.shape == (5, 2, d)
+    assert np.max(np.abs(got - _distribution_rows(sampling._density_entries(draws)))) <= 1e-14
+    for draw, row in zip(draws, got):
+        assert np.array_equal(bits(sampling._density_distributions([draw])[0]), bits(row))
 
 
 def two_part_state(d, seed):
