@@ -404,10 +404,9 @@ def test_density_suites_free_each_stack_before_the_next_draw(suite):
 
 
 def test_suite_memory_does_not_grow_with_the_sample_count(monkeypatch):
-    # states are drawn and scored in chunks of at most _STACK_BYTES, 4
-    # density matrices here, so 20 and 200 samples peak alike. Untraced runs
-    # of both counts first fill numpy's caches and CPython's free lists, so
-    # the traced peaks hold only the suites' arrays
+    # states are drawn and scored in chunks of at most _STACK_BYTES, 4 d x d
+    # matrices here, so 20 and 200 samples peak alike. Untraced runs of both
+    # counts first fill numpy's caches and CPython's free lists
     monkeypatch.setattr(checks, "_STACK_BYTES", 4 * 16 * 5 * 5)
     run_property_checks(5, samples=20, seed=3)
     run_property_checks(5, samples=200, seed=3)
