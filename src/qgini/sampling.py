@@ -59,7 +59,10 @@ def _haar_rows(parts) -> np.ndarray:
     amps = np.empty((sum(map(len, parts)), d), dtype=np.complex128)
     # (k, 2, d) blocks land in a view of amps whose axis 1 is real, imaginary
     np.concatenate(parts, out=amps.view(np.float64).reshape(-1, d, 2).swapaxes(1, 2))
-    amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+    # numpy divides a complex by a real norm as (re, im) * (1 / norm): the
+    # same bits from the float view, without the complex division
+    flat = amps.view(np.float64)
+    flat *= 1.0 / np.linalg.norm(amps, axis=1, keepdims=True)
     return amps
 
 

@@ -385,22 +385,41 @@ def test_fourier_swap_builds_no_row_of_the_fourier_matrix(monkeypatch, d):
     assert passed, detail
 
 
-# a suite drops each stack before its generator draws and builds the next,
-# so at most two stacks of 9 density states (242,064 bytes at d = 41) and
-# the scoring temporaries of one are live at once; traced with each suite's
-# own child stream of `check --dim 41 --samples 20 --seed 7`
+# the Lorenz-bound and range suites score their density draws a chunk at a
+# time, from the ensembles: while a chunk is scored, only its draws, the
+# draw that closed it, the previous chunk's (n, 2, d) stack and the
+# temporaries of one _density_distributions call are live. The bound sums
+# those per chunk, replayed from each suite's own child stream of
+# `check --dim 41 --samples 60 --seed 7` (7 chunks), plus 16 KiB for Python
+# objects (about 6 KB were seen). Haar or distribution rows kept alive into
+# the next chunk would add 60-260 KB, and the draws of all chunks or the
+# stacks of every chunk at least 30 KB more.
 @pytest.mark.parametrize("suite", ["_check_lorenz_bound", "_check_gini_range"])
 def test_density_suites_free_each_stack_before_the_next_draw(suite):
+    d, samples = 41, 60
     index = [func.__name__ for _, func in checks._CHECKS].index(suite)
-    system = QuantumSystem(41)
+    system = QuantumSystem(d)
 
     def run():
-        return getattr(checks, suite)(system, 20, np.random.default_rng(split_seed(7, index)))
+        return getattr(checks, suite)(system, samples, np.random.default_rng(split_seed(7, index)))
 
     run()
     (passed, detail), peak = traced_peak(run)
     assert passed, detail
-    assert peak < 3.25 * 9 * 16 * 41**2
+
+    def nbytes(draw):
+        return draw[0].nbytes + draw[1].nbytes
+
+    rng = np.random.default_rng(split_seed(7, index))
+    chunks = list(checks._chunks([checks._density_draw(d, rng) for _ in range(samples)], checks._rows_size))
+    assert len(chunks) == 7
+    live, previous = [], 0
+    for i, chunk in enumerate(chunks):
+        stack, scoring = traced_peak(lambda: checks._density_distributions(chunk))
+        closing = nbytes(chunks[i + 1][0]) if i + 1 < len(chunks) else 0
+        live.append(scoring + sum(map(nbytes, chunk)) + closing + previous)
+        previous = stack.nbytes
+    assert peak <= max(live) + 16 * 1024
 
 
 def test_suite_memory_does_not_grow_with_the_sample_count(monkeypatch):

@@ -169,6 +169,19 @@ def test_state_vectors_keep_the_bits_of_the_two_part_formula(d):
         assert np.array_equal(bits(random_state_vector(d, seed).amplitudes), bits(two_part_state(d, seed)))
 
 
+def test_haar_rows_keep_the_bits_of_the_complex_division():
+    # the rows are scaled by the reciprocal norm through their float view;
+    # numpy's complex / real division computes the same bits, which every
+    # saved state and density file depends on
+    rng = np.random.default_rng(2600)
+    for d, k in ((3, 4000), (5, 1), (11, 20000), (41, 1000), (1001, 20)):
+        parts = [rng.standard_normal((k, 2, d)), rng.standard_normal((1, 2, d))]
+        blocks = np.concatenate(parts)
+        amps = blocks[:, 0] + 1j * blocks[:, 1]
+        amps /= np.linalg.norm(amps, axis=1, keepdims=True)
+        assert np.array_equal(bits(sampling._haar_rows(parts)), bits(amps)), d
+
+
 def test_density_stack_peak_stays_within_two_and_a_half_stacks():
     # the first chunk of 9 draws of `check --dim 41 --seed 7` (242 KB): the
     # rows, their weighted copy and the stack, with no concatenated copy
