@@ -6,10 +6,12 @@ pipeline, and reports a verdict with the worst observed margin. Identical
 (dimension, samples, seed) triples give identical verdicts.
 
 Suites draw their states in the order of a state-by-state loop (density
-states through sampling's draw kernels) and build and score them in stacks,
-chunk by chunk, so memory stays bounded whatever the sample count by
-qsystem._STACK_BYTES, the 256 KiB ceiling that the density momentum kernel
-also streams its blocks under. Both measurement profiles of a stack come as
+states through sampling's draw kernels, Dirichlet rows through
+sampling._flat_dirichlet, with the consecutive rows of a chunk or a sample
+in one generator call) and build and score them in stacks, chunk by chunk,
+so memory stays bounded whatever the sample count by qsystem._STACK_BYTES,
+the 256 KiB ceiling that the density momentum kernel also streams its
+blocks under. Both measurement profiles of a stack come as
 one (..., 2, d) array, and the states a suite compares within a chunk (a
 mixture and its two parts, a Fourier-swapped state and its original) share
 one stack, so each kernel runs once per chunk for both bases and every
@@ -36,7 +38,14 @@ import numpy as np
 from qgini.gini import _gini_rows, _ginis, gini_cap
 from qgini.lorenz import _comonotonic_rows, _lorenz_rows
 from qgini.qsystem import _STACK_BYTES, QuantumSystem, _distribution_rows, _fourier_conjugated, check_budget
-from qgini.sampling import _density_distributions, _density_draw, _density_entries, random_state_vector, split_seed
+from qgini.sampling import (
+    _density_distributions,
+    _density_draw,
+    _density_entries,
+    _flat_dirichlet,
+    random_state_vector,
+    split_seed,
+)
 
 EQ_TOL = 1e-12        # algebraic identities evaluated in floats
 INEQ_SLACK = 1e-12    # slack granted to inequalities
@@ -138,20 +147,20 @@ def _check_superadditive(system, samples, rng):
 def _check_comonotonic_additive(system, samples, rng):
     """Superadditivity tightens to equality on comonotonic diagonal pairs."""
     d = system.d
-    ones = np.ones(d)
     worst = 0.0
     for chunk in _chunks(range(samples), d):
-        # each sample's draws (permutation, two Dirichlets, weight, in that
-        # order) fill one row of the chunk's arrays; a list of arrays per
-        # draw would take several times the bytes of the rows
+        # each sample's draws (permutation, its two Dirichlet rows in one
+        # call, weight, in that order) fill one row of the chunk's arrays; a
+        # list of arrays per draw would take several times the bytes of the rows
         n = len(chunk)
-        perm, a, b, lam = np.empty((n, d), dtype=np.intp), np.empty((n, d)), np.empty((n, d)), np.empty(n)
+        perm, ab, lam = np.empty((n, d), dtype=np.intp), np.empty((2, n, d)), np.empty(n)
         for i in range(n):
-            perm[i], a[i], b[i] = rng.permutation(d), rng.dirichlet(ones), rng.dirichlet(ones)
+            perm[i] = rng.permutation(d)
+            ab[:, i] = _flat_dirichlet(rng, (2, d))
             lam[i] = rng.uniform()
         # Dirichlet draws are distributions by construction; one permutation
         # of the ascending entries orders both rows alike
-        pa, pb = (np.take_along_axis(np.sort(x, axis=-1), perm, axis=-1) for x in (a, b))
+        pa, pb = np.take_along_axis(np.sort(ab, axis=-1), perm[None], axis=-1)
         if not np.all(_comonotonic_rows(pa, pb)):
             return False, "constructed pair not recognized as comonotonic"
         w = lam[:, None]
@@ -189,8 +198,9 @@ def _check_dual_form(system, samples, rng):
     """The weighted-sort index matches its definition, 1 - 2/(d+1) * sum of the Lorenz values."""
     d = system.d
     worst = 0.0
-    for chunk in _chunks((rng.dirichlet(np.ones(d)) for _ in range(samples)), d):
-        p = np.array(chunk)
+    # consecutive Dirichlet draws: one generator call per chunk
+    for chunk in _chunks(range(samples), d):
+        p = _flat_dirichlet(rng, (len(chunk), d))
         definition = 1.0 - (2.0 / (d + 1.0)) * _lorenz_rows(p).sum(axis=-1)
         worst = max(worst, float(np.max(np.abs(_gini_rows(p) - np.maximum(definition, 0.0)))))
     return worst <= EQ_TOL, f"max disagreement between the two forms {worst:.2e}"
@@ -214,10 +224,11 @@ def _check_position_mixture_cap(system, samples, rng):
     cap = gini_cap(d)
     ks = np.arange(d)
     worst = -np.inf
-    # a Dirichlet diagonal is a density matrix by construction
-    for chunk in _chunks((rng.dirichlet(np.ones(d)) for _ in range(samples)), d * d):
+    # a Dirichlet diagonal is a density matrix by construction; the draws
+    # are consecutive, so a chunk's diagonals take one generator call
+    for chunk in _chunks(range(samples), d * d):
         rho = np.zeros((len(chunk), d, d), dtype=np.complex128)
-        rho[:, ks, ks] = chunk
+        rho[:, ks, ks] = _flat_dirichlet(rng, (len(chunk), d))
         worst = max(worst, float(np.max(_ginis(rho).sum(axis=-1) - cap)))
     return worst <= INEQ_SLACK, f"max excess of g_xp over the single-basis cap {worst:.2e}"
 

@@ -164,12 +164,36 @@ class StateVector:
         return f"StateVector(dim={self.dim})"
 
 
+def _shifted_cholesky_succeeds(m: np.ndarray) -> bool:
+    """Whether M + EIGEN_TOL I, of a finite Hermitian M, has a finite Cholesky factor.
+
+    A factor exists only when the shift is positive definite, that is when
+    every eigenvalue of M exceeds -EIGEN_TOL, up to the factorization's
+    round-off. One factorization costs a fraction of an eigenvalue solve.
+    M is shifted in place and its diagonal restored bit for bit, so no
+    shifted copy adds a d x d matrix to the peak.
+    """
+    diagonal = m.diagonal().copy()
+    np.fill_diagonal(m, diagonal + EIGEN_TOL)
+    try:
+        factor = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        np.fill_diagonal(m, diagonal)
+    return bool(np.isfinite(factor).all())
+
+
 class DensityMatrix:
     """A Hermitian, unit-trace, positive-semidefinite matrix.
 
     Hermiticity and trace are checked entrywise within HERMITIAN_TOL and
     TRACE_TOL; positivity means the smallest eigenvalue is at least
-    -EIGEN_TOL (round-off is tolerated, genuine negativity is not).
+    -EIGEN_TOL (round-off is tolerated, genuine negativity is not). A matrix
+    M whose shift M + EIGEN_TOL I has a finite Cholesky factor is positive
+    within that tolerance and is accepted by that one factorization; any
+    other matrix is judged by its smallest eigenvalue, which the rejection
+    names.
     """
 
     def __init__(self, entries):
@@ -187,9 +211,10 @@ class DensityMatrix:
             raise NotHermitian(f"matrix is not Hermitian: max |M - M^dag| = {herm_dev:.3e}")
         if not trace_dev <= TRACE_TOL:
             raise TraceNotOne(f"trace deviates from 1 by {trace_dev:.3e}")
-        smallest = float(np.linalg.eigvalsh(m)[0])
-        if not smallest >= -EIGEN_TOL:
-            raise NotPositive(f"matrix is not positive semidefinite: smallest eigenvalue {smallest:.3e}")
+        if not _shifted_cholesky_succeeds(m):
+            smallest = float(np.linalg.eigvalsh(m)[0])
+            if not smallest >= -EIGEN_TOL:
+                raise NotPositive(f"matrix is not positive semidefinite: smallest eigenvalue {smallest:.3e}")
         m.setflags(write=False)
         self.dim = int(m.shape[0])
         self.entries = m

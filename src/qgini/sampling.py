@@ -3,6 +3,11 @@
 All sampling goes through :class:`numpy.random.Generator`, so a fixed seed
 reproduces the exact same states on every platform numpy supports.
 
+Flat Dirichlet weights come from _flat_dirichlet: standard exponentials,
+each row scaled by its sum, which is how numpy's Dirichlet computes them,
+so the bits and the generator state are numpy's. Weight vectors drawn one
+after another with no other draw between them share one generator call.
+
 A density draw has two parts. Its generator calls (the component count,
 the Dirichlet weights, one block of Haar normals) run one sample at a time,
 because their order is the seed contract. Its arithmetic runs once for a
@@ -66,6 +71,19 @@ def _haar_rows(parts) -> np.ndarray:
     return amps
 
 
+def _flat_dirichlet(gen: np.random.Generator, shape) -> np.ndarray:
+    """Flat Dirichlet rows of the given shape, with the bits and generator state of one dirichlet(np.ones(k)) per row.
+
+    gamma(1) is the standard exponential, and numpy's Dirichlet sums a row's
+    gammas in order and multiplies each by the reciprocal of the sum; the
+    row is the same standard exponentials and the same sequential sum.
+    A block of n rows is one call and equals n consecutive calls.
+    """
+    e = gen.standard_exponential(shape)
+    e *= 1.0 / np.add.accumulate(e, axis=-1)[..., -1:]
+    return e
+
+
 def random_state_vector(d: int, rng) -> StateVector:
     """Draw a Haar-distributed pure state: complex standard normal, normalized."""
     check_dimension(d)
@@ -87,7 +105,7 @@ def random_density_matrix(d: int, rng) -> DensityMatrix:
 def _density_draw(d: int, gen: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The generator calls of one density draw, in order: k, k Dirichlet weights, k (2, d) normal blocks."""
     k = int(gen.integers(1, d + 1))
-    weights = gen.dirichlet(np.ones(k))
+    weights = _flat_dirichlet(gen, k)
     return weights, gen.standard_normal((k, 2, d))
 
 

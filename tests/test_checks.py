@@ -184,6 +184,51 @@ def test_ensemble_chunks_count_every_draws_rows(monkeypatch, stacks, per_item, c
         assert len(chunks) == 40
 
 
+# the flat Dirichlet suites draw one generator block per chunk, never the
+# whole suite's (samples, d) block, and the chunking moves no margin
+@pytest.mark.parametrize("ceiling", ["default", "four-rows"])
+@pytest.mark.parametrize("suite, per_item", [("_check_dual_form", 5), ("_check_position_mixture_cap", 25)])
+def test_dirichlet_suites_draw_one_block_per_chunk(monkeypatch, suite, per_item, ceiling):
+    d, samples = 5, 2000
+    want = getattr(checks, suite)(QuantumSystem(d), samples, np.random.default_rng(2000))
+    if ceiling == "four-rows":
+        monkeypatch.setattr(checks, "_STACK_BYTES", 4 * 16 * per_item)
+    rows = max(1, checks._STACK_BYTES // (16 * per_item))
+    shapes = []
+    kernel = checks._flat_dirichlet
+
+    def recording(gen, shape):
+        shapes.append(shape)
+        return kernel(gen, shape)
+
+    monkeypatch.setattr(checks, "_flat_dirichlet", recording)
+    assert getattr(checks, suite)(QuantumSystem(d), samples, np.random.default_rng(2000)) == want
+    assert shapes == [(min(rows, samples - start), d) for start in range(0, samples, rows)]
+    if ceiling == "four-rows":
+        assert len(shapes) == 500
+
+
+# a comonotonic sample draws its permutation, its two Dirichlet rows in one
+# (2, d) block and its weight, in the order of the per-draw loop
+def test_comonotonic_suite_keeps_the_stream_of_the_per_draw_loop(monkeypatch):
+    d, samples = 11, 50
+    shapes = []
+    kernel = checks._flat_dirichlet
+
+    def recording(gen, shape):
+        shapes.append(shape)
+        return kernel(gen, shape)
+
+    monkeypatch.setattr(checks, "_flat_dirichlet", recording)
+    rng, ref = np.random.default_rng(50), np.random.default_rng(50)
+    passed, detail = checks._check_comonotonic_additive(QuantumSystem(d), samples, rng)
+    assert passed, detail
+    assert shapes == [(2, d)] * samples
+    for _ in range(samples):
+        ref.permutation(d), ref.dirichlet(np.ones(d)), ref.dirichlet(np.ones(d)), ref.uniform()
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
 def test_comonotonic_suite_stops_at_a_rejected_pair_in_a_later_chunk(monkeypatch):
     # chunks of 4 draws at d = 5; the predicate rejects one pair of the
     # second chunk, and the suite reports it without scoring further chunks

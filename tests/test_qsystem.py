@@ -469,6 +469,49 @@ def test_validate_density_taxonomy():
         validate_density(np.diag([1.5, -0.5, 0.0]))
 
 
+# positivity is one Cholesky factorization of rho + EIGEN_TOL I; a matrix
+# it refuses is judged by its smallest eigenvalue, which the message names.
+# At exactly -EIGEN_TOL the shift is singular, so the eigenvalue test
+# accepts what the factorization refuses
+@pytest.mark.parametrize(
+    "low, accepted, eigen_calls",
+    [(0.0, True, 0), (-0.5, True, 0), (-1.0, True, 1), (-2.0, False, 1)],
+    ids=["zero", "half-tol", "tol", "twice-tol"],
+)
+@pytest.mark.parametrize("d", [3, 41])
+def test_positivity_is_one_factorization_then_the_eigenvalues(monkeypatch, d, low, accepted, eigen_calls):
+    low *= qsystem.EIGEN_TOL
+    diagonal = np.full(d, 1.0 / (d - 1))
+    diagonal[0] -= low
+    diagonal[-1] = low
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(m):
+        calls.append(m.shape)
+        return eigvalsh(m)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    if accepted:
+        # the factorization shifts the matrix in place and restores its diagonal
+        entries = validate_density(np.diag(diagonal)).entries
+        assert np.array_equal(entries.view(np.uint64), np.diag(diagonal).astype(complex).view(np.uint64))
+    else:
+        with pytest.raises(NotPositive, match=r"^matrix is not positive semidefinite: smallest eigenvalue -2\.000e-10$"):
+            validate_density(np.diag(diagonal))
+    assert len(calls) == eigen_calls
+    # the same spectrum in a rotated basis takes the same path; at exactly
+    # -EIGEN_TOL the rotation's round-off picks the side, so it is left out
+    q, _ = np.linalg.qr(np.random.default_rng(d).standard_normal((d, d)))
+    rotated = (q * diagonal) @ q.T
+    if low > -qsystem.EIGEN_TOL:
+        assert validate_density(rotated).dim == d
+        assert len(calls) == eigen_calls
+    elif not accepted:
+        with pytest.raises(NotPositive, match=r"smallest eigenvalue -2\.000e-10$"):
+            validate_density(rotated)
+
+
 # ---- measurement distributions ----
 
 
@@ -740,13 +783,14 @@ def test_trusted_results_pass_the_public_validators(d):
 
 
 def test_internal_ops_skip_the_dense_revalidation(monkeypatch, capsys):
-    # eigvalsh (positivity) and the density and distribution checks
+    # eigvalsh and cholesky (positivity) and the density and distribution checks
     # run only at the boundary, never on the way from a dimension or a
     # sampled state to a report, an estimate or a distribution
     def refuse(*args, **kwargs):
         raise AssertionError("validation ran on an internal result")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "cholesky", refuse)
     for cls in (DensityMatrix, ProbabilityDistribution):
         monkeypatch.setattr(cls, "__init__", refuse)
     assert cli.run(["example", "--dim", "5"]) == 0

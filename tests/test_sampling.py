@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from qgini import (
     new_system,
     random_density_matrix,
     random_state_vector,
+    save_state_file,
     split_seed,
 )
 from qgini import sampling
@@ -180,6 +183,39 @@ def test_haar_rows_keep_the_bits_of_the_complex_division():
         amps = blocks[:, 0] + 1j * blocks[:, 1]
         amps /= np.linalg.norm(amps, axis=1, keepdims=True)
         assert np.array_equal(bits(sampling._haar_rows(parts)), bits(amps)), d
+
+
+# flat Dirichlet rows are standard exponentials over their sequential sum,
+# the draws of numpy's Dirichlet at alpha = 1: every sampled state, check
+# margin and saved file depends on these bits and on where the stream ends
+@pytest.mark.parametrize("k", [1, 2, 3, 9, 41, 401])
+def test_flat_dirichlet_keeps_the_bits_and_the_stream_of_numpy_dirichlet(k):
+    ones = np.ones(k)
+    for seed in range(50):
+        ref, gen = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert np.array_equal(bits(sampling._flat_dirichlet(gen, k)), bits(ref.dirichlet(ones))), seed
+        assert gen.bit_generator.state == ref.bit_generator.state
+        # a block of n rows is n consecutive draws
+        n = 1 + seed % 7
+        want = np.stack([ref.dirichlet(ones) for _ in range(n)])
+        assert np.array_equal(bits(sampling._flat_dirichlet(gen, (n, k))), bits(want)), seed
+        assert gen.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "name, make",
+    [
+        ("pure-d5-s7.json", lambda: random_state_vector(5, 7)),
+        ("density-d5-s7.json", lambda: random_density_matrix(5, 7)),
+        ("density-d41-s7.json", lambda: random_density_matrix(41, 7)),
+    ],
+)
+def test_sampled_states_write_the_saved_files(tmp_path, name, make):
+    # the saved files were written by earlier sampling code; a draw that
+    # moved by one bit, or a generator call out of order, changes the bytes
+    path = tmp_path / name
+    save_state_file(path, make())
+    assert path.read_bytes() == (Path(__file__).parent / "data" / name).read_bytes()
 
 
 def test_density_stack_peak_stays_within_two_and_a_half_stacks():

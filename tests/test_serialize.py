@@ -224,7 +224,12 @@ def test_report_documents_match_the_per_scalar_writer(capsys, d, which):
 
 
 @pytest.mark.parametrize(
-    "name, kind, field", [("pure-d5-s7.json", "pure", "amplitudes"), ("density-d5-s7.json", "density", "entries")]
+    "name, kind, field",
+    [
+        ("pure-d5-s7.json", "pure", "amplitudes"),
+        ("density-d5-s7.json", "density", "entries"),
+        ("density-d41-s7.json", "density", "entries"),
+    ],
 )
 def test_state_files_match_the_per_scalar_writer(name, kind, field):
     state = load_state_file(DATA / name)
