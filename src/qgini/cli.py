@@ -188,9 +188,10 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 def _sweep_row(dim: int, args: argparse.Namespace) -> dict:
     system = new_system(dim)
     estimate = estimate_sup_gini(system, restarts=args.restarts, iterations=args.iters, seed=args.seed)
-    record = _build_record(system, estimate.best_state, "estimate_best", estimate=estimate)
-    record["example_g_xp"] = gini_report(system, example_state(system)).g_xp
-    return {column: record[column] for column in SWEEP_COLUMNS}
+    b = estimate.bounds
+    example_g_xp = gini_report(system, example_state(system)).g_xp
+    values = (dim, b.gini_cap, b.g_lower, b.eta_upper, example_g_xp, estimate.g_sup_estimate, estimate.eta_estimate)
+    return dict(zip(SWEEP_COLUMNS, values))
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:

@@ -7,7 +7,9 @@ all states is the uncertainty coefficient of the dimension. The supremum has
 no known closed form; this module brackets it from below by the value of an
 explicit superposition state and sharpens the bracket with derivative-free
 search over pure states, each search finished by a matrix-free eigen-solve
-of the ordering operator of the state's own orderings.
+of the ordering operator of the state's own orderings. A restart is a
+complex amplitude row everywhere but inside the coordinate search, which
+alone steps the 2d real coordinates of a float view.
 """
 
 import bisect
@@ -153,17 +155,16 @@ class EtaEstimate:
 # ---- search internals -------------------------------------------------------
 
 
-def _combined_gini_objective(system: QuantumSystem):
-    """Fast combined-index evaluator over blocks of interleaved real vectors.
+def _combined_gini_objective(d: int):
+    """Fast combined-index evaluator over blocks of amplitude rows.
 
-    Each row of the (m, 2d) C-contiguous float64 block holds the 2d reals
-    (Re a_0, Im a_0, Re a_1, ...) of a unit-norm amplitude vector; callers
-    keep candidates on the unit sphere. Returns the m sums of both indices in
-    the weighted-sort form of :func:`qgini.gini.gini_weights`, so one call
-    scores a whole block of candidates. Both distributions come from the
-    same two kernels every report takes them from (qsystem._position_rows and
-    _momentum_rows): momenta are the orthonormal FFT of each row, so F is
-    never built.
+    Each row of the (m, d) complex128 block is a unit-norm amplitude vector;
+    callers keep candidates on the unit sphere. Returns the m sums of both
+    indices in the weighted-sort form of :func:`qgini.gini.gini_weights`, so
+    one call scores a whole block of candidates. Both distributions come
+    from the same two kernels every report takes them from
+    (qsystem._position_rows and _momentum_rows): momenta are the orthonormal
+    FFT of each row, so F is never built.
 
     The FFT transforms each row on its own and the weighted sums are per-row
     dot products, never one matrix-matrix product, so a row rounds exactly
@@ -171,11 +172,9 @@ def _combined_gini_objective(system: QuantumSystem):
     sits in, and the batched search accepts exactly the moves of a
     one-candidate-at-a-time search.
     """
-    d = system.d
     w, scale = gini_weights(d)
 
-    def objective(block: np.ndarray) -> np.ndarray:
-        z = block.view(np.complex128)
+    def objective(z: np.ndarray) -> np.ndarray:
         px, pp = _position_rows(z, True), _momentum_rows(z, True)
         px.sort(axis=-1)
         pp.sort(axis=-1)
@@ -196,12 +195,14 @@ def _row_norms(block: np.ndarray) -> np.ndarray:
 def _pattern_search(objective, starts, max_sweeps):
     """Greedy coordinate pattern search on the unit sphere, every start in lockstep.
 
-    Each start (a row of the (R, n) stack) runs its own search. One sweep
-    probes the candidates (coordinate 0, +step), (0, -step), (1, +step), ...
-    in that order, renormalizing each back to the sphere, and accepts the
-    first that improves on the best value; the sweep then resumes at the
-    next coordinate. A sweep without any accepted move halves the step,
-    which starts at INITIAL_STEP, and ranks the point's two distributions
+    Each start (a complex row of the (R, d) stack) runs its own search over
+    the reals (Re a_0, Im a_0, Re a_1, ...) of a float view, the only place
+    they appear; the objective scores complex blocks. One sweep probes the
+    candidates (coordinate 0, +step), (0, -step), (1, +step), ... in that
+    order, renormalizing each back to the sphere, and accepts the first that
+    improves on the best value; the sweep then resumes at the next
+    coordinate. A sweep without any accepted move halves the step, which
+    starts at INITIAL_STEP, and ranks the point's two distributions
     (_rank_weights, as the finish ranks them). A search stops when its step
     drops below MIN_STEP, when its rank weights equal those of its previous
     SETTLED_LEVELS halvings (its orderings, which the finish optimizes
@@ -216,18 +217,18 @@ def _pattern_search(objective, starts, max_sweeps):
     round, but a round always takes at least one search. Because the
     objective scores a row the same whatever block it is in, each search
     accepts exactly the moves it would accept run alone with its whole sweep
-    scored at once, whatever the window and the waiting. Returns the (R, n)
-    points the searches end at and their R values.
+    scored at once, whatever the window and the waiting. Returns the (R, d)
+    complex points the searches end at and their R values.
     """
-    x = np.array(starts, dtype=np.float64)
+    z = np.array(starts, dtype=np.complex128)
+    x = z.view(np.float64)  # the real coordinates, sharing z's memory
     x /= _row_norms(x)
     count, n = x.shape
-    w, _ = gini_weights(n // 2)
     # a block row is 8n bytes; the objective's temporaries take about 3x more:
     # the row's FFT (1x), then the position moduli and the FFT's two squares
     # and their sum (0.5x each)
     max_rows = max(1, _ROUND_BYTES // (32 * n))
-    best = np.concatenate([objective(x[i : i + max_rows]) for i in range(0, count, max_rows)])
+    best = np.concatenate([objective(z[i : i + max_rows]) for i in range(0, count, max_rows)])
     probe = min(PROBE_ROWS, max_rows)
     per_round = max_rows // probe
     coords = np.arange(2 * n) // 2
@@ -249,7 +250,7 @@ def _pattern_search(objective, starts, max_sweeps):
         block = x.take(owner, axis=0)
         block[np.arange(total), coords.take(cand)] += signs.take(cand) * step.take(owner)
         block /= _row_norms(block)
-        vals = objective(block)
+        vals = objective(block.view(np.complex128))
         better = (vals > best.take(owner)).nonzero()[0].tolist()
         ended = []
         for r, o, m in zip(ids, offsets, rows):
@@ -264,7 +265,7 @@ def _pattern_search(objective, starts, max_sweeps):
             if start[r] == 2 * n:
                 if not improved[r]:
                     step[r] *= 0.5
-                    own = _rank_weights(x[r : r + 1].view(np.complex128), w)
+                    own = _rank_weights(z[r : r + 1])
                     settled[r] = settled[r] + 1 if np.array_equal(own, ranks[r]) else 0
                     ranks[r] = own
                 if step[r] < MIN_STEP or settled[r] >= SETTLED_LEVELS or sweeps[r] == max_sweeps:
@@ -275,7 +276,7 @@ def _pattern_search(objective, starts, max_sweeps):
                     improved[r] = False
         if ended:
             live = [r for r in live if r not in ended]
-    return x, best
+    return z, best
 
 
 def _ordering_rows(z: np.ndarray, rx: np.ndarray, rp: np.ndarray) -> np.ndarray:
@@ -288,17 +289,15 @@ def _ordering_rows(z: np.ndarray, rx: np.ndarray, rp: np.ndarray) -> np.ndarray:
     return rx * z + np.fft.ifft(rp * np.fft.fft(z))
 
 
-def _rank_weights(z: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _rank_weights(z: np.ndarray) -> np.ndarray:
     """Rank weights of each row's position and momentum distributions, as an (m, 2, d) stack.
 
     The most probable index gets 1 and the least probable d: weight w[j] of
     gini_weights goes to the j-th smallest probability (stable order, so
-    ties break toward the lower index).
+    ties break toward the lower index), via the order's inverse permutation.
     """
-    p = _distribution_rows(z, True)
-    ranks = np.empty_like(p)
-    np.put_along_axis(ranks, p.argsort(axis=-1, kind="stable"), w, axis=-1)
-    return ranks
+    w, _ = gini_weights(z.shape[-1])
+    return w[_distribution_rows(z, True).argsort(axis=-1, kind="stable").argsort(axis=-1)]
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -387,29 +386,29 @@ def _bottom_vectors(z: np.ndarray, rx: np.ndarray, rp: np.ndarray):
     return out, certified
 
 
-def _finish(objective, w: np.ndarray, x: np.ndarray, best: np.ndarray):
+def _finish(z: np.ndarray, best: np.ndarray):
     """Finish searched restarts on the ordering operator, by alternating ascent.
 
-    x holds (m, 2d) unit rows of interleaved reals and best their values. A
-    row's own orderings give its operator M, whose bottom eigenvector scores
-    at least 2 - 2/(d+1) * lambda_min(M) >= the row's value. Each step
-    re-ranks the row and solves from it; the row moves only if the objective
-    re-scores the eigenvector above its value, or at it when the orderings
-    are a fixed point, so a value never falls. A row ends certified at a
-    fixed point or at a certified solve without gain (it then attains its
-    own lambda_min to rounding), and uncertified at an uncertified solve or
+    z holds (m, d) complex unit rows and best their values. A row's own
+    orderings give its operator M, whose bottom eigenvector scores at least
+    2 - 2/(d+1) * lambda_min(M) >= the row's value. Each step re-ranks the
+    row and solves from it; the row moves only if the objective re-scores
+    the eigenvector above its value, or at it when the orderings are a
+    fixed point, so a value never falls. A row ends certified at a fixed
+    point or at a certified solve without gain (it then attains its own
+    lambda_min to rounding), and uncertified at an uncertified solve or
     after _ASCENTS steps. Returns the rows, their values and which ended
     certified.
     """
-    x, best = x.copy(), best.copy()
-    z = x.view(np.complex128)
-    ranks = _rank_weights(z, w)
-    certified = np.zeros(len(x), dtype=bool)
-    live = np.arange(len(x))
+    objective = _combined_gini_objective(z.shape[-1])
+    z, best = z.copy(), best.copy()
+    ranks = _rank_weights(z)
+    certified = np.zeros(len(z), dtype=bool)
+    live = np.arange(len(z))
     for _ in range(_ASCENTS):
         vectors, solved = _bottom_vectors(z[live], ranks[live, 0], ranks[live, 1])
-        vals = objective(vectors.view(np.float64))
-        own = _rank_weights(vectors, w)
+        vals = objective(vectors)
+        own = _rank_weights(vectors)
         fixed = (own == ranks[live]).all(axis=(1, 2))
         gain = vals > best[live]
         accept = solved & (gain | (fixed & (vals == best[live])))
@@ -420,15 +419,13 @@ def _finish(objective, w: np.ndarray, x: np.ndarray, best: np.ndarray):
         live = live[go_on]
         if not live.size:
             break
-    return x, best, certified
+    return z, best, certified
 
 
-def _gauge_fixed(x: np.ndarray) -> StateVector:
-    """Amplitudes from interleaved reals, first nonzero entry made real positive."""
-    psi = x.view(np.complex128).copy()
-    k = int(np.flatnonzero(np.abs(psi) > 1e-12)[0])
-    psi *= np.conj(psi[k]) / abs(psi[k])
-    return StateVector.normalized(psi)
+def _gauge_fixed(z: np.ndarray) -> StateVector:
+    """The amplitudes z, first nonzero entry made real positive."""
+    k = int(np.flatnonzero(np.abs(z) > 1e-12)[0])
+    return StateVector.normalized(z * (np.conj(z[k]) / abs(z[k])))
 
 
 def estimate_sup_gini(
@@ -440,13 +437,13 @@ def estimate_sup_gini(
     """Estimate the supremum of g_x + g_p over all states of the system.
 
     The combined index is convex over mixing, so the supremum is approached
-    on pure states and the search runs over unit amplitude vectors only,
-    parameterized by 2d reals. Each restart performs a coordinate pattern
-    search (one iteration = one full sweep of the 2d coordinates, probing
-    +step and -step, halving the step after sweeps without improvement,
-    stopping below MIN_STEP or once its orderings settle); all restarts run
-    in lockstep, their candidates scored together in rounds of bounded
-    memory (see _pattern_search). Every restart, whichever stop ended its
+    on pure states and the search runs over complex unit amplitude rows
+    only. Each restart performs a coordinate pattern search (one iteration
+    = one full sweep of the 2d reals of its row, probing +step and -step,
+    halving the step after sweeps without improvement, stopping below
+    MIN_STEP or once its orderings settle); all restarts run in lockstep,
+    their candidates scored together in rounds of bounded memory (see
+    _pattern_search). Every restart, whichever stop ended its
     search, is then finished on the ordering operator
     M = diag(r_x) + F diag(r_p) F^dag of its own rank weights: it moves to
     the bottom eigenvector of M, found matrix-free from the searched point,
@@ -457,8 +454,9 @@ def estimate_sup_gini(
 
     Restart 0 starts from the example superposition state, which pins the
     estimate at or above the closed-form lower bound. Restart r >= 1 starts
-    from a standard-normal vector drawn from numpy's default generator seeded
-    with split_seed(seed, r). Each restart's result is the one it reaches run
+    from 2d standard normals, the real and imaginary parts of d amplitudes
+    in turn, drawn from numpy's default generator seeded with
+    split_seed(seed, r). Each restart's result is the one it reaches run
     alone, so a fixed (dimension, restarts, iterations, seed) tuple
     reproduces the result bit for bit. The reported value is the maximum over
     restarts, ties resolved toward the lowest restart index.
@@ -466,24 +464,22 @@ def estimate_sup_gini(
     check_search_budget(restarts, iterations)
     check_seed(seed)
     d = system.d
-    objective = _combined_gini_objective(system)
     bound_set = BoundSet(d)
-    starts = np.empty((restarts, 2 * d))
-    starts[0] = np.ascontiguousarray(example_state(system).amplitudes).view(np.float64)
+    starts = np.empty((restarts, d), dtype=np.complex128)
+    starts[0] = example_state(system).amplitudes
     for r in range(1, restarts):
-        starts[r] = np.random.default_rng(split_seed(seed, r)).standard_normal(2 * d)
-    x, best = _pattern_search(objective, starts, iterations)
-    w, _ = gini_weights(d)
+        starts[r].real, starts[r].imag = np.random.default_rng(split_seed(seed, r)).standard_normal((d, 2)).T
+    z, best = _pattern_search(_combined_gini_objective(d), starts, iterations)
     certified = np.empty(restarts, dtype=bool)
     chunk = max(1, _ROUND_BYTES // (_FINISH_ROW_BYTES * d))
     for i in range(0, restarts, chunk):
         part = slice(i, i + chunk)
-        x[part], best[part], certified[part] = _finish(objective, w, x[part], best[part])
+        z[part], best[part], certified[part] = _finish(z[part], best[part])
     r = int(best.argmax())
     return EtaEstimate(
         g_sup_estimate=float(best[r]),
         bound_set=bound_set,
-        best_state=_gauge_fixed(x[r]),
+        best_state=_gauge_fixed(z[r]),
         restarts=restarts,
         iterations=iterations,
         seed=seed,

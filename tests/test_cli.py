@@ -441,6 +441,7 @@ SEARCH_BUDGET = ["--restarts", "4", "--iters", "2000", "--seed", "7"]
             "estimate-d201-r1-i1-s7.json",
         ),
         (["estimate", "--dim", "15", "--seed", "42"], "estimate-d15-default-s42.json"),
+        (["estimate", "--dim", "25", "--seed", "42"], "estimate-d25-default-s42.json"),
     ],
 )
 def test_search_prints_the_saved_bytes(capsys, argv, name):

@@ -227,10 +227,10 @@ def test_estimate_metadata_fields(sys3):
     assert isinstance(est.converged, bool)
 
 
-def test_pattern_search_history_is_monotone(sys5):
-    objective = _combined_gini_objective(sys5)
+def test_pattern_search_history_is_monotone():
+    objective = _combined_gini_objective(5)
     rng = np.random.default_rng(13)
-    x0 = rng.standard_normal(10)
+    x0 = rng.standard_normal(10).view(np.complex128)
     # a run capped at k sweeps is a prefix of a longer run, so its best value
     # is the history of the uncapped run at sweep k
     hist = [_pattern_search(objective, x0[None, :], k)[1][0] for k in (1, 2, 3, 5, 10, 30, 100, 300)]
@@ -239,11 +239,11 @@ def test_pattern_search_history_is_monotone(sys5):
 
 def test_objective_matches_report_pipeline(sys5):
     # one call scores a block of rows; each row must match the report pipeline
-    objective = _combined_gini_objective(sys5)
+    objective = _combined_gini_objective(5)
     rng = np.random.default_rng(19)
     z = rng.standard_normal((25, 5)) + 1j * rng.standard_normal((25, 5))
     z /= np.linalg.norm(z, axis=1)[:, None]
-    values = objective(np.ascontiguousarray(z).view(np.float64))
+    values = objective(z)
     assert values.shape == (25,)
     for row, value in zip(z, values):
         rep = gini_report(sys5, pure_density(StateVector(row)))
@@ -254,8 +254,7 @@ def test_objective_matches_report_pipeline(sys5):
 def test_objective_rows_equal_the_distribution_kernel_bit_for_bit(d):
     # the search takes momenta by the formula every report takes them by,
     # and a row scores the same bits in any block
-    system = new_system(d)
-    objective = _combined_gini_objective(system)
+    objective = _combined_gini_objective(d)
     w, scale = gini_weights(d)
     rng = np.random.default_rng(d)
     for rows in (1, 7, 25):
@@ -265,7 +264,7 @@ def test_objective_rows_equal_the_distribution_kernel_bit_for_bit(d):
         p.sort(axis=-1)
         sums = _weighted_sums(p, w)
         expected = 2.0 - scale * (sums[:, 0] + sums[:, 1])
-        assert np.array_equal(objective(np.ascontiguousarray(z).view(np.float64)), expected)
+        assert np.array_equal(objective(z), expected)
 
 
 def sequential_pattern_search(system, x0, max_sweeps, settled_levels, step=INITIAL_STEP, min_step=MIN_STEP):
@@ -295,7 +294,7 @@ def sequential_pattern_search(system, x0, max_sweeps, settled_levels, step=INITI
     def orderings(x):
         return np.array([np.argsort(p, kind="stable") for p in distributions(x)])
 
-    x = np.array(x0, dtype=np.float64)
+    x = np.array(x0, dtype=np.complex128).view(np.float64)
     x /= np.linalg.norm(x)
     best = objective(x)
     history = [best]
@@ -323,14 +322,15 @@ def sequential_pattern_search(system, x0, max_sweeps, settled_levels, step=INITI
             if step < min_step or settled:
                 stop = "step" if step < min_step else "settled"
                 break
-    return x, best, stop, history
+    return x.view(np.complex128), best, stop, history
 
 
 def search_starts(system, count, seed=29):
-    """The estimator's starts: the example state, then seeded normal vectors."""
+    """The estimator's starts: the example state, then seeded normals read as interleaved amplitudes."""
     d = system.d
-    starts = [np.ascontiguousarray(example_state(system).amplitudes).view(np.float64)]
-    starts += [np.random.default_rng(split_seed(seed, r)).standard_normal(2 * d) for r in range(1, count)]
+    starts = [example_state(system).amplitudes]
+    for r in range(1, count):
+        starts.append(np.random.default_rng(split_seed(seed, r)).standard_normal(2 * d).view(np.complex128))
     return np.array(starts)
 
 
@@ -359,23 +359,22 @@ def test_lockstep_search_matches_each_start_alone(monkeypatch, d, probe_rows, se
     monkeypatch.setattr(uncertainty, "PROBE_ROWS", probe_rows)
     monkeypatch.setattr(uncertainty, "SETTLED_LEVELS", settled_levels)
     system = new_system(d)
-    objective = _combined_gini_objective(system)
-    w, _ = gini_weights(d)
+    objective = _combined_gini_objective(d)
     starts = search_starts(system, 9)
     for sweeps in (7, 2000):
         alone = [_pattern_search(objective, x0[None, :], sweeps) for x0 in starts]
-        finished_alone = [_finish(objective, w, *own) for own in alone]
+        finished_alone = [_finish(*own) for own in alone]
         reference = sequential_references(d, sweeps, settled_levels)
         for count in (1, 4, 9):
             x, best = _pattern_search(objective, starts[:count], sweeps)
-            assert x.shape == (count, 2 * d) and best.shape == (count,)
+            assert x.shape == (count, d) and x.dtype == np.complex128 and best.shape == (count,)
             for row, value, own, ref in zip(x, best, alone, reference):
                 ref_x, ref_best, _, _ = ref
                 assert abs(value - ref_best) <= 1e-12
                 assert np.max(np.abs(row - ref_x)) <= 1e-12
                 assert np.array_equal(row, own[0][0]) and value == own[1][0]
             # each restart is finished as it would be alone, and never loses value
-            rows, values, certified = _finish(objective, w, x, best)
+            rows, values, certified = _finish(x, best)
             for r, (own_rows, own_values, own_certified) in enumerate(finished_alone[:count]):
                 assert np.array_equal(rows[r], own_rows[0]) and values[r] == own_values[0]
                 assert certified[r] == own_certified[0]
@@ -411,8 +410,8 @@ def test_settled_orderings_cut_the_objective_calls(monkeypatch):
     objective = uncertainty._combined_gini_objective
     calls = []
 
-    def counting(system):
-        score = objective(system)
+    def counting(d):
+        score = objective(d)
         return lambda block: calls.append(len(block)) or score(block)
 
     monkeypatch.setattr(uncertainty, "_combined_gini_objective", counting)
@@ -428,10 +427,12 @@ def test_settled_orderings_cut_the_objective_calls(monkeypatch):
         assert 2 * counts[SETTLED_LEVELS, seed] <= counts[NEVER_SETTLES, seed], seed
 
 
-@pytest.mark.parametrize("d, pin", [(9, 1.265318515), (15, 1.444693419)])
+@pytest.mark.parametrize("d, pin", [(9, 1.265318515), (15, 1.444693419), (25, 1.582123932)])
 def test_default_budget_keeps_the_composite_dimension_values(d, pin):
     # no benchmark workload runs a composite d; the CLI default at seed 42
-    # must keep its values there (1.265318515 is the exact value at d = 9)
+    # must keep its values there (1.265318515 is the exact value at d = 9).
+    # At d = 25 it sits on the zig-zag floor, the first composite d where a
+    # comb ordering pair followed by the ascent scores higher (1.582799341)
     est = estimate_sup_gini(new_system(d))
     assert est.g_sup_estimate >= pin - 1e-9
     assert est.converged
@@ -439,7 +440,7 @@ def test_default_budget_keeps_the_composite_dimension_values(d, pin):
 
 def test_round_memory_ceiling_binds_without_changing_results(monkeypatch):
     system = new_system(11)
-    objective = _combined_gini_objective(system)
+    objective = _combined_gini_objective(11)
     starts = search_starts(system, 9)
     block_rows = []
 
@@ -477,18 +478,16 @@ def test_finish_chunks_stay_under_the_round_ceiling(monkeypatch):
     # the estimate finishes every searched restart in chunks under the round
     # ceiling; the search's result is replayed so the peak is the finish's
     system = new_system(11)
-    objective = _combined_gini_objective(system)
-    w, _ = gini_weights(11)
-    searched = _pattern_search(objective, search_starts(system, 9), 2000)
+    searched = _pattern_search(_combined_gini_objective(11), search_starts(system, 9), 2000)
     finish = uncertainty._finish
     chunks, outputs = [], []
 
     def replay(objective, starts, sweeps):
         return searched[0][: len(starts)].copy(), searched[1][: len(starts)].copy()
 
-    def recording(objective, w, x, best):
-        chunks.append(len(x))
-        outputs.append(finish(objective, w, x, best))
+    def recording(z, best):
+        chunks.append(len(z))
+        outputs.append(finish(z, best))
         return outputs[-1]
 
     monkeypatch.setattr(uncertainty, "_pattern_search", replay)
@@ -509,7 +508,7 @@ def test_finish_chunks_stay_under_the_round_ceiling(monkeypatch):
     assert np.array_equal(certified, free_certified)
     # each finished row equals its lone finish, and no value falls
     for r in range(9):
-        alone = finish(objective, w, searched[0][r : r + 1], searched[1][r : r + 1])
+        alone = finish(searched[0][r : r + 1], searched[1][r : r + 1])
         assert np.array_equal(rows[r], alone[0][0]) and values[r] == alone[1][0]
     assert np.all(values >= searched[1])
     assert capped.g_sup_estimate == free.g_sup_estimate and capped.converged == free.converged
@@ -534,7 +533,7 @@ def test_search_keeps_no_copy_of_the_fourier_matrix(d):
 
 def test_starts_are_scored_under_the_round_ceiling(monkeypatch):
     system = new_system(11)
-    objective = _combined_gini_objective(system)
+    objective = _combined_gini_objective(11)
     starts = search_starts(system, 30)
     free_x, free_best = _pattern_search(objective, starts, 7)
     block_rows = []
@@ -586,8 +585,8 @@ def test_ordering_kernel_equals_the_dense_operator(d):
     assert np.max(np.abs(_ordering_rows(z, rx, rp) - z @ dense.T)) <= 1e-12
     # with a row's own ranks, 2 - 2/(d+1) <z|M|z> is the combined index the search scores
     z /= np.linalg.norm(z, axis=1)[:, None]
-    objective = _combined_gini_objective(new_system(d))
-    for row, value in zip(z, objective(np.ascontiguousarray(z).view(np.float64))):
+    objective = _combined_gini_objective(d)
+    for row, value in zip(z, objective(z)):
         own = dense_ordering_operator(own_ranks(np.abs(row) ** 2), own_ranks(np.abs(reference_fourier(d).conj() @ row) ** 2))
         assert abs(2.0 - 2.0 / (d + 1.0) * np.vdot(row, own @ row).real - value) <= 1e-12
 
@@ -642,18 +641,18 @@ def test_finished_estimate_is_certified_by_its_own_orderings(d):
 def test_finish_ascends_from_random_states_to_a_certified_fixed_point(monkeypatch, d):
     # far from any optimum the ascent takes several re-rank and solve steps;
     # each row ends at the bottom eigenvector of its own orderings' operator
-    objective = _combined_gini_objective(new_system(d))
+    objective = _combined_gini_objective(d)
     rng = np.random.default_rng(d)
     z = rng.standard_normal((6, d)) + 1j * rng.standard_normal((6, d))
-    x = np.ascontiguousarray(z / np.linalg.norm(z, axis=1)[:, None]).view(np.float64)
-    start = objective(x)
+    z /= np.linalg.norm(z, axis=1)[:, None]
+    start = objective(z)
     solves = []
     monkeypatch.setattr(uncertainty, "_bottom_vectors", lambda *args: solves.append(1) or _bottom_vectors(*args))
-    rows, values, certified = uncertainty._finish(objective, gini_weights(d)[0], x, start)
+    rows, values, certified = uncertainty._finish(z, start)
     assert len(solves) > 1
     assert certified.all() and np.all(values > start)
     assert np.array_equal(values, objective(rows))
-    for psi, value in zip(rows.view(np.complex128), values):
+    for psi, value in zip(rows, values):
         rx = own_ranks(np.abs(psi) ** 2)
         rp = own_ranks(np.abs(reference_fourier(d).conj() @ psi) ** 2)
         lowest = np.linalg.eigvalsh(dense_ordering_operator(rx, rp))[0]
@@ -695,13 +694,14 @@ def test_solver_rows_end_as_they_would_alone(d):
 def test_finish_never_moves_to_a_lower_value():
     # a row credited with more than its eigenvector scores keeps its point and value
     d = 11
-    objective = _combined_gini_objective(new_system(d))
+    objective = _combined_gini_objective(d)
     rng = np.random.default_rng(4)
     x = rng.standard_normal((3, 2 * d))
     x /= np.linalg.norm(x, axis=1)[:, None]
-    credited = objective(x) + np.array([0.0, 2.0, 0.0])
-    rows, values, certified = uncertainty._finish(objective, gini_weights(d)[0], x, credited)
-    assert np.array_equal(rows[1], x[1]) and values[1] == credited[1]
+    z = x.view(np.complex128)
+    credited = objective(z) + np.array([0.0, 2.0, 0.0])
+    rows, values, certified = uncertainty._finish(z, credited)
+    assert np.array_equal(rows[1], z[1]) and values[1] == credited[1]
     assert values[0] > credited[0] and values[2] > credited[2]
     assert certified.all()  # a certified solve without gain ends certified
 
@@ -710,10 +710,9 @@ def test_finish_never_moves_to_a_lower_value():
 def test_solver_reproduces_the_zigzag_floor(d, pin):
     # from the example state, the solver finds the bottom of the zig-zag pair
     # (both relative directions); the floor is 2 - 2/(d+1) * lambda_min
-    system = new_system(d)
-    objective = _combined_gini_objective(system)
-    start = np.asarray(example_state(system).amplitudes)[None, :]
-    floors = []
+    objective = _combined_gini_objective(d)
+    start = np.asarray(example_state(new_system(d)).amplitudes)[None, :]
+    floors, solved = [], []
     for sign in (1, -1):
         rx, rp = zigzag_ranks(d)[None, :], zigzag_ranks(d, sign)[None, :]
         vectors, certified = _bottom_vectors(start, rx, rp)
@@ -723,9 +722,18 @@ def test_solver_reproduces_the_zigzag_floor(d, pin):
         assert np.linalg.norm(residual) <= uncertainty._RESIDUAL_TOL
         floor = 2.0 - 2.0 / (d + 1.0) * np.vdot(vectors[0], mv[0]).real
         # the eigenvector keeps the zig-zag orderings, so it scores the floor itself
-        assert abs(objective(vectors.view(np.float64))[0] - floor) <= 1e-12
+        assert abs(objective(vectors)[0] - floor) <= 1e-12
         floors.append(floor)
+        solved.append(vectors[0])
     assert abs(max(floors) - pin) <= 1e-9
+    # the solver's complex rows go straight to the finish: each is already a
+    # certified fixed point of its own orderings, so it comes back bit for bit
+    solved = np.array(solved)
+    scores = objective(solved)
+    rows, values, certified = _finish(solved, scores)
+    assert np.array_equal(rows, solved) and np.array_equal(values, scores)
+    assert certified.all()
+    assert abs(values.max() - pin) <= 1e-9
 
 
 def test_budget_limited_estimate_is_finished_and_certified():
