@@ -159,10 +159,15 @@ def _check_comonotonic_additive(system, samples, rng):
             ab[:, i] = _flat_dirichlet(rng, (2, d))
             lam[i] = rng.uniform()
         # Dirichlet draws are distributions by construction; one permutation
-        # of the ascending entries orders both rows alike
-        pa, pb = np.take_along_axis(np.sort(ab, axis=-1), perm[None], axis=-1)
+        # of the ascending entries orders both rows alike; b's entries in
+        # descending order, taken through the same permutation, give b's
+        # anti-monotonic twin, which the predicate must reject
+        a, b = np.sort(ab, axis=-1)
+        pa, pb, twin = np.take_along_axis(np.stack((a, b, b[:, ::-1])), perm[None], axis=-1)
         if not np.all(_comonotonic_rows(pa, pb)):
             return False, "constructed pair not recognized as comonotonic"
+        if np.any(_comonotonic_rows(pa, twin)):
+            return False, "anti-monotonic twin recognized as comonotonic"
         w = lam[:, None]
         gap = _lorenz_rows(w * pa + (1 - w) * pb) - w * _lorenz_rows(pa) - (1 - w) * _lorenz_rows(pb)
         worst = max(worst, float(np.max(np.abs(gap))))

@@ -103,15 +103,15 @@ def _build_record(system, state, label: str, estimate=None) -> dict:
     `state` is a StateVector or a DensityMatrix. Its two distributions are
     one (2, d) array, scored by the row kernels with the bits of
     `gini_report`, `lorenz_curve` and `LorenzCurve.order`. The estimator
-    block is present only when `estimate` is given, and the bracket is then
-    the one the estimate was checked against.
+    block is present only when `estimate` is given; its state is then
+    `estimate.best_state`, so its g_sup_estimate equals the record's g_xp.
     """
     rows = _distribution_rows(*system._state_array(state))
     g_x, g_p = _gini_rows(rows)
     rep = GiniReport(system.d, float(g_x), float(g_p))
     lorenz_x, lorenz_p = _lorenz_rows(rows).tolist()
     order_x, order_p = rows.argsort(axis=-1, kind="stable").tolist()
-    bound_set = BoundSet(system.d) if estimate is None else estimate.bounds
+    bound_set = BoundSet(system.d)
     record = {
         "dim": system.d,
         "state_label": label,

@@ -18,7 +18,7 @@ import itertools
 import numpy as np
 
 from qgini.errors import ValidationError
-from qgini.gini import _weighted_sums, gini_cap, gini_weights
+from qgini.gini import GiniReport, _ginis, _weighted_sums, gini_cap, gini_weights
 from qgini.qsystem import (
     QuantumSystem, StateVector, _distribution_rows, _moduli_squared, _momentum_rows, _position_rows,
     _trusted, check_budget, check_dimension,
@@ -107,38 +107,35 @@ class BoundSet:
 
 
 class EtaEstimate:
-    """Result of one supremum search.
+    """Result of one supremum search, derived from the state it found.
 
-    g_sup_estimate is the best combined index found, hence a lower bound on
-    the true supremum; eta_estimate = g_strict_upper - g_sup_estimate is the
-    matching upper bound on the coefficient; dim is the bracket's. best_state
-    is the state found, gauge-fixed; search and report both take momenta by
-    FFT, but the report clamps and adds the gauge-fixed state's two indices,
-    so its g_xp may differ from g_sup_estimate in the last few ulp. converged
-    records whether the winning restart's finish on the ordering operator
-    ended certified: the state then attains 2 - 2/(d+1) times the least
-    eigenvalue of the operator of its own orderings, to rounding.
-    restarts and iterations must be integers within the search budget, and
-    seed an integer in [0, 2**64).
+    best_state is the state found, gauge-fixed. g_sup_estimate is its
+    combined index g_x + g_p, scored and added as gini_report scores and
+    adds them, so it equals the g_xp of the state's report bit for bit and
+    is a lower bound on the true supremum; eta_estimate = g_strict_upper -
+    g_sup_estimate is the matching upper bound on the coefficient; bounds
+    is the bracket at the state's dimension dim. converged records whether
+    the winning restart's finish on the ordering operator ended certified:
+    the state then attains 2 - 2/(d+1) times the least eigenvalue of the
+    operator of its own orderings, to rounding. restarts and iterations
+    must be integers within the search budget, and seed an integer in
+    [0, 2**64).
     """
 
-    def __init__(self, g_sup_estimate, bound_set, best_state, restarts, iterations, seed, converged):
+    def __init__(self, best_state, restarts, iterations, seed, converged):
         check_search_budget(restarts, iterations)
         check_seed(seed)
-        g = float(g_sup_estimate)
-        if g < bound_set.g_lower - BRACKET_SLACK:
-            raise ValidationError(
-                f"estimate {g!r} fell below the achievable lower bound {bound_set.g_lower!r}"
-            )
-        if not g < bound_set.g_strict_upper:
-            raise ValidationError(f"estimate {g!r} reaches the strict upper bound")
-        eta = bound_set.g_strict_upper - g
-        if not 0.0 < eta <= bound_set.eta_upper + BRACKET_SLACK:
-            raise ValidationError(f"eta estimate {eta!r} outside (0, eta_upper]")
-        self.dim = bound_set.dim
+        if not isinstance(best_state, StateVector):
+            raise ValidationError(f"best_state must be a StateVector, got {type(best_state).__name__}")
+        bounds = BoundSet(best_state.dim)
+        g_x, g_p = _ginis(best_state.amplitudes, pure=True)
+        g = GiniReport(best_state.dim, float(g_x), float(g_p)).g_xp  # refuses g >= g_strict_upper
+        if g < bounds.g_lower - BRACKET_SLACK:
+            raise ValidationError(f"estimate {g!r} fell below the achievable lower bound {bounds.g_lower!r}")
+        self.dim = bounds.dim
         self.g_sup_estimate = g
-        self.eta_estimate = eta
-        self.bounds = bound_set
+        self.eta_estimate = bounds.g_strict_upper - g
+        self.bounds = bounds
         self.best_state = best_state
         self.restarts = int(restarts)
         self.iterations = int(iterations)
@@ -458,13 +455,14 @@ def estimate_sup_gini(
     in turn, drawn from numpy's default generator seeded with
     split_seed(seed, r). Each restart's result is the one it reaches run
     alone, so a fixed (dimension, restarts, iterations, seed) tuple
-    reproduces the result bit for bit. The reported value is the maximum over
-    restarts, ties resolved toward the lowest restart index.
+    reproduces the result bit for bit. The winner is the restart of the
+    largest search value, ties resolved toward the lowest restart index; the
+    estimate reports the winner's gauge-fixed state and the value its own
+    report gives that state (see EtaEstimate).
     """
     check_search_budget(restarts, iterations)
     check_seed(seed)
     d = system.d
-    bound_set = BoundSet(d)
     starts = np.empty((restarts, d), dtype=np.complex128)
     starts[0] = example_state(system).amplitudes
     for r in range(1, restarts):
@@ -476,12 +474,4 @@ def estimate_sup_gini(
         part = slice(i, i + chunk)
         z[part], best[part], certified[part] = _finish(z[part], best[part])
     r = int(best.argmax())
-    return EtaEstimate(
-        g_sup_estimate=float(best[r]),
-        bound_set=bound_set,
-        best_state=_gauge_fixed(z[r]),
-        restarts=restarts,
-        iterations=iterations,
-        seed=seed,
-        converged=certified[r],
-    )
+    return EtaEstimate(_gauge_fixed(z[r]), restarts, iterations, seed, certified[r])

@@ -230,8 +230,9 @@ def test_comonotonic_suite_keeps_the_stream_of_the_per_draw_loop(monkeypatch):
 
 
 def test_comonotonic_suite_stops_at_a_rejected_pair_in_a_later_chunk(monkeypatch):
-    # chunks of 4 draws at d = 5; the predicate rejects one pair of the
-    # second chunk, and the suite reports it without scoring further chunks
+    # chunks of 4 draws at d = 5, each chunk's pairs, then their
+    # anti-monotonic twins; the predicate rejects one pair of the second
+    # chunk, and the suite reports it without scoring further chunks
     monkeypatch.setattr(checks, "_STACK_BYTES", 4 * 16 * 5)
     verdicts = []
     predicate = checks._comonotonic_rows
@@ -239,7 +240,7 @@ def test_comonotonic_suite_stops_at_a_rejected_pair_in_a_later_chunk(monkeypatch
     def rejecting(pa, pb):
         rows = predicate(pa, pb)
         verdicts.append(rows.copy())
-        if len(verdicts) == 2:
+        if len(verdicts) == 3:
             rows[1] = False
         return rows
 
@@ -249,7 +250,19 @@ def test_comonotonic_suite_stops_at_a_rejected_pair_in_a_later_chunk(monkeypatch
         False,
         "constructed pair not recognized as comonotonic",
     )
-    assert [v.tolist() for v in verdicts] == [[True] * 4, [True] * 4]
+    assert [v.tolist() for v in verdicts] == [[True] * 4, [False] * 4, [True] * 4]
+
+
+def test_comonotonic_suite_fails_under_a_predicate_that_accepts_every_pair(monkeypatch):
+    # each constructed pair has an anti-monotonic twin that the predicate must
+    # reject, so a predicate that accepts everything cannot pass the suite
+    monkeypatch.setattr(checks, "_comonotonic_rows", lambda pa, pb: np.ones(pa.shape[:-1], dtype=bool))
+    results = {r.name: r for r in run_property_checks(11, samples=20, seed=7)}
+    assert (results["comonotonic_additive"].passed, results["comonotonic_additive"].detail) == (
+        False,
+        "anti-monotonic twin recognized as comonotonic",
+    )
+    assert [name for name, r in results.items() if not r.passed] == ["comonotonic_additive"]
 
 
 @pytest.mark.parametrize("d", [3, 5, 11, 41])

@@ -502,13 +502,11 @@ def test_d201_density_probe_prints_the_saved_bytes(tmp_path, monkeypatch, layout
 
 @pytest.mark.parametrize("path", sorted(SAVED_OUTPUT.glob("estimate-*.json")), ids=lambda path: path.name)
 def test_estimate_report_rescores_the_best_state_within_4_ulp(path):
-    # the search and the report both take momenta by FFT, but the report
-    # clamps and adds the two indices of the gauge-fixed best state, so its
-    # g_xp may differ from g_sup_estimate in the last bits (the saved
-    # documents differ by -3 to +1 ulp)
+    # the estimate's value is the report of the state it prints, so the
+    # saved g_xp and g_sup_estimate are the same float, with no ulp between them
     doc = json.loads(path.read_text())
-    ulp_steps = np.array([doc["g_xp"], doc["g_sup_estimate"]]).view(np.int64)
-    assert abs(int(ulp_steps[0]) - int(ulp_steps[1])) <= 4
+    assert doc["g_xp"] == doc["g_sup_estimate"]
+    assert doc["eta_estimate"] == doc["g_strict_upper"] - doc["g_sup_estimate"]
 
 
 # saved check stdout: the coherent suites displace one validated fiducial
@@ -538,8 +536,8 @@ def test_checks_print_the_saved_bytes(capsys, argv, name):
 
 
 def test_each_bracket_and_state_is_built_once(monkeypatch, capsys):
-    # an estimate record prints the bracket its EtaEstimate was checked
-    # against, and the example state is wrapped, not re-validated
+    # one bracket per estimate (from its state's dimension) and one per
+    # record, and the example state is wrapped, not re-validated
     built = {"BoundSet": 0, "StateVector": 0}
 
     def counting(cls):
@@ -557,7 +555,7 @@ def test_each_bracket_and_state_is_built_once(monkeypatch, capsys):
     assert run(["sweep", "--dims", "3,5", "--restarts", "2", "--iters", "50"]) == 0
     assert run(["example", "--dim", "5"]) == 0
     capsys.readouterr()
-    assert built == {"BoundSet": 4, "StateVector": 0}
+    assert built == {"BoundSet": 5, "StateVector": 0}
 
 
 def test_reports_score_one_distribution_array(monkeypatch, capsys, tmp_path):

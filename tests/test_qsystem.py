@@ -72,8 +72,7 @@ def test_large_dimension_rejected_before_allocation(bad):
 
 
 def _estimate(restarts=1, iterations=1, seed=0):
-    b = BoundSet(3)
-    return EtaEstimate(b.g_lower, b, None, restarts, iterations, seed, True)
+    return EtaEstimate(example_state(new_system(3)), restarts, iterations, seed, True)
 
 
 def _coherent(alpha, beta):
@@ -123,8 +122,7 @@ def test_numpy_integers_count_as_integers():
 
 
 def test_result_types_and_indices_take_numpy_and_negative_integers(sys5):
-    b = BoundSet(3)
-    est = EtaEstimate(b.g_lower, b, None, np.int64(2), np.int16(5), np.uint64(2**64 - 1), True)
+    est = EtaEstimate(example_state(new_system(3)), np.int64(2), np.int16(5), np.uint64(2**64 - 1), True)
     assert (est.dim, est.restarts, est.iterations, est.seed) == (3, 2, 5, 2**64 - 1)
     assert type(est.restarts) is int and type(est.seed) is int
     assert GiniReport(np.int64(5), 0.1, 0.2).dim == 5

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from qgini import (
-    BoundSet,
     EtaEstimate,
     StateVector,
     ValidationError,
     estimate_sup_gini,
+    example_state,
     new_system,
     random_density_matrix,
     random_state_vector,
@@ -76,9 +76,8 @@ def test_seeds_outside_64_bits_are_refused_not_wrapped(seed):
 @pytest.mark.parametrize("seed", [-4, 2**64], ids=["-4", "2**64"])
 def test_hand_built_estimates_refuse_seeds_outside_64_bits(seed):
     # an estimate must not carry a seed that no rerun accepts
-    b = BoundSet(3)
     with pytest.raises(ValidationError) as info:
-        EtaEstimate(b.g_lower, b, None, 2, 5, seed, True)
+        EtaEstimate(example_state(new_system(3)), 2, 5, seed, True)
     assert str(info.value) == f"seed must lie in [0, 2**64), got {seed}"
 
 

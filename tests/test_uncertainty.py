@@ -208,6 +208,17 @@ def test_estimate_bracket_small_budget(sys5):
     assert abs(est.g_sup_estimate + est.eta_estimate - b.g_strict_upper) <= 1e-12
 
 
+@pytest.mark.parametrize("d", range(3, 26, 2))
+def test_estimate_value_is_the_report_of_its_state(d):
+    # the estimate re-scores the state it returns as its report does, so the
+    # two agree bit for bit (the search's own value may differ in the last ulp)
+    system = new_system(d)
+    for seed in range(5):
+        est = estimate_sup_gini(system, restarts=4, iterations=200, seed=seed)
+        assert est.g_sup_estimate == gini_report(system, est.best_state).g_xp, seed
+        assert est.eta_estimate == est.bounds.g_strict_upper - est.g_sup_estimate
+
+
 def test_estimate_best_state_reproduces_value(sys3):
     est = estimate_sup_gini(sys3, restarts=2, iterations=200, seed=5)
     rep = gini_report(sys3, pure_density(est.best_state))
@@ -706,7 +717,9 @@ def test_finish_never_moves_to_a_lower_value():
     assert certified.all()  # a certified solve without gain ends certified
 
 
-@pytest.mark.parametrize("d, pin", [(41, 1.682741672), (101, 1.806528511)])
+@pytest.mark.parametrize(
+    "d, pin", [(41, 1.682741672), (101, 1.806528511), (1001, 1.942364103), (4001, 1.971652331)]
+)
 def test_solver_reproduces_the_zigzag_floor(d, pin):
     # from the example state, the solver finds the bottom of the zig-zag pair
     # (both relative directions); the floor is 2 - 2/(d+1) * lambda_min
@@ -757,11 +770,16 @@ def test_one_sweep_from_the_example_state_reaches_the_zigzag_floor(d, pin):
     assert est.converged
 
 
-def test_eta_estimate_validation():
-    b = BoundSet(3)
+def test_eta_estimate_validation(sys3, monkeypatch):
     from qgini.uncertainty import EtaEstimate
 
-    with pytest.raises(ValidationError):
-        EtaEstimate(0.5, b, None, 1, 1, 0, True)  # below the achievable floor
-    with pytest.raises(ValidationError):
-        EtaEstimate(1.0, b, None, 1, 1, 0, True)  # at the strict ceiling
+    for not_a_state in (None, pure_density(example_state(sys3)), example_state(sys3).amplitudes):
+        with pytest.raises(ValidationError, match="best_state must be a StateVector"):
+            EtaEstimate(not_a_state, 1, 1, 0, True)
+    # a position state scores g = cap = 0.5, below the example state's 0.683
+    with pytest.raises(ValidationError, match="below the achievable lower bound"):
+        EtaEstimate(sys3.position_state(0), 1, 1, 0, True)
+    # a scorer crediting both indices with the cap puts g at the strict ceiling
+    monkeypatch.setattr(uncertainty, "_ginis", lambda x, pure=False: np.full(2, gini_cap(3)))
+    with pytest.raises(ValidationError, match="reaches the strict bound"):
+        EtaEstimate(example_state(sys3), 1, 1, 0, True)
